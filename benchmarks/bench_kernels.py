@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the numba kernels against the pure-numpy fallback.
 
-Runs each hot kernel in-process on the currently selected path; to compare,
+Runs each hot kernel in-process on the currently selected path.  The Bessel
+entry times scipy's k0e/k1e, which both paths share; to compare the rest,
 run twice:
 
     python3 benchmarks/bench_kernels.py
@@ -40,7 +41,7 @@ def run_suite() -> dict:
     results = {"numba": _kernels.USING_NUMBA}
 
     s = rng.uniform(1e-3, 400.0, size=400_000)
-    results["bessel_k01_scaled_400k"] = bench(_kernels.k01_scaled, s)
+    results["bessel_scipy_k0e_k1e_400k"] = bench(_kernels.k01_scaled, s)
 
     n, m = 1024, 512
     dl = np.full(n, -1.0)

@@ -1,8 +1,11 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels.
 
-Set FRONTFORGE_NUMBA=0 in the environment to force the numpy path (useful
-for debugging and for the benchmark in benchmarks/bench_kernels.py).  Both
-paths implement identical arithmetic; results agree to the last few ulps.
+The scaled Bessel pair comes from scipy.special (k0e, k1e).  The batched
+tridiagonal solve and the weighted rearrangement carry a numba fast path
+with a pure-numpy fallback.  Set FRONTFORGE_NUMBA=0 in the environment to
+force the numpy path (useful for debugging and for the benchmark in
+benchmarks/bench_kernels.py).  Both paths implement identical arithmetic;
+results agree to the last few ulps.
 """
 
 from __future__ import annotations
@@ -10,8 +13,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
-
-from ._bessel_coeffs import K0_FAR, K0_MID, K1_FAR, K1_MID
+from scipy.special import k0e, k1e
 
 _env = os.environ.get("FRONTFORGE_NUMBA", "1").strip().lower()
 _want_numba = _env not in ("0", "false", "off", "no")
@@ -26,127 +28,15 @@ if _want_numba:
 else:
     USING_NUMBA = False
 
-EULER_GAMMA = 0.5772156649015328606
-
 # ---------------------------------------------------------------------------
 # scaled modified Bessel functions: e^s K_0(s), e^s K_1(s)
 # ---------------------------------------------------------------------------
 
 
-def _k01_scaled_numpy(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    k0 = np.empty_like(s)
-    k1 = np.empty_like(s)
-
-    small = s <= 2.0
-    if small.any():
-        x = s[small]
-        q = 0.25 * x * x
-        lg = np.log(0.5 * x) + EULER_GAMMA
-        i0 = np.ones_like(x)
-        i1s = np.ones_like(x)  # sum for I1/(x/2)
-        s0 = np.zeros_like(x)
-        s1 = np.full_like(x, 1.0)  # k=0 term of (H_k + H_{k+1}) series
-        t0 = np.ones_like(x)
-        t1 = np.ones_like(x)
-        hk = 0.0
-        for k in range(1, 26):
-            t0 = t0 * q / (k * k)
-            t1 = t1 * q / (k * (k + 1))
-            hk += 1.0 / k
-            hk1 = hk + 1.0 / (k + 1)
-            i0 += t0
-            i1s += t1
-            s0 += t0 * hk
-            s1 += t1 * (hk + hk1)
-        i1 = 0.5 * x * i1s
-        esc = np.exp(x)
-        k0[small] = esc * (-lg * i0 + s0)
-        k1[small] = esc * (1.0 / x + (np.log(0.5 * x) + EULER_GAMMA) * i1 - 0.25 * x * s1)
-
-    mid = (s > 2.0) & (s <= 8.0)
-    if mid.any():
-        x = s[mid]
-        z = (16.0 / x - 5.0) / 3.0
-        k0[mid] = _clenshaw_numpy(K0_MID, z) / np.sqrt(x)
-        k1[mid] = _clenshaw_numpy(K1_MID, z) / np.sqrt(x)
-
-    far = s > 8.0
-    if far.any():
-        x = s[far]
-        z = 16.0 / x - 1.0
-        k0[far] = _clenshaw_numpy(K0_FAR, z) / np.sqrt(x)
-        k1[far] = _clenshaw_numpy(K1_FAR, z) / np.sqrt(x)
-
-    return k0, k1
-
-
-def _clenshaw_numpy(c: np.ndarray, z: np.ndarray) -> np.ndarray:
-    b1 = np.zeros_like(z)
-    b2 = np.zeros_like(z)
-    for j in range(len(c) - 1, 0, -1):
-        b1, b2 = c[j] + 2.0 * z * b1 - b2, b1
-    return 0.5 * c[0] + z * b1 - b2
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _clenshaw_scalar(c, z):
-        b1 = 0.0
-        b2 = 0.0
-        for j in range(len(c) - 1, 0, -1):
-            b1, b2 = c[j] + 2.0 * z * b1 - b2, b1
-        return 0.5 * c[0] + z * b1 - b2
-
-    @njit(cache=True)
-    def _k01_scaled_numba(s):
-        n = s.size
-        k0 = np.empty(n)
-        k1 = np.empty(n)
-        for i in range(n):
-            x = s[i]
-            if x <= 2.0:
-                q = 0.25 * x * x
-                lg = np.log(0.5 * x) + EULER_GAMMA
-                i0 = 1.0
-                i1s = 1.0
-                s0 = 0.0
-                s1 = 1.0
-                t0 = 1.0
-                t1 = 1.0
-                hk = 0.0
-                for k in range(1, 26):
-                    t0 = t0 * q / (k * k)
-                    t1 = t1 * q / (k * (k + 1))
-                    hk += 1.0 / k
-                    hk1 = hk + 1.0 / (k + 1)
-                    i0 += t0
-                    i1s += t1
-                    s0 += t0 * hk
-                    s1 += t1 * (hk + hk1)
-                i1 = 0.5 * x * i1s
-                esc = np.exp(x)
-                k0[i] = esc * (-lg * i0 + s0)
-                k1[i] = esc * (1.0 / x + lg * i1 - 0.25 * x * s1)
-            elif x <= 8.0:
-                z = (16.0 / x - 5.0) / 3.0
-                rs = 1.0 / np.sqrt(x)
-                k0[i] = _clenshaw_scalar(K0_MID, z) * rs
-                k1[i] = _clenshaw_scalar(K1_MID, z) * rs
-            else:
-                z = 16.0 / x - 1.0
-                rs = 1.0 / np.sqrt(x)
-                k0[i] = _clenshaw_scalar(K0_FAR, z) * rs
-                k1[i] = _clenshaw_scalar(K1_FAR, z) * rs
-        return k0, k1
-
-
 def k01_scaled(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e^s K_0(s), e^s K_1(s)) for a 1-D positive array; never underflows."""
     s = np.ascontiguousarray(s, dtype=np.float64)
-    if USING_NUMBA:
-        return _k01_scaled_numba(s)
-    return _k01_scaled_numpy(s)
+    return k0e(s), k1e(s)
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,12 @@ def _edges(a: float, b: float) -> np.ndarray:
     return np.asarray(out)
 
 
-def _cells(x_off: float, edges: np.ndarray, tol: float = 1e-11):
-    """Integral of the kernel over each cell [edges[i], edges[i+1]].
+def _subpanels(edges: np.ndarray):
+    """The sub-panel table of `edges`: (starts, stops, owner cell).
 
-    Cells wider than a panel are subdivided internally.  Every cell is
-    evaluated with nested Gauss rules; disagreement beyond `tol` raises.
+    A cell wider than its panel width is split into equal sub-panels with
+    the arithmetic of np.linspace (lo + j*step, last edge exactly hi), all
+    cells at once.
     """
     lo = edges[:-1]
     hi = edges[1:]
@@ -122,16 +123,23 @@ def _cells(x_off: float, edges: np.ndarray, tol: float = 1e-11):
     wmax = np.where(center >= _Z_GEO, _PANEL, 0.25 * np.abs(center))
     nsub = np.minimum(np.maximum(1, np.ceil(width / wmax).astype(int)), 10000)
     nsub = np.where(lo >= _Z_DEAD, 1, nsub)  # integrand underflowed to 0 there
-    # flatten subpanels
-    starts, stops, owner = [], [], []
-    for i in range(len(lo)):
-        e = np.linspace(lo[i], hi[i], nsub[i] + 1)
-        starts.append(e[:-1])
-        stops.append(e[1:])
-        owner.append(np.full(nsub[i], i))
-    starts = np.concatenate(starts)
-    stops = np.concatenate(stops)
-    owner = np.concatenate(owner)
+    owner = np.repeat(np.arange(len(lo)), nsub)
+    last = np.cumsum(nsub) - 1  # index of each cell's final sub-panel
+    j = np.arange(len(owner)) - (last - nsub + 1)[owner]
+    step = (width / nsub)[owner]
+    starts = j * step + lo[owner]
+    stops = (j + 1) * step + lo[owner]
+    stops[last] = hi
+    return starts, stops, owner
+
+
+def _cells(x_off: float, edges: np.ndarray, tol: float = 1e-11):
+    """Integral of the kernel over each cell [edges[i], edges[i+1]].
+
+    Cells wider than a panel are subdivided internally.  Every cell is
+    evaluated with nested Gauss rules; disagreement beyond `tol` raises.
+    """
+    starts, stops, owner = _subpanels(edges)
     mid = 0.5 * (starts + stops)
     hw = 0.5 * (stops - starts)
 
@@ -145,13 +153,9 @@ def _cells(x_off: float, edges: np.ndarray, tol: float = 1e-11):
     fine = rule(12)
     err = float(np.abs(fine - coarse).sum())
     if err > max(tol, 1e-13 * float(np.abs(fine).sum())):
-        refined_mid = np.repeat(0.5 * (starts + stops), 2)
-        starts2 = np.empty(2 * len(starts))
-        starts2[0::2] = starts
-        starts2[1::2] = refined_mid[0::2]
-        stops2 = np.empty_like(starts2)
-        stops2[0::2] = refined_mid[0::2]
-        stops2[1::2] = stops
+        # halve every sub-panel; halves stay in order, next to their owner
+        starts2 = np.column_stack([starts, mid]).ravel()
+        stops2 = np.column_stack([mid, stops]).ravel()
         mid = 0.5 * (starts2 + stops2)
         hw = 0.5 * (stops2 - starts2)
         owner = np.repeat(owner, 2)
@@ -160,7 +164,7 @@ def _cells(x_off: float, edges: np.ndarray, tol: float = 1e-11):
         err = float(np.abs(fine - coarse).sum())
         if err > max(tol, 1e-12 * float(np.abs(fine).sum())):
             raise QuadratureError("kernel quadrature did not converge", err)
-    out = np.zeros(len(lo))
+    out = np.zeros(len(edges) - 1)
     np.add.at(out, owner, fine)
     return out
 
@@ -385,20 +389,9 @@ def _hphase_root(t: float) -> float:
     return math.sqrt(max(r_star * r_star - t * t, 0.0))
 
 
-def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonlinearity:
-    """The reaction law f^{t,c} packaged as a table-backed Nonlinearity.
-
-    The trace is swept once (cumulative quadrature) on a grid combining a
-    uniform core with geometric tails, giving the parametric table
-    (s, f, f') with exact derivative data; inside the table f is cubic
-    Hermite in s, outside it continues with the exact endpoint slopes
-    -c/(2t).  Structural constants delta, alpha, beta are located from the
-    closed forms.  Interpolation error is below ~1e-9, far inside what the
-    variational solver resolves.
-    """
-    t, c = params.t, params.c
-    y_star = _hphase_root(t)
-
+def _law_eta_grid(t: float, step: float) -> np.ndarray:
+    """Trace positions of the law table: a uniform core of spacing `step`
+    with a geometric tail below it and a coarse tail above."""
     core_lo, core_hi = -40.0 * max(t, 1.0), 15.0 + 3.0 * t
     tail = []
     v = core_lo
@@ -408,8 +401,24 @@ def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonli
     neg_tail = np.asarray(tail[::-1])  # ascending, strictly below core_lo
     core = np.arange(core_lo, core_hi + step, step)
     pos_tail = core_hi + np.cumsum(np.full(40, 0.5))
-    eta_grid = np.concatenate([neg_tail, core, pos_tail])
+    return np.concatenate([neg_tail, core, pos_tail])
 
+
+def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonlinearity:
+    """The reaction law f^{t,c} packaged as a table-backed Nonlinearity.
+
+    The trace is swept once (cumulative quadrature) on a grid combining a
+    uniform core with geometric tails, giving the parametric table
+    (s, f, f') with exact derivative data; inside the table f is cubic
+    Hermite in s and f' is that cubic's derivative, outside both continue
+    with the exact endpoint slopes -c/(2t).  Structural constants delta,
+    alpha, beta are located from the closed forms.  Interpolation error is
+    below ~1e-9, far inside what the variational solver resolves.
+    """
+    t, c = params.t, params.c
+    y_star = _hphase_root(t)
+
+    eta_grid = _law_eta_grid(t, step)
     top = _u_speed2(t, float(eta_grid[-1]))
     cells = _cells(t, eta_grid)
     u = np.empty(len(eta_grid))
@@ -430,12 +439,15 @@ def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonli
     s_lo, s_hi = float(s_tab[0]), float(s_tab[-1])
     h_tab = np.diff(s_tab)
 
-    def f_core(s):
+    def locate(s):
         s = np.asarray(s, dtype=float)
         sc = np.clip(s, s_lo, s_hi)
         idx = np.clip(np.searchsorted(s_tab, sc) - 1, 0, len(h_tab) - 1)
         hloc = h_tab[idx]
-        w = (sc - s_tab[idx]) / hloc
+        return s, idx, hloc, (sc - s_tab[idx]) / hloc
+
+    def f_core(s):
+        s, idx, hloc, w = locate(s)
         h00 = (1.0 + 2.0 * w) * (1.0 - w) ** 2
         h10 = w * (1.0 - w) ** 2
         h01 = w * w * (3.0 - 2.0 * w)
@@ -451,8 +463,13 @@ def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonli
         return val
 
     def fp_core(s):
-        s = np.asarray(s, dtype=float)
-        val = np.interp(s, s_tab, fp_tab, left=slope, right=slope)
+        # derivative in s of the same Hermite cubic as f_core
+        s, idx, hloc, w = locate(s)
+        val = (
+            6.0 * w * (w - 1.0) * (f_tab[idx] - f_tab[idx + 1]) / hloc
+            + (3.0 * w - 1.0) * (w - 1.0) * fp_tab[idx]
+            + w * (3.0 * w - 2.0) * fp_tab[idx + 1]
+        )
         val = np.where((s < s_lo) | (s > s_hi), slope, val)
         return val
 

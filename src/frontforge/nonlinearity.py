@@ -235,30 +235,49 @@ def potential(nl: Nonlinearity, s):
 
 
 def _adaptive_simpson(fun, a: float, b: float, tol: float = 1e-12, depth: int = 48) -> float:
-    """Adaptive composite Simpson with absolute tolerance."""
+    """Adaptive composite Simpson with absolute tolerance.
 
-    def simp(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def rec(x0, x2, f0, f1, f2, whole, eps, d):
-        xm = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + xm)
-        rm = 0.5 * (xm + x2)
-        fl = float(fun(lm))
-        fr = float(fun(rm))
-        left = simp(x0, xm, f0, fl, f1)
-        right = simp(xm, x2, f1, fr, f2)
-        if d <= 0 or abs(left + right - whole) <= 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return rec(x0, xm, f0, fl, f1, left, eps / 2.0, d - 1) + rec(
-            xm, x2, f1, fr, f2, right, eps / 2.0, d - 1
-        )
-
+    `fun` must accept an array.  The bisection tree is walked breadth first:
+    each level evaluates the quarter points of all open intervals in one
+    call.  An interval is accepted when its two halves agree with the whole
+    to 15*eps (eps halves per level) or at the depth cap, and the accepted
+    values are summed back in tree order, left + right, so the result is
+    the float the depth-first recursion returns.
+    """
     if a == b:
         return 0.0
-    f0, f1, f2 = float(fun(a)), float(fun(0.5 * (a + b))), float(fun(b))
-    whole = simp(a, b, f0, f1, f2)
-    return rec(a, b, f0, f1, f2, whole, tol, depth)
+    f0, f1, f2 = np.asarray(fun(np.array([a, 0.5 * (a + b), b])), dtype=float)[:, None]
+    x0, x2 = np.array([a], dtype=float), np.array([b], dtype=float)
+    whole = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+    eps = tol
+    levels = []  # per level: (accepted mask, value of each interval)
+    for d in range(depth, -1, -1):
+        xm = 0.5 * (x0 + x2)
+        quarter = np.concatenate([0.5 * (x0 + xm), 0.5 * (xm + x2)])
+        fl, fr = np.split(np.asarray(fun(quarter), dtype=float), 2)
+        left = (xm - x0) / 6.0 * (f0 + 4.0 * fl + f1)
+        right = (x2 - xm) / 6.0 * (f1 + 4.0 * fr + f2)
+        both = left + right
+        done = (np.abs(both - whole) <= 15.0 * eps) | (d <= 0)
+        levels.append((done, both + (both - whole) / 15.0))
+        if done.all():
+            break
+        # children of the open intervals, each left child before its right one
+        o = ~done
+        x0, x2 = _interleave(x0[o], xm[o]), _interleave(xm[o], x2[o])
+        f0, f1, f2 = _interleave(f0[o], f1[o]), _interleave(fl[o], fr[o]), _interleave(f1[o], f2[o])
+        whole = _interleave(left[o], right[o])
+        eps /= 2.0
+
+    total = levels[-1][1]
+    for done, value in reversed(levels[:-1]):
+        value[~done] = total[0::2] + total[1::2]
+        total = value
+    return float(total[0])
+
+
+def _interleave(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return np.column_stack([lhs, rhs]).ravel()
 
 
 def antiderivative(nl: Nonlinearity, s: float, tol: float = 1e-12) -> float:

@@ -103,7 +103,7 @@ def seed_energy_value(nl: Nonlinearity, a: float, d: float | None = None, m: flo
     """
     if d is None:
         d = 0.5 * a
-    s_m = _adaptive_simpson(lambda s: float(nl.f(s)) * s ** (-1.0 / m), 1e-12, 1.0)
+    s_m = _adaptive_simpson(lambda s: nl.f(s) * s ** (-1.0 / m), 1e-12, 1.0)
     val = d / 4.0 * (1.0 + 1.0 / (2.0 * m - 1.0)) + a * a * m * m / (4.0 * d * (2.0 * m - 1.0)) - s_m
     return val / a
 

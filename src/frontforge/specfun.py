@@ -1,11 +1,10 @@
 """Modified Bessel functions of the second kind K_0, K_1, K_2.
 
-Self-contained: power series with log terms below s = 2, Chebyshev-corrected
-asymptotic form above (tables frozen from the integral-representation
-quadrature oracle, see tools/gen_bessel_coeffs.py).  K_2 always comes from
-the exact recurrence K_2 = K_0 + (2/s) K_1.
+K_0 and K_1 come from scipy.special's exponentially scaled k0e and k1e
+(through _kernels.k01_scaled); K_2 always comes from the exact recurrence
+K_2 = K_0 + (2/s) K_1.
 
-Relative accuracy is a few 1e-14 over s in [1e-6, 700]; beyond the underflow
+Relative accuracy is about 1e-14 over s in [1e-6, 700]; beyond the underflow
 cutoff the unscaled values are reported as exact 0 together with a flag.
 Scaled values e^s K_nu(s) are available for any positive s and never
 underflow.

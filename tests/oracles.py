@@ -58,3 +58,49 @@ def central_derivative(f, x: float, h: float = 1e-5) -> float:
     d1 = (f(x + h) - f(x - h)) / (2.0 * h)
     d2 = (f(x + h / 2.0) - f(x - h / 2.0)) / h
     return (4.0 * d2 - d1) / 3.0
+
+
+def adaptive_simpson_recursive(fun, a: float, b: float, tol: float = 1e-12, depth: int = 48) -> float:
+    """Depth-first adaptive Simpson on a scalar callable: the reference the
+    breadth-first `nonlinearity._adaptive_simpson` must reproduce exactly."""
+
+    def simp(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def rec(x0, x2, f0, f1, f2, whole, eps, d):
+        xm = 0.5 * (x0 + x2)
+        lm = 0.5 * (x0 + xm)
+        rm = 0.5 * (xm + x2)
+        fl = float(fun(lm))
+        fr = float(fun(rm))
+        left = simp(x0, xm, f0, fl, f1)
+        right = simp(xm, x2, f1, fr, f2)
+        if d <= 0 or abs(left + right - whole) <= 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return rec(x0, xm, f0, fl, f1, left, eps / 2.0, d - 1) + rec(
+            xm, x2, f1, fr, f2, right, eps / 2.0, d - 1
+        )
+
+    if a == b:
+        return 0.0
+    f0, f1, f2 = float(fun(a)), float(fun(0.5 * (a + b))), float(fun(b))
+    whole = simp(a, b, f0, f1, f2)
+    return rec(a, b, f0, f1, f2, whole, tol, depth)
+
+
+def subpanels_linspace(edges, panel: float, z_geo: float, z_dead: float):
+    """Sub-panel table (starts, stops, owner) built one cell at a time with
+    np.linspace: the reference for `explicit_front._subpanels`."""
+    lo = edges[:-1]
+    hi = edges[1:]
+    center = 0.5 * (lo + hi)
+    wmax = np.where(center >= z_geo, panel, 0.25 * np.abs(center))
+    nsub = np.minimum(np.maximum(1, np.ceil((hi - lo) / wmax).astype(int)), 10000)
+    nsub = np.where(lo >= z_dead, 1, nsub)
+    starts, stops, owner = [], [], []
+    for i in range(len(lo)):
+        e = np.linspace(lo[i], hi[i], nsub[i] + 1)
+        starts.append(e[:-1])
+        stops.append(e[1:])
+        owner.append(np.full(nsub[i], i))
+    return np.concatenate(starts), np.concatenate(stops), np.concatenate(owner)

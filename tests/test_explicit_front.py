@@ -1,10 +1,12 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from frontforge import explicit_front as ef
 from frontforge.analysis import fit_decay
+from frontforge.evolution import lipschitz_bound, stability_limit
 from frontforge.explicit_front import (
     ExplicitFrontParams,
     asymptotic_constant,
@@ -18,9 +20,14 @@ from frontforge.explicit_front import (
     kernel_mass,
     poisson_kernel,
 )
+from frontforge.front_suite import evolution_grid
 from frontforge.grid import TraceProfile
 from frontforge.nonlinearity import antiderivative, validate
 from frontforge.specfun import bessel_k, k_ratio
+from oracles import subpanels_linspace
+
+# the package re-exports the function explicit_front under the module's name
+ef = importlib.import_module("frontforge.explicit_front")
 
 P12 = ExplicitFrontParams(t=1.0, c=2.0)
 
@@ -70,6 +77,44 @@ class TestKernel:
         minus = poisson_kernel(1.0, 0.0, -20.0) * 20.0**1.5
         assert plus == pytest.approx(target, rel=2e-2)
         assert minus == pytest.approx(target, rel=2e-2)
+
+
+class TestPanelQuadrature:
+    @staticmethod
+    def _edge_set(name):
+        if name == "evolution":
+            return 0.5 * P12.c * evolution_grid(P12.c, 64).ys
+        if name == "law":
+            return ef._law_eta_grid(P12.t, 0.05)
+        if name == "kernel_mass":
+            return ef._edges(-((0.8 * P12.t * 1.0e17) ** 2), 380.0)
+        # a coarse profile grid from y = 0, where lo + nsub*step misses hi
+        return 0.5 * P12.c * np.array([0.0, 0.9, 1.7, 4.0])
+
+    @pytest.mark.parametrize(
+        "name,split", [("evolution", False), ("law", True), ("kernel_mass", True), ("coarse", True)]
+    )
+    def test_subpanel_table_matches_linspace(self, name, split):
+        edges = self._edge_set(name)
+        starts, stops, owner = ef._subpanels(edges)
+        ref = subpanels_linspace(edges, ef._PANEL, ef._Z_GEO, ef._Z_DEAD)
+        assert (len(owner) > len(edges) - 1) == split  # some cells hold several sub-panels
+        for got, want in zip((starts, stops, owner), ref):
+            np.testing.assert_array_equal(got, want)
+
+    def test_refined_rule_matches_direct_integral(self, monkeypatch):
+        # the kernel at x + t = 0.3 is too peaked for the 6/12 check, so
+        # every sub-panel is halved and checked with 12/24
+        orders = []
+        gl = ef._gl
+        monkeypatch.setattr(ef, "_gl", lambda n: orders.append(n) or gl(n))
+        edges = np.linspace(-2.0, 2.0, 11)
+        cells = ef._cells(0.3, edges)
+        assert 24 in orders
+        for k in range(len(cells)):
+            lo, hi = edges[k], edges[k + 1]
+            ref, _ = quad(lambda z: poisson_kernel(0.3, 0.0, z), lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)
+            assert cells[k] == pytest.approx(ref, abs=1e-12)
 
 
 class TestFrontValues:
@@ -190,6 +235,18 @@ class TestPackagedNonlinearity:
             assert float(oracle_nl.f(s)) == pytest.approx(
                 explicit_nonlinearity(P12, float(s)), abs=1e-6
             )
+
+    def test_f_prime_is_derivative_of_f(self, oracle_nl):
+        s = np.linspace(0.0, 1.0, 2003)[1:-1]
+        h = 1e-7
+        fd = (oracle_nl.f(s + h) - oracle_nl.f(s - h)) / (2.0 * h)
+        assert np.max(np.abs(oracle_nl.f_prime(s) - fd)) < 1e-6
+
+    def test_evolution_leg_keeps_its_step_count(self, oracle_nl):
+        # evolve's default dt is half the stability limit, which samples f'
+        assert lipschitz_bound(oracle_nl) == pytest.approx(1.6994839, abs=1e-6)
+        limit = stability_limit(evolution_grid(P12.c, 64), oracle_nl)
+        assert math.ceil(0.125 / (0.5 * limit)) == 28
 
     def test_structural_constants(self, oracle_nl):
         assert 0.0 < oracle_nl.delta < 0.5

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from frontforge import _kernels
+from oracles import bessel_k_scaled_quadrature
 
 RNG = np.random.default_rng(12)
 
@@ -34,8 +35,16 @@ def test_rearrange_preserves_weighted_distribution():
         np.testing.assert_allclose(m0, m1, atol=1.2 * meas.max())
 
 
+def test_k01_scaled_matches_quadrature_oracle():
+    s = np.geomspace(1e-6, 700.0, 61)
+    k0, k1 = _kernels.k01_scaled(s)
+    for k, ref in ((k0, 0), (k1, 1)):
+        want = [bessel_k_scaled_quadrature(ref, float(v)) for v in s]
+        np.testing.assert_allclose(k, want, rtol=1e-13, atol=0.0)
+
+
 def test_bessel_core_branches_join_smoothly():
-    # values straddling the series/Chebyshev breakpoints
+    # values straddling s = 2 (scipy's series/Chebyshev switch) and s = 8
     for s0 in (2.0, 8.0):
         lo, hi = _kernels.k01_scaled(np.array([s0 * (1 - 1e-12), s0 * (1 + 1e-12)]))[0]
         assert lo == pytest.approx(hi, rel=1e-11)

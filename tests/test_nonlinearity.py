@@ -15,7 +15,7 @@ from frontforge.nonlinearity import (
     reflect,
     validate,
 )
-from oracles import simpson_integral
+from oracles import adaptive_simpson_recursive, simpson_integral
 
 CUBIC_BETA_CLOSED = (5.0 - math.sqrt(7.0)) / 6.0
 
@@ -200,6 +200,16 @@ def test_custom_wrapper_extends_linearly():
 
 
 def test_adaptive_simpson_tolerance():
-    val = nlmod._adaptive_simpson(lambda x: math.exp(-x) * math.sin(8 * x), 0.0, 2.0, tol=1e-12)
+    val = nlmod._adaptive_simpson(lambda x: np.exp(-x) * np.sin(8 * x), 0.0, 2.0, tol=1e-12)
     exact = (8 - math.exp(-2) * (math.sin(16) * 1 + 8 * math.cos(16))) / 65.0
     assert val == pytest.approx(exact, abs=5e-12)
+
+
+@pytest.mark.parametrize("law", ["cubic_nl", "combustion", "oracle_nl"])
+def test_breadth_first_simpson_equals_recursive(law, request, monkeypatch):
+    nl = make_combustion(0.3, 1.0) if law == "combustion" else request.getfixturevalue(law)
+    beta = ignition_point(nl)
+    for s in (0.1, 0.39, 1.0, beta):
+        assert antiderivative(nl, s) == adaptive_simpson_recursive(nl.f, 0.0, s, tol=1e-12)
+    monkeypatch.setattr(nlmod, "_adaptive_simpson", adaptive_simpson_recursive)
+    assert ignition_point(nl) == beta

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Benchmark the numba kernels against the pure-numpy fallback.
 
-Runs each hot kernel in-process on the currently selected path.  The Bessel
-entry times scipy's k0e/k1e, which both paths share; to compare the rest,
-run twice:
+Runs each hot kernel in-process on the currently selected path, plus the
+solver's layers (preconditioner build and solve, constraint projection) on
+the seed at the default grid.  The Bessel entry and the solver layers use
+scipy/numpy on both paths; to compare the rest, run twice:
 
     python3 benchmarks/bench_kernels.py
     FRONTFORGE_NUMBA=0 python3 benchmarks/bench_kernels.py
@@ -53,6 +54,19 @@ def run_suite() -> dict:
     vals = rng.uniform(0.0, 1.0, size=(257, 1025))
     meas = np.exp(np.linspace(-20.0, 10.0, 1025))
     results["rearrange_257x1025"] = bench(_kernels.rearrange_columns, vals, meas)
+
+    # solver layers on the cubic law's seed at the default 96x448 grid
+    from frontforge import grid, solver
+    from frontforge.nonlinearity import make_bistable_cubic
+
+    nl = make_bistable_cubic(0.25)
+    spec = solver.default_grid(solver.choose_weight(nl), solver.SolverOptions())
+    seed = grid.seed_function(spec)
+    ws = solver._Workspace(spec)
+    g_free = solver._gradient(ws, seed, nl).ravel()[ws.free]
+    results["workspace_build_96x448"] = bench(solver._Workspace, spec)
+    results["precond_solve_96x448"] = bench(ws.precond_solve, g_free)
+    results["project_constraint_96x448"] = bench(grid.project_constraint, seed)
 
     return results
 

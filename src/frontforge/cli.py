@@ -95,8 +95,6 @@ def _cmd_evolve(args) -> int:
         sol = solve_front(nl, formats.build_solver_options(cfg))
         spec = evolution_grid(sol.speed)
         init = step_initial(spec, y0=0.0)
-    if "nx" in cfg.evolve or "ny" in cfg.evolve:
-        raise ConfigError("evolve.nx/ny overrides are not supported; size via the nonlinearity")
     eopts = EvolveOptions(dt=cfg.evolve.get("dt"), out_every=cfg.evolve.get("out_every"))
     final, speed_trace = evolve(init, nl, T, eopts)
     out = formats.output_dir(args.out or cfg.output_dir)

@@ -21,11 +21,11 @@ class ConfigError(ValueError):
 _NL_KEYS = {"nonlinearity.kind", "nonlinearity.alpha", "nonlinearity.beta", "nonlinearity.amplitude", "nonlinearity.t", "nonlinearity.c"}
 _GRID_KEYS = {"grid.nx", "grid.ny", "grid.x_span", "grid.y_span_down", "grid.y_span_up"}
 _SOLVER_KEYS = {"solver.tol", "solver.max_iter", "solver.rearrange_every", "solver.a", "solver.seed", "solver.refine", "solver.warm_iters"}
-_EVOLVE_KEYS = {"evolve.T", "evolve.dt", "evolve.out_every", "evolve.initial", "evolve.nx", "evolve.ny"}
+_EVOLVE_KEYS = {"evolve.T", "evolve.dt", "evolve.out_every", "evolve.initial"}
 _MISC_KEYS = {"output.dir", "seed"}
 _ALL_KEYS = _NL_KEYS | _GRID_KEYS | _SOLVER_KEYS | _EVOLVE_KEYS | _MISC_KEYS
 
-_INT_KEYS = {"grid.nx", "grid.ny", "solver.max_iter", "solver.rearrange_every", "solver.refine", "solver.warm_iters", "evolve.nx", "evolve.ny", "seed"}
+_INT_KEYS = {"grid.nx", "grid.ny", "solver.max_iter", "solver.rearrange_every", "solver.refine", "solver.warm_iters", "seed"}
 _STR_KEYS = {"nonlinearity.kind", "solver.seed", "evolve.initial", "output.dir"}
 
 

@@ -9,6 +9,7 @@ an exact linear operator for the solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -98,15 +99,23 @@ class TraceProfile:
 # -- quadratic forms ----------------------------------------------------------
 
 
+def _diffs(spec: GridSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled x and y differences of nodal values, the input of `_form`."""
+    return (v[1:, :] - v[:-1, :]) / spec.hx, (v[:, 1:] - v[:, :-1]) / spec.hy
+
+
+def _form(spec: GridSpec, du, dv) -> float:
+    """The bilinear form of Gamma_a on two difference pairs from `_diffs`."""
+    (ux, uy), (vx, vy) = du, dv
+    kx = float(np.sum(ux * vx @ (spec.tau * spec.wy)) * spec.hx * spec.hy)
+    ky = float(np.sum(spec.sigma @ (uy * vy * spec.wy_edge[None, :])) * spec.hx * spec.hy)
+    return kx + ky
+
+
 def dirichlet(w: Field) -> float:
     """Weighted Dirichlet integral int e^{ay} |grad w|^2 dx dy."""
-    g = w.spec
-    v = w.values
-    dx = (v[1:, :] - v[:-1, :]) / g.hx
-    dy = (v[:, 1:] - v[:, :-1]) / g.hy
-    kx = float(np.sum(dx * dx @ (g.tau * g.wy)) * g.hx * g.hy)
-    ky = float(np.sum(g.sigma @ (dy * dy * g.wy_edge[None, :])) * g.hx * g.hy)
-    return kx + ky
+    d = _diffs(w.spec, w.values)
+    return _form(w.spec, d, d)
 
 
 def boundary_integral(w: Field, fun) -> float:
@@ -195,52 +204,68 @@ def translate(w: Field, t: float) -> Field:
     return Field(vals, g)
 
 
-def project_constraint(w: Field, tol: float = 1e-8, max_iter: int = 100) -> Field:
-    """Translate in y until the constraint Gamma_a = 1 holds within `tol`.
+def _cell_forms(w: Field, k: int) -> tuple[float, float, float]:
+    """(Q(A,A), Q(A,B), Q(B,B)) for A, B = w translated by k*hy and (k+1)*hy.
 
-    The continuum rule t = log(Gamma)/a is iterated on the accumulated
-    shift, always interpolating from the original field so repeated
-    smoothing cannot move the target.
+    Integer translates are column gathers with constant extension, so both
+    are windows of one extended field and share its differences.  For
+    theta in [0, 1], translate(w, (k+theta)*hy) = (1-theta) A + theta B,
+    so Gamma there is (1-theta)^2 Q(A,A) + 2 theta (1-theta) Q(A,B) +
+    theta^2 Q(B,B).
     """
     g = w.spec
+    cols = np.clip(np.arange(g.ny + 2) + k, 0, g.ny)
+    ext_x, ext_y = _diffs(g, w.values[:, cols])
+    da = (ext_x[:, :-1], ext_y[:, :-1])
+    db = (ext_x[:, 1:], ext_y[:, 1:])
+    return _form(g, da, da), _form(g, da, db), _form(g, db, db)
 
-    def gamma_at(t: float) -> float:
-        return dirichlet(translate(w, t)) if t != 0.0 else dirichlet(w)
 
-    gamma = gamma_at(0.0)
+def _unit_root(p: float, q: float, r: float) -> float:
+    """The theta in [0, 1] with (1-theta)^2 p + 2 theta (1-theta) q + theta^2 r = 1.
+
+    Requires (p - 1)(r - 1) <= 0.  In powers of theta the equation is
+    alpha theta^2 + 2 beta theta + gamma = 0 with alpha = p - 2q + r >= 0
+    (the form of A - B), beta = q - p, gamma = p - 1; both roots are taken
+    from the cancellation-free pair s/alpha, gamma/s.
+    """
+    alpha, beta, gamma = p - 2.0 * q + r, q - p, p - 1.0
+    s = -(beta + math.copysign(math.sqrt(max(beta * beta - alpha * gamma, 0.0)), beta))
+    if gamma < 0.0 and beta < 0.0 and alpha > 0.0:
+        theta = s / alpha  # the larger root; the smaller one is negative
+    else:
+        theta = gamma / s if s != 0.0 else 0.0
+    return min(max(theta, 0.0), 1.0)
+
+
+def project_constraint(w: Field, tol: float = 1e-8) -> Field:
+    """Translate in y so that the constraint Gamma_a = 1 holds.
+
+    A field already within `tol` of the constraint is returned unchanged.
+    Otherwise Gamma of the translate is an exact quadratic in the shift on
+    each grid cell (see `_cell_forms`).  Starting from the cell of the
+    continuum shift log(Gamma)/a, the search walks one cell at a time to the
+    cell whose ends bracket Gamma = 1 and solves the quadratic there, so the
+    result meets the constraint to round-off.  Shifts beyond a quarter of
+    the y-window raise ValueError, as in `translate`.
+    """
+    g = w.spec
+    gamma = dirichlet(w)
     if gamma <= 0.0:
         raise ValueError("cannot project a field with zero Dirichlet energy")
     if abs(gamma - 1.0) <= tol:
         return w.copy()
 
-    # Newton on the accumulated shift (continuum slope dGamma/dt = -a*Gamma)
-    t_total = 0.0
-    for _ in range(12):
-        t_total += np.log(gamma) / g.a
-        gamma = gamma_at(t_total)
-        if abs(gamma - 1.0) <= tol:
-            return translate(w, t_total)
-
-    # bisection fallback: Gamma(t) is continuous and strictly decreasing up
-    # to interpolation wiggles, so a sign-changing bracket always closes
-    step = max(abs(np.log(gamma)) / g.a, g.hy)
-    lo, hi = t_total - step, t_total + step
-    for _ in range(60):
-        if (gamma_at(lo) - 1.0) > 0.0 >= (gamma_at(hi) - 1.0):
-            break
-        lo -= step
-        hi += step
-        step *= 2.0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        gm = gamma_at(mid)
-        if abs(gm - 1.0) <= tol:
-            return translate(w, mid)
-        if gm > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(f"constraint projection stalled at Gamma = {gm!r}")
+    reach = 0.25 * (g.y_max - g.y_min) / g.hy
+    k = math.floor(math.log(gamma) / (g.a * g.hy))
+    while -reach - 1.0 <= k <= reach:
+        p, q, r = _cell_forms(w, k)
+        if (p - 1.0) * (r - 1.0) <= 0.0:
+            return translate(w, (k + _unit_root(p, q, r)) * g.hy)
+        # Gamma falls with the shift; the cell ends are shared, so the walk
+        # never turns back
+        k += 1 if r > 1.0 else -1
+    raise ValueError("constraint projection needs a shift beyond a quarter of the y-window")
 
 
 def rearrange_monotone_flagged(w: Field) -> tuple[Field, bool]:

@@ -234,20 +234,21 @@ def potential(nl: Nonlinearity, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def _adaptive_simpson(fun, a: float, b: float, tol: float = 1e-12, depth: int = 48) -> float:
+def _adaptive_simpson(fun, a, b, tol: float = 1e-12, depth: int = 48):
     """Adaptive composite Simpson with absolute tolerance.
 
-    `fun` must accept an array.  The bisection tree is walked breadth first:
-    each level evaluates the quarter points of all open intervals in one
-    call.  An interval is accepted when its two halves agree with the whole
-    to 15*eps (eps halves per level) or at the depth cap, and the accepted
-    values are summed back in tree order, left + right, so the result is
-    the float the depth-first recursion returns.
+    `fun` must accept an array.  `a` and `b` may be arrays of interval ends:
+    each interval is the root of its own bisection tree, and an array of
+    integrals is returned (a float for scalar ends).  The trees are walked
+    breadth first: each level evaluates the quarter points of all open
+    intervals in one call.  An interval is accepted when its two halves
+    agree with the whole to 15*eps (eps halves per level) or at the depth
+    cap, and the accepted values are summed back in tree order, left +
+    right, so each result is the float the depth-first recursion returns.
     """
-    if a == b:
-        return 0.0
-    f0, f1, f2 = np.asarray(fun(np.array([a, 0.5 * (a + b), b])), dtype=float)[:, None]
-    x0, x2 = np.array([a], dtype=float), np.array([b], dtype=float)
+    x0 = np.atleast_1d(np.asarray(a, dtype=float))
+    x2 = np.atleast_1d(np.asarray(b, dtype=float))
+    f0, f1, f2 = np.split(np.asarray(fun(np.concatenate([x0, 0.5 * (x0 + x2), x2])), dtype=float), 3)
     whole = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
     eps = tol
     levels = []  # per level: (accepted mask, value of each interval)
@@ -273,7 +274,7 @@ def _adaptive_simpson(fun, a: float, b: float, tol: float = 1e-12, depth: int = 
     for done, value in reversed(levels[:-1]):
         value[~done] = total[0::2] + total[1::2]
         total = value
-    return float(total[0])
+    return float(total[0]) if np.ndim(a) == 0 and np.ndim(b) == 0 else total
 
 
 def _interleave(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -326,15 +327,10 @@ def validate(nl: Nonlinearity, samples: int = 1000) -> ValidationReport:
             bad.append(("f_positive_above_beta", float(ss[k])))
 
         grid = np.linspace(0.0, nl.beta, samples + 1)
-        acc = 0.0
-        worst = -np.inf
-        worst_s = 0.0
-        for lo, hi in zip(grid[:-1], grid[1:]):
-            acc += _adaptive_simpson(lambda x: nl.f(x), float(lo), float(hi), tol=1e-13)
-            if acc > worst:
-                worst, worst_s = acc, float(hi)
-        if worst > tol:
-            bad.append(("antiderivative_nonpositive_below_beta", worst_s))
+        acc = np.cumsum(_adaptive_simpson(nl.f, grid[:-1], grid[1:], tol=1e-13))
+        k = int(np.argmax(acc))
+        if acc[k] > tol:
+            bad.append(("antiderivative_nonpositive_below_beta", float(grid[k + 1])))
 
     s_lo, s_hi = nl.extension_slopes
     for tau in (0.25, 0.5, 1.0, 2.0):

@@ -7,11 +7,13 @@ with multiplier lambda_a the rescaling u(x,y) = w(mu x, mu y), mu = 1 -
 
 Minimization runs in two stages: a damped flux fixed-point warm start that
 can transport the front across the window, then projected Sobolev-gradient
-descent (the stiffness operator of Gamma_a as preconditioner, one sparse LU
-per grid) with Armijo backtracking, range clamping to [0,1], periodic
-monotone rearrangement, and the exact y-translation projection back onto
-the constraint.  The grid pins w = 1 at y_min and w = 0 at y_max;
-x-boundaries are natural (Neumann).
+descent (the stiffness operator of Gamma_a as preconditioner, inverted
+through its Kronecker-sum structure: one small generalized eigenproblem in
+x and one tridiagonal factor per x mode, built once per grid) with Armijo
+backtracking, range clamping to [0,1], periodic monotone rearrangement, and
+the closed-form y-translation projection back onto the constraint.  The
+grid pins w = 1 at y_min and w = 0 at y_max; x-boundaries are natural
+(Neumann).
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.sparse.linalg as spla  # noqa: F401  (frontbench/tracer.py patches solver.spla)
+from scipy.linalg import eigh, lapack
 
 from . import grid as gridmod
 from .explicit_front import ExplicitFrontParams, sample_front
@@ -163,7 +166,16 @@ def _stiffness(spec: GridSpec) -> sp.csr_matrix:
 
 
 class _Workspace:
-    """Per-grid factorized preconditioner and index bookkeeping."""
+    """Per-grid separable preconditioner and index bookkeeping.
+
+    On the free nodes (all but the pinned rows j = 0 and j = ny) the
+    stiffness matrix is the Kronecker sum S_ff = Kx (x) C + Sigma (x) T, with
+    Kx the Neumann path Laplacian in x, Sigma = diag(sigma), C = diag(tau wy
+    hy/hx) and T the path Laplacian in y with edge weights wy_edge hx/hy.
+    The generalized eigenpairs Kx Phi = Sigma Phi Lambda (Phi^T Sigma Phi =
+    I) turn S_ff X = G into one SPD tridiagonal system (lambda_k C + T) per
+    x mode k; they are factored once, as one block-diagonal LDL^T.
+    """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
@@ -173,15 +185,26 @@ class _Workspace:
         free2d[:, 0] = False
         free2d[:, -1] = False
         self.free = free2d.ravel()
-        # symmetric diagonal scaling ~ e^{-ay/2} keeps the LU well conditioned
-        scale2d = np.exp(0.5 * spec.a * spec.ys)[None, :] * np.ones((nx + 1, 1))
-        self.scale = scale2d.ravel()[self.free]
-        Sff = self.S[self.free][:, self.free].tocsc()
-        d_inv = sp.diags(1.0 / self.scale)
-        self.lu = spla.splu((d_inv @ Sff @ d_inv).tocsc())
+        kx = 2.0 * np.eye(nx + 1) - np.eye(nx + 1, k=1) - np.eye(nx + 1, k=-1)
+        kx[0, 0] = kx[-1, -1] = 1.0
+        lam, self.phi = eigh(kx, np.diag(spec.sigma))
+        c = (spec.tau * spec.wy)[1:-1] * spec.hy / spec.hx
+        t = spec.wy_edge * spec.hx / spec.hy
+        diag = (lam[:, None] * c[None, :] + (t[:-1] + t[1:])[None, :]).ravel()
+        # zero couplings between consecutive blocks keep the modes apart
+        off = np.zeros((nx + 1, ny - 1))
+        off[:, :-1] = -t[1:-1]
+        d, e, info = lapack.dpttrf(diag, off.ravel()[:-1])
+        if info != 0:
+            raise SolverError(f"separable preconditioner is not positive definite (dpttrf info {info})")
+        self.ldl = (d, e)
 
     def precond_solve(self, g_free: np.ndarray) -> np.ndarray:
-        return self.lu.solve(g_free / self.scale) / self.scale
+        """S_ff^{-1} g on the free nodes: Phi (lambda_k C + T)^{-1} Phi^T G."""
+        shape = (self.spec.nx + 1, self.spec.ny - 1)
+        modes = (self.phi.T @ g_free.reshape(shape)).reshape(-1, 1)
+        y, _ = lapack.dpttrs(*self.ldl, modes, overwrite_b=True)
+        return (self.phi @ y.reshape(shape)).ravel()
 
 
 def _pin(values: np.ndarray) -> None:
@@ -261,7 +284,7 @@ def _warm_start(
             trial = gridmod.rearrange_monotone(trial)
             try:
                 trial = gridmod.project_constraint(trial, tol=opts.constraint_tol)
-            except (ValueError, RuntimeError):
+            except ValueError:
                 omega *= 0.5
                 continue
             _pin(trial.values)
@@ -287,12 +310,13 @@ def minimize(
 
     A flux fixed-point warm start places the front (energy-monitored), then
     projected Sobolev-gradient descent with Armijo backtracking polishes it:
-    gradient step, clamp to [0,1], monotone rearrangement every
-    `rearrange_every` accepted steps, y-translation back onto the
-    constraint.  Converged means the stationarity residual g - lambda_a
-    D(Gamma_a) is below `tol` relative to the gradient norm (both measured
-    in the inverse-stiffness metric), or the energy has stalled at the
-    discretization floor.
+    gradient step preconditioned by the inverse stiffness (`_Workspace`),
+    clamp to [0,1], monotone rearrangement every `rearrange_every` accepted
+    steps, and the y-translation that meets the constraint to round-off
+    (`grid.project_constraint`).  Converged means the stationarity residual
+    g - lambda_a D(Gamma_a) is below `tol` relative to the gradient norm
+    (both measured in the inverse-stiffness metric), or the energy has
+    stalled at the discretization floor.
     """
     opts = opts or SolverOptions()
     ws = _Workspace(spec)
@@ -367,7 +391,7 @@ def minimize(
                 trial = gridmod.rearrange_monotone(trial)
             try:
                 trial = gridmod.project_constraint(trial, tol=opts.constraint_tol)
-            except (ValueError, RuntimeError):
+            except ValueError:
                 eta *= 0.5
                 continue
             _pin(trial.values)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.sparse.linalg import spsolve
 
 
 def bessel_k_scaled_quadrature(nu: int, s: float, n: int = 6000) -> float:
@@ -104,3 +105,9 @@ def subpanels_linspace(edges, panel: float, z_geo: float, z_dead: float):
         stops.append(e[1:])
         owner.append(np.full(nsub[i], i))
     return np.concatenate(starts), np.concatenate(stops), np.concatenate(owner)
+
+
+def free_stiffness_solve(S, free, g):
+    """S_ff^{-1} g by a sparse direct solve on the free rows and columns of
+    the stiffness matrix: the reference for `solver._Workspace.precond_solve`."""
+    return spsolve(S[free][:, free].tocsc(), g)

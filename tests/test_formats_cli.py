@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from frontforge import formats
+from frontforge import cli, formats
 from frontforge.cli import main
 from frontforge.formats import ConfigError, parse_config_text
 
@@ -148,6 +148,14 @@ class TestCli:
         bad.write_text("nonsense = 1\n")
         assert main(["solve", "--config", str(bad)]) == 2
         assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+    @pytest.mark.parametrize("key", ["evolve.nx", "evolve.ny"])
+    def test_evolve_grid_keys_rejected_before_solving(self, tmp_path, monkeypatch, key):
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        monkeypatch.setattr(cli, "solve_front", lambda *a, **k: pytest.fail("solve_front ran"))
+        cfg = tmp_path / "evolve.cfg"
+        cfg.write_text(f"nonlinearity.kind = combustion\nevolve.initial = step\n{key} = 64\n")
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.slow
     def test_solve_bundle_and_reread(self, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from frontforge.grid import (
     Field,
     GridSpec,
     TraceProfile,
+    _cell_forms,
     boundary_integral,
     dirichlet,
     energy,
@@ -142,6 +143,36 @@ class TestProjection:
         boosted = translate(w, -1.0)  # Gamma ~ e^{a}
         back = project_constraint(boosted)
         assert abs(dirichlet(back) - 1.0) <= 1e-8
+
+    def test_cell_quadratic_matches_translate(self):
+        spec = small_spec(ny=512)
+        w = bump_field(spec)
+        edge = 0.25 * (spec.y_max - spec.y_min)
+        shifts = (0.4 * spec.hy, 3.7 * spec.hy, 11.25, -0.6 * spec.hy, -7.3, edge - 0.3 * spec.hy, 0.2 * spec.hy - edge)
+        for t in shifts:
+            k = int(np.floor(t / spec.hy))
+            theta = t / spec.hy - k
+            p, q, r = _cell_forms(w, k)
+            quad = (1 - theta) ** 2 * p + 2 * theta * (1 - theta) * q + theta**2 * r
+            assert quad == pytest.approx(dirichlet(translate(w, t)), rel=1e-12)
+
+    @pytest.mark.parametrize("factor, shift", [(3.0, 0.0), (1.0, -6.0), (0.5, 4.5), (1.0, 13.0)])
+    def test_meets_constraint_to_roundoff(self, factor, shift):
+        spec = small_spec(ny=512)
+        w = translate(bump_field(spec, amp=0.8 * factor), shift)
+        assert abs(dirichlet(w) - 1.0) > 1e-3
+        assert abs(dirichlet(project_constraint(w)) - 1.0) <= 1e-12
+
+    def test_shift_past_quarter_window_rejected(self):
+        spec = small_spec()
+        w = bump_field(spec)
+        gamma = dirichlet(w)
+        edge = 0.25 * (spec.y_max - spec.y_min)
+        for t in (1.5 * edge, -1.5 * edge):
+            # scaled to Gamma = e^{a t}, so the continuum shift onto Gamma = 1 is t
+            scaled = Field(w.values * np.exp(0.5 * spec.a * t) / np.sqrt(gamma), spec)
+            with pytest.raises(ValueError):
+                project_constraint(scaled)
 
     def test_zero_energy_rejected(self):
         spec = small_spec()

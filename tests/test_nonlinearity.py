@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -213,3 +214,24 @@ def test_breadth_first_simpson_equals_recursive(law, request, monkeypatch):
         assert antiderivative(nl, s) == adaptive_simpson_recursive(nl.f, 0.0, s, tol=1e-12)
     monkeypatch.setattr(nlmod, "_adaptive_simpson", adaptive_simpson_recursive)
     assert ignition_point(nl) == beta
+
+
+@pytest.mark.parametrize("law", ["cubic_nl", "combustion", "oracle_nl"])
+def test_batched_simpson_equals_per_interval_loop(law, request):
+    nl = make_combustion(0.3, 1.0) if law == "combustion" else request.getfixturevalue(law)
+    grid = np.linspace(0.0, nl.beta, 1001)
+    batched = nlmod._adaptive_simpson(nl.f, grid[:-1], grid[1:], tol=1e-13)
+    loop = [adaptive_simpson_recursive(nl.f, lo, hi, tol=1e-13) for lo, hi in zip(grid[:-1], grid[1:])]
+    np.testing.assert_array_equal(batched, loop)
+
+
+def test_antiderivative_violation_point_matches_running_sum():
+    # beta claimed past the true root: int_0^s f turns positive below it
+    nl = dataclasses.replace(make_bistable_cubic(0.25), beta=0.6)
+    grid = np.linspace(0.0, 0.6, 1001)
+    acc, worst, worst_s = 0.0, -np.inf, 0.0
+    for lo, hi in zip(grid[:-1], grid[1:]):
+        acc += adaptive_simpson_recursive(nl.f, lo, hi, tol=1e-13)
+        if acc > worst:
+            worst, worst_s = acc, float(hi)
+    assert ("antiderivative_nonpositive_below_beta", worst_s) in validate(nl).violated_conditions

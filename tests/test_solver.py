@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from frontforge.grid import GridSpec, Field, dirichlet, trace
+from frontforge.grid import GridSpec, Field, dirichlet, seed_function, trace
 from frontforge.nonlinearity import NonlinearityError, make_bistable_cubic, make_combustion, reflect
 from frontforge.solver import (
     MinimizerResult,
     SolverOptions,
+    _gradient,
+    _Workspace,
     choose_weight,
     default_grid,
     extract_speed,
@@ -14,6 +16,7 @@ from frontforge.solver import (
     seed_energy_value,
     solve_front,
 )
+from oracles import free_stiffness_solve
 
 
 class TestChooseWeight:
@@ -36,6 +39,19 @@ class TestChooseWeight:
         val = seed_energy_value(nl, 0.01, 0.02, 4.0)
         hand = (0.02 / 4 * (8 / 7) + 1e-4 * 16 / (4 * 0.02 * 7) - 0.04502104) / 0.01
         assert val == pytest.approx(hand, abs=2e-4)
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("nx, ny", [(16, 64), (96, 448)])
+    def test_matches_sparse_direct_solve(self, nx, ny):
+        nl = make_bistable_cubic(0.25)
+        spec = default_grid(choose_weight(nl), SolverOptions(nx=nx, ny=ny))
+        ws = _Workspace(spec)
+        gradient = _gradient(ws, seed_function(spec), nl).ravel()[ws.free]
+        noise = np.random.default_rng(0).standard_normal(gradient.size)
+        for rhs in (gradient, noise):
+            ref = free_stiffness_solve(ws.S, ws.free, rhs)
+            assert np.max(np.abs(ws.precond_solve(rhs) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestMinimize:

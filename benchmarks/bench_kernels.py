@@ -1,32 +1,25 @@
 #!/usr/bin/env python3
-"""Benchmark the numba kernels against the pure-numpy fallback.
+"""Time frontforge's hot kernels and the variational solver's layers.
 
-Runs each hot kernel in-process on the currently selected path, plus the
-solver's layers (preconditioner build and solve, constraint projection) on
-the seed at the default grid.  The Bessel entry and the solver layers use
-scipy/numpy on both paths; to compare the rest, run twice:
+Runs each kernel in-process (the scipy Bessel pair, the LAPACK tridiagonal
+solve, the numpy rearrangement), plus the solver's layers (preconditioner
+build and solve, constraint projection) on the seed at the default grid,
+and prints the best of several repeats:
 
-    python3 benchmarks/bench_kernels.py
-    FRONTFORGE_NUMBA=0 python3 benchmarks/bench_kernels.py
-
-or let --both spawn the sibling configuration as a subprocess and print the
-speedups.
+    python3 benchmarks/bench_kernels.py [--json]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
-import sys
 import time
 
 import numpy as np
 
 
 def bench(fn, *args, repeat: int = 7) -> float:
-    fn(*args)  # warm-up (JIT compilation on the numba path)
+    fn(*args)  # warm-up
     best = float("inf")
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -39,7 +32,7 @@ def run_suite() -> dict:
     from frontforge import _kernels
 
     rng = np.random.default_rng(0)
-    results = {"numba": _kernels.USING_NUMBA}
+    results = {}
 
     s = rng.uniform(1e-3, 400.0, size=400_000)
     results["bessel_scipy_k0e_k1e_400k"] = bench(_kernels.k01_scaled, s)
@@ -73,41 +66,15 @@ def run_suite() -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser()
-    parser.add_argument("--both", action="store_true", help="also run the other path and compare")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     args = parser.parse_args()
 
-    mine = run_suite()
+    results = run_suite()
     if args.json:
-        print(json.dumps(mine))
+        print(json.dumps(results))
         return
-
-    label = "numba" if mine["numba"] else "numpy"
-    print(f"path: {label}")
-    for key, val in mine.items():
-        if key != "numba":
-            print(f"  {key:28s} {val * 1e3:9.3f} ms")
-
-    if args.both:
-        env = dict(os.environ)
-        env["FRONTFORGE_NUMBA"] = "0" if mine["numba"] else "1"
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--json"],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        other = json.loads(out.stdout.strip().splitlines()[-1])
-        other_label = "numba" if other["numba"] else "numpy"
-        print(f"\npath: {other_label}")
-        for key, val in other.items():
-            if key != "numba":
-                print(f"  {key:28s} {val * 1e3:9.3f} ms")
-        print(f"\nspeedup ({other_label} time / {label} time):")
-        for key in mine:
-            if key != "numba":
-                print(f"  {key:28s} {other[key] / mine[key]:6.2f}x")
+    for key, val in results.items():
+        print(f"  {key:28s} {val * 1e3:9.3f} ms")
 
 
 if __name__ == "__main__":

@@ -22,10 +22,10 @@ _NL_KEYS = {"nonlinearity.kind", "nonlinearity.alpha", "nonlinearity.beta", "non
 _GRID_KEYS = {"grid.nx", "grid.ny", "grid.x_span", "grid.y_span_down", "grid.y_span_up"}
 _SOLVER_KEYS = {"solver.tol", "solver.max_iter", "solver.rearrange_every", "solver.a", "solver.seed", "solver.refine", "solver.warm_iters"}
 _EVOLVE_KEYS = {"evolve.T", "evolve.dt", "evolve.out_every", "evolve.initial"}
-_MISC_KEYS = {"output.dir", "seed"}
+_MISC_KEYS = {"output.dir"}
 _ALL_KEYS = _NL_KEYS | _GRID_KEYS | _SOLVER_KEYS | _EVOLVE_KEYS | _MISC_KEYS
 
-_INT_KEYS = {"grid.nx", "grid.ny", "solver.max_iter", "solver.rearrange_every", "solver.refine", "solver.warm_iters", "seed"}
+_INT_KEYS = {"grid.nx", "grid.ny", "solver.max_iter", "solver.rearrange_every", "solver.refine", "solver.warm_iters"}
 _STR_KEYS = {"nonlinearity.kind", "solver.seed", "evolve.initial", "output.dir"}
 
 
@@ -38,7 +38,6 @@ class ExperimentConfig:
     solver: dict = field(default_factory=dict)
     evolve: dict = field(default_factory=dict)
     output_dir: str = "."
-    seed: int = 0
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -67,8 +66,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
         section, _, name = key.partition(".")
         if key == "output.dir":
             cfg.output_dir = str(parsed)
-        elif key == "seed":
-            cfg.seed = int(parsed)
         else:
             getattr(cfg, section)[name] = parsed
     _check_ranges(cfg)

@@ -64,7 +64,6 @@ class SolverOptions:
     seed: str = "exponential"  # "exponential" | "kernel"
     seed_field: Field | None = None
     refine: int = 0  # halvings of the mesh width
-    verbose: bool = False
 
 
 @dataclass
@@ -334,7 +333,6 @@ def minimize(
 
     eta = 1.0
     rho_ratio = math.inf
-    lam = _multiplier(w, nl)
     accepted_since_rearr = 0
     stalled = 0
     converged = False
@@ -419,11 +417,6 @@ def minimize(
                 f"no descent after {opts.max_backtracks} halvings at iteration {it}"
             )
         history.append(e_cur)
-        if opts.verbose and it % 25 == 0:
-            print(
-                f"  it {it:4d}  E={e_cur:+.8f}  lam={lam:+.5f}  "
-                f"rho/|g|={rho_ratio:.3e}  eta={eta:.2e}"
-            )
 
     w = _normalize(w, opts)
     e_cur = gridmod.energy(w, nl)

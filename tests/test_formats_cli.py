@@ -20,7 +20,6 @@ class TestConfig:
             solver.tol = 1e-4
             evolve.T = 2.0
             output.dir = out
-            seed = 42
             """
         )
         assert cfg.nonlinearity["kind"] == "combustion"
@@ -29,11 +28,12 @@ class TestConfig:
         assert cfg.solver["tol"] == 1e-4
         assert cfg.evolve["T"] == 2.0
         assert cfg.output_dir == "out"
-        assert cfg.seed == 42
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("nonlinearity.kind = combustion\nwhatever = 3\n")
+        with pytest.raises(ConfigError):
+            parse_config_text("nonlinearity.kind = combustion\nseed = 42\n")
 
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,8 +1,3 @@
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -12,16 +7,52 @@ from oracles import bessel_k_scaled_quadrature
 RNG = np.random.default_rng(12)
 
 
+def _sweep_cases(nx=24, ny=40, r=3.7):
+    """The two matrices evolution.step builds, each with the right-hand side
+    layout it passes: a C-ordered column slice (x) and a transpose (y)."""
+    rng = np.random.default_rng(5)
+    # x-sweep: ghost closure at x = 0, Neumann at x_max
+    dl = np.full(nx + 1, -r)
+    d = np.full(nx + 1, 1.0 + 2.0 * r)
+    du = np.full(nx + 1, -r)
+    du[0] = -2.0 * r
+    dl[nx] = -2.0 * r
+    rhs = rng.standard_normal((nx + 1, ny + 1))[:, 1:ny]
+    assert not rhs.flags.c_contiguous and not rhs.flags.f_contiguous
+    yield dl, d, du, rhs
+    # y-sweep: identity rows at both Dirichlet ends
+    dl = np.full(ny + 1, -r)
+    d = np.full(ny + 1, 1.0 + 2.0 * r)
+    du = np.full(ny + 1, -r)
+    dl[0] = du[0] = dl[ny] = du[ny] = 0.0
+    d[0] = d[ny] = 1.0
+    rhs = rng.standard_normal((nx + 1, ny + 1)).T
+    assert rhs.flags.f_contiguous
+    yield dl, d, du, rhs
+
+
 def test_tridiag_matches_dense_solve():
     n, m = 60, 9
     dl = RNG.uniform(-1.0, -0.2, n)
     du = RNG.uniform(-1.0, -0.2, n)
     d = np.abs(dl) + np.abs(du) + RNG.uniform(1.0, 2.0, n)
     rhs = RNG.standard_normal((n, m))
-    x = _kernels.tridiag_solve_many(dl, d, du, rhs)
-    dense = np.diag(d) + np.diag(du[:-1], 1) + np.diag(dl[1:], -1)
-    ref = np.linalg.solve(dense, rhs)
-    np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12)
+    for dl, d, du, rhs in [(dl, d, du, rhs), *_sweep_cases()]:
+        x = _kernels.tridiag_solve_many(dl, d, du, rhs)
+        dense = np.diag(d) + np.diag(du[:-1], 1) + np.diag(dl[1:], -1)
+        ref = np.linalg.solve(dense, rhs)
+        np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12)
+
+
+def test_tridiag_singular_system_raises():
+    # row 2 is zero, so the matrix is singular
+    n = 6
+    dl = np.ones(n)
+    d = np.full(n, 4.0)
+    du = np.ones(n)
+    dl[2] = d[2] = du[2] = 0.0
+    with pytest.raises(RuntimeError):
+        _kernels.tridiag_solve_many(dl, d, du, np.ones((n, 2)))
 
 
 def test_rearrange_preserves_weighted_distribution():
@@ -48,49 +79,3 @@ def test_bessel_core_branches_join_smoothly():
     for s0 in (2.0, 8.0):
         lo, hi = _kernels.k01_scaled(np.array([s0 * (1 - 1e-12), s0 * (1 + 1e-12)]))[0]
         assert lo == pytest.approx(hi, rel=1e-11)
-
-
-def _run_fallback_probe() -> dict:
-    """Evaluate the kernels with numba disabled in a fresh interpreter."""
-    code = (
-        "import json, numpy as np\n"
-        "from frontforge import _kernels\n"
-        "rng = np.random.default_rng(12)\n"
-        "s = rng.uniform(1e-3, 500.0, 2000)\n"
-        "k0, k1 = _kernels.k01_scaled(s)\n"
-        "dl = rng.uniform(-1.0, -0.2, 40); du = rng.uniform(-1.0, -0.2, 40)\n"
-        "d = np.abs(dl) + np.abs(du) + rng.uniform(1.0, 2.0, 40)\n"
-        "rhs = rng.standard_normal((40, 5))\n"
-        "x = _kernels.tridiag_solve_many(dl, d, du, rhs)\n"
-        "vals = rng.uniform(0.0, 1.0, (4, 100))\n"
-        "meas = np.exp(np.linspace(-4.0, 2.0, 100))\n"
-        "out = _kernels.rearrange_columns(vals, meas)\n"
-        "print(json.dumps({'numba': _kernels.USING_NUMBA,\n"
-        "                  'k0': k0.sum(), 'k1': k1.sum(),\n"
-        "                  'x': float(np.abs(x).sum()), 'out': float(out.sum())}))\n"
-    )
-    env = dict(os.environ)
-    env["FRONTFORGE_NUMBA"] = "0"
-    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    return json.loads(res.stdout.strip().splitlines()[-1])
-
-
-def test_numpy_fallback_agrees_with_active_path():
-    probe = _run_fallback_probe()
-    assert probe["numba"] is False
-    rng = np.random.default_rng(12)
-    s = rng.uniform(1e-3, 500.0, 2000)
-    k0, k1 = _kernels.k01_scaled(s)
-    assert probe["k0"] == pytest.approx(float(k0.sum()), rel=1e-13)
-    assert probe["k1"] == pytest.approx(float(k1.sum()), rel=1e-13)
-    dl = rng.uniform(-1.0, -0.2, 40)
-    du = rng.uniform(-1.0, -0.2, 40)
-    d = np.abs(dl) + np.abs(du) + rng.uniform(1.0, 2.0, 40)
-    rhs = rng.standard_normal((40, 5))
-    x = _kernels.tridiag_solve_many(dl, d, du, rhs)
-    assert probe["x"] == pytest.approx(float(np.abs(x).sum()), rel=1e-12)
-    vals = rng.uniform(0.0, 1.0, (4, 100))
-    meas = np.exp(np.linspace(-4.0, 2.0, 100))
-    out = _kernels.rearrange_columns(vals, meas)
-    assert probe["out"] == pytest.approx(float(out.sum()), rel=1e-13)

@@ -2,9 +2,11 @@
 """Time frontforge's hot kernels and the variational solver's layers.
 
 Runs each kernel in-process (the scipy Bessel pair, the LAPACK tridiagonal
-solve, the numpy rearrangement), plus the solver's layers (preconditioner
-build and solve, constraint projection) on the seed at the default grid,
-and prints the best of several repeats:
+solve, the numpy rearrangement), plus the solver's layers on the seed at the
+default grid (`workspace_build_96x448` and `precond_solve_96x448` for the
+preconditioner, `apply_stiffness_96x448` for the matrix-free stiffness apply,
+`project_constraint_96x448` for the constraint projection), and prints the
+best of several repeats:
 
     python3 benchmarks/bench_kernels.py [--json]
 """
@@ -56,9 +58,10 @@ def run_suite() -> dict:
     spec = solver.default_grid(solver.choose_weight(nl), solver.SolverOptions())
     seed = grid.seed_function(spec)
     ws = solver._Workspace(spec)
-    g_free = solver._gradient(ws, seed, nl).ravel()[ws.free]
+    g_free = solver._gradient(seed, nl)[:, 1:-1]
     results["workspace_build_96x448"] = bench(solver._Workspace, spec)
     results["precond_solve_96x448"] = bench(ws.precond_solve, g_free)
+    results["apply_stiffness_96x448"] = bench(grid.apply_stiffness, spec, seed.values)
     results["project_constraint_96x448"] = bench(grid.project_constraint, seed)
 
     return results

@@ -15,7 +15,6 @@ from .evolution import EvolutionState, SpeedTrace, evolve, measure_speed, step
 from .explicit_front import (
     ExplicitFrontParams,
     asymptotic_constant,
-    explicit_front,
     explicit_front_dy,
     explicit_nonlinearity,
     explicit_nonlinearity_deriv,
@@ -83,7 +82,6 @@ __all__ = [
     "dirichlet",
     "energy",
     "evolve",
-    "explicit_front",
     "explicit_front_dy",
     "explicit_nonlinearity",
     "explicit_nonlinearity_deriv",

@@ -9,7 +9,7 @@ comparable reaction laws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -195,10 +195,9 @@ def speed_ordering(
             raise ValueError(f"{k} fails validation: {rep.violated_conditions[:3]}")
     base = opts or SolverOptions()
     a = base.a if base.a is not None else min(choose_weight(nl1), choose_weight(nl2))
-    opts1 = SolverOptions(**{**base.__dict__, "a": a})
-    opts2 = SolverOptions(**{**base.__dict__, "a": a})
-    sol1 = solve_front(nl1, opts1)
-    sol2 = solve_front(nl2, opts2)
+    shared = replace(base, a=a)
+    sol1 = solve_front(nl1, shared)
+    sol2 = solve_front(nl2, shared)
     return SpeedOrderingResult(
         c1=sol1.speed,
         c2=sol2.speed,

@@ -1,10 +1,12 @@
 """Truncated half-plane grids with the exponential weight e^{ay}.
 
 Fields live on uniform (nx+1) x (ny+1) node grids over [0, x_max] x
-[y_min, y_max].  The weighted energy and constraint are edge-based quadratic
-forms (trapezoid weights at nodes, arithmetic-mean weight on vertical
-edges), which keeps them O(h^2)-consistent and makes the discrete gradient
-an exact linear operator for the solver.
+[y_min, y_max].  The weighted Dirichlet form Gamma_a, behind both the energy
+and the constraint, is an edge-based quadratic form (trapezoid weights at
+nodes, arithmetic-mean weight on vertical edges), which keeps it
+O(h^2)-consistent.  This module holds its only definition: the bilinear form
+`_form` on the differences from `_diffs`, and its matrix-free apply
+`apply_stiffness`, the exact linear operator of the solver's gradient.
 """
 
 from __future__ import annotations
@@ -110,6 +112,21 @@ def _form(spec: GridSpec, du, dv) -> float:
     kx = float(np.sum(ux * vx @ (spec.tau * spec.wy)) * spec.hx * spec.hy)
     ky = float(np.sum(spec.sigma @ (uy * vy * spec.wy_edge[None, :])) * spec.hx * spec.hy)
     return kx + ky
+
+
+def apply_stiffness(spec: GridSpec, v: np.ndarray) -> np.ndarray:
+    """S v, where Gamma_a(v) = v . S v: the adjoint of `_diffs` applied to
+    the differences weighted as in `_form`, each edge's flux scattered back
+    onto its two end nodes."""
+    ux, uy = _diffs(spec, v)
+    fx = ux * (spec.tau * spec.wy) * spec.hy
+    fy = uy * spec.wy_edge * spec.sigma[:, None] * spec.hx
+    out = np.zeros(v.shape)
+    out[:-1, :] -= fx
+    out[1:, :] += fx
+    out[:, :-1] -= fy
+    out[:, 1:] += fy
+    return out
 
 
 def dirichlet(w: Field) -> float:

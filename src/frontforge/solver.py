@@ -12,8 +12,10 @@ through its Kronecker-sum structure: one small generalized eigenproblem in
 x and one tridiagonal factor per x mode, built once per grid) with Armijo
 backtracking, range clamping to [0,1], periodic monotone rearrangement, and
 the closed-form y-translation projection back onto the constraint.  The
-grid pins w = 1 at y_min and w = 0 at y_max; x-boundaries are natural
-(Neumann).
+stiffness itself is applied matrix-free by `grid.apply_stiffness`, from the
+same definition of Gamma_a as `grid.dirichlet`.  The grid pins w = 1 at
+y_min and w = 0 at y_max, so the free nodes are the block [:, 1:-1];
+x-boundaries are natural (Neumann).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla  # noqa: F401  (frontbench/tracer.py patches solver.spla)
 from scipy.linalg import eigh, lapack
 
@@ -130,60 +131,21 @@ def choose_weight(nl: Nonlinearity) -> float:
 # -- discrete operators -------------------------------------------------------
 
 
-def _stiffness(spec: GridSpec) -> sp.csr_matrix:
-    """Sparse S with Gamma_a(w) = w^T S w (edge-based quadrature)."""
-    nx, ny = spec.nx, spec.ny
-    n = (nx + 1) * (ny + 1)
-
-    def node(i, j):
-        return i * (ny + 1) + j
-
-    rows, cols, vals = [], [], []
-
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny + 1), indexing="ij")
-    wgt = (spec.tau * spec.wy)[jj] * spec.hy / spec.hx
-    a_idx = node(ii, jj).ravel()
-    b_idx = node(ii + 1, jj).ravel()
-    w = wgt.ravel()
-    rows += [a_idx, b_idx, a_idx, b_idx]
-    cols += [a_idx, b_idx, b_idx, a_idx]
-    vals += [w, w, -w, -w]
-
-    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="ij")
-    wgt = spec.sigma[ii] * spec.wy_edge[jj] * spec.hx / spec.hy
-    a_idx = node(ii, jj).ravel()
-    b_idx = node(ii, jj + 1).ravel()
-    w = wgt.ravel()
-    rows += [a_idx, b_idx, a_idx, b_idx]
-    cols += [a_idx, b_idx, b_idx, a_idx]
-    vals += [w, w, -w, -w]
-
-    S = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
-    )
-    return S.tocsr()
-
-
 class _Workspace:
-    """Per-grid separable preconditioner and index bookkeeping.
+    """Per-grid separable preconditioner.
 
-    On the free nodes (all but the pinned rows j = 0 and j = ny) the
-    stiffness matrix is the Kronecker sum S_ff = Kx (x) C + Sigma (x) T, with
-    Kx the Neumann path Laplacian in x, Sigma = diag(sigma), C = diag(tau wy
-    hy/hx) and T the path Laplacian in y with edge weights wy_edge hx/hy.
+    On the free nodes (the block [:, 1:-1], all but the pinned columns j = 0
+    and j = ny) the stiffness matrix is the Kronecker sum S_ff = Kx (x) C +
+    Sigma (x) T, with Kx the Neumann path Laplacian in x, Sigma =
+    diag(sigma), C = diag(tau wy hy/hx) and T the path Laplacian in y with
+    edge weights wy_edge hx/hy.
     The generalized eigenpairs Kx Phi = Sigma Phi Lambda (Phi^T Sigma Phi =
     I) turn S_ff X = G into one SPD tridiagonal system (lambda_k C + T) per
     x mode k; they are factored once, as one block-diagonal LDL^T.
     """
 
     def __init__(self, spec: GridSpec):
-        self.spec = spec
-        self.S = _stiffness(spec)
         nx, ny = spec.nx, spec.ny
-        free2d = np.ones((nx + 1, ny + 1), dtype=bool)
-        free2d[:, 0] = False
-        free2d[:, -1] = False
-        self.free = free2d.ravel()
         kx = 2.0 * np.eye(nx + 1) - np.eye(nx + 1, k=1) - np.eye(nx + 1, k=-1)
         kx[0, 0] = kx[-1, -1] = 1.0
         lam, self.phi = eigh(kx, np.diag(spec.sigma))
@@ -199,11 +161,11 @@ class _Workspace:
         self.ldl = (d, e)
 
     def precond_solve(self, g_free: np.ndarray) -> np.ndarray:
-        """S_ff^{-1} g on the free nodes: Phi (lambda_k C + T)^{-1} Phi^T G."""
-        shape = (self.spec.nx + 1, self.spec.ny - 1)
-        modes = (self.phi.T @ g_free.reshape(shape)).reshape(-1, 1)
-        y, _ = lapack.dpttrs(*self.ldl, modes, overwrite_b=True)
-        return (self.phi @ y.reshape(shape)).ravel()
+        """S_ff^{-1} G on an (nx+1, ny-1) free-node block G:
+        Phi (lambda_k C + T)^{-1} Phi^T G."""
+        modes = self.phi.T @ g_free
+        y, _ = lapack.dpttrs(*self.ldl, modes.reshape(-1, 1), overwrite_b=True)
+        return self.phi @ y.reshape(modes.shape)
 
 
 def _pin(values: np.ndarray) -> None:
@@ -211,10 +173,18 @@ def _pin(values: np.ndarray) -> None:
     values[:, -1] = 0.0
 
 
-def _gradient(ws: _Workspace, w: Field, nl: Nonlinearity) -> np.ndarray:
-    """Nodal gradient of E_a: S w - e^{ay} f(w(0,y)) hy tau on the boundary."""
-    g = (ws.S @ w.values.ravel()).reshape(w.values.shape)
-    g[0, :] += -w.spec.ymeasure * np.asarray(nl.f(w.values[0, :]))
+def _boundary_flux(w: Field, nl: Nonlinearity) -> np.ndarray:
+    """The row e^{ay} f(w(0,y)) hy tau of nodal boundary fluxes on x = 0."""
+    return w.spec.ymeasure * np.asarray(nl.f(w.values[0, :]))
+
+
+def _gradient(w: Field, nl: Nonlinearity, sw: np.ndarray | None = None) -> np.ndarray:
+    """Nodal gradient of E_a: S w minus the boundary flux on x = 0.
+
+    `sw` is S w when the caller has it already (`grid.apply_stiffness`).
+    """
+    g = gridmod.apply_stiffness(w.spec, w.values) if sw is None else sw.copy()
+    g[0, :] -= _boundary_flux(w, nl)
     return g
 
 
@@ -237,12 +207,6 @@ def _normalize(w: Field, opts: SolverOptions) -> Field:
     return out
 
 
-def _pin_vector(spec: GridSpec) -> np.ndarray:
-    v = np.zeros((spec.nx + 1) * (spec.ny + 1))
-    v.reshape(spec.nx + 1, spec.ny + 1)[:, 0] = 1.0
-    return v
-
-
 def _warm_start(
     ws: _Workspace, w: Field, nl: Nonlinearity, opts: SolverOptions, history: list
 ) -> Field:
@@ -256,9 +220,10 @@ def _warm_start(
     every accepted step strictly decreases the energy; when no damping
     helps, descent takes over.
     """
-    spec = ws.spec
-    pin = _pin_vector(spec)
-    s_pin_free = (ws.S @ pin)[ws.free]
+    spec = w.spec
+    pin = np.zeros_like(w.values)
+    _pin(pin)
+    s_pin_free = gridmod.apply_stiffness(spec, pin)[:, 1:-1]
     e_cur = history[-1]
     for _ in range(opts.warm_iters):
         b_over = _boundary_fu(w, nl)
@@ -268,12 +233,10 @@ def _warm_start(
         # divisor so misplaced seeds (B near or below 0) still get a
         # usefully-scaled flux solve, damped by the energy check below
         divisor = max(b_over, 0.2)
-        flux = np.zeros_like(w.values)
-        flux[0, :] = spec.ymeasure * np.asarray(nl.f(w.values[0, :]))
-        rhs = flux.ravel()[ws.free] / divisor - s_pin_free
-        v = pin.copy()
-        v[ws.free] = ws.precond_solve(rhs)
-        target = v.reshape(w.values.shape)
+        rhs = -s_pin_free
+        rhs[0] += _boundary_flux(w, nl)[1:-1] / divisor
+        target = pin.copy()
+        target[:, 1:-1] = ws.precond_solve(rhs)
         accepted = False
         omega = 1.0
         for _ in range(6):
@@ -349,15 +312,15 @@ def minimize(
                 eta = 1.0
                 stalled = 0
 
-        g = _gradient(ws, w, nl)
+        sw = gridmod.apply_stiffness(spec, w.values)
+        g = _gradient(w, nl, sw)
         gamma = gridmod.dirichlet(w)
         lam = _multiplier(w, nl, gamma)
-        resid = g - 2.0 * lam * (ws.S @ w.values.ravel()).reshape(g.shape)
-        r_free = resid.ravel()[ws.free]
-        g_free = g.ravel()[ws.free]
+        r_free = (g - 2.0 * lam * sw)[:, 1:-1]
+        g_free = g[:, 1:-1]
         d_free = ws.precond_solve(g_free)
-        g_norm = math.sqrt(abs(float(g_free @ d_free)))
-        rho = math.sqrt(abs(float(r_free @ ws.precond_solve(r_free))))
+        g_norm = math.sqrt(abs(float(np.vdot(g_free, d_free))))
+        rho = math.sqrt(abs(float(np.vdot(r_free, ws.precond_solve(r_free)))))
         rho_ratio = rho / max(g_norm, 1e-300)
         if rho_ratio <= opts.tol and abs(gamma - 1.0) <= 10.0 * opts.constraint_tol:
             converged = True
@@ -374,10 +337,9 @@ def minimize(
                 break
             continue
 
-        slope = float(g_free @ d_free)
-        direction = np.zeros(w.values.size)
-        direction[ws.free] = d_free
-        direction = direction.reshape(w.values.shape)
+        slope = float(np.vdot(g_free, d_free))
+        direction = np.zeros_like(w.values)
+        direction[:, 1:-1] = d_free
 
         accepted = False
         for _ in range(opts.max_backtracks):

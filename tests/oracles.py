@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 
@@ -107,7 +108,47 @@ def subpanels_linspace(edges, panel: float, z_geo: float, z_dead: float):
     return np.concatenate(starts), np.concatenate(stops), np.concatenate(owner)
 
 
-def free_stiffness_solve(S, free, g):
-    """S_ff^{-1} g by a sparse direct solve on the free rows and columns of
-    the stiffness matrix: the reference for `solver._Workspace.precond_solve`."""
-    return spsolve(S[free][:, free].tocsc(), g)
+def sparse_stiffness(spec) -> sp.csr_matrix:
+    """Sparse S with Gamma_a(w) = w^T S w (edge-based quadrature), assembled
+    edge by edge: the reference for `grid.apply_stiffness`."""
+    nx, ny = spec.nx, spec.ny
+    n = (nx + 1) * (ny + 1)
+
+    def node(i, j):
+        return i * (ny + 1) + j
+
+    rows, cols, vals = [], [], []
+
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny + 1), indexing="ij")
+    wgt = (spec.tau * spec.wy)[jj] * spec.hy / spec.hx
+    a_idx = node(ii, jj).ravel()
+    b_idx = node(ii + 1, jj).ravel()
+    w = wgt.ravel()
+    rows += [a_idx, b_idx, a_idx, b_idx]
+    cols += [a_idx, b_idx, b_idx, a_idx]
+    vals += [w, w, -w, -w]
+
+    ii, jj = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="ij")
+    wgt = spec.sigma[ii] * spec.wy_edge[jj] * spec.hx / spec.hy
+    a_idx = node(ii, jj).ravel()
+    b_idx = node(ii, jj + 1).ravel()
+    w = wgt.ravel()
+    rows += [a_idx, b_idx, a_idx, b_idx]
+    cols += [a_idx, b_idx, b_idx, a_idx]
+    vals += [w, w, -w, -w]
+
+    S = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return S.tocsr()
+
+
+def free_stiffness_solve(spec, g):
+    """S_ff^{-1} G on an (nx+1, ny-1) free-node block by a sparse direct
+    solve on the free rows and columns of `sparse_stiffness`: the reference
+    for `solver._Workspace.precond_solve`."""
+    free = np.zeros((spec.nx + 1, spec.ny + 1), dtype=bool)
+    free[:, 1:-1] = True
+    free = free.ravel()
+    S_ff = sparse_stiffness(spec)[free][:, free].tocsc()
+    return spsolve(S_ff, np.ravel(g)).reshape(g.shape)

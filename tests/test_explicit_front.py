@@ -1,10 +1,10 @@
-import importlib
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import frontforge.explicit_front as ef
 from frontforge.analysis import fit_decay
 from frontforge.evolution import lipschitz_bound, stability_limit
 from frontforge.explicit_front import (
@@ -26,10 +26,13 @@ from frontforge.nonlinearity import antiderivative, validate
 from frontforge.specfun import bessel_k, k_ratio
 from oracles import subpanels_linspace
 
-# the package re-exports the function explicit_front under the module's name
-ef = importlib.import_module("frontforge.explicit_front")
-
 P12 = ExplicitFrontParams(t=1.0, c=2.0)
+
+
+def test_module_import_is_not_shadowed():
+    # the package must not re-export the function under its module's name
+    assert ef.ExplicitFrontParams is ExplicitFrontParams
+    assert ef.explicit_front is explicit_front
 
 
 def test_params_validation():

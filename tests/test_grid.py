@@ -6,6 +6,7 @@ from frontforge.grid import (
     GridSpec,
     TraceProfile,
     _cell_forms,
+    apply_stiffness,
     boundary_integral,
     dirichlet,
     energy,
@@ -18,7 +19,8 @@ from frontforge.grid import (
     translate,
 )
 from frontforge.nonlinearity import make_bistable_cubic
-from frontforge.solver import seed_energy_value
+from frontforge.solver import SolverOptions, choose_weight, default_grid, seed_energy_value
+from oracles import sparse_stiffness
 
 
 def small_spec(a=0.25, ny=256):
@@ -86,6 +88,35 @@ class TestEnergy:
             vals.append(energy(bump_field(spec), nl))
         # errors shrink under refinement toward the finest value
         assert abs(vals[0] - vals[2]) > abs(vals[1] - vals[2])
+
+
+class TestStiffness:
+    @pytest.fixture(params=[(16, 64), (96, 448)], ids=["16x64", "96x448"])
+    def case(self, request):
+        nx, ny = request.param
+        spec = default_grid(choose_weight(make_bistable_cubic(0.25)), SolverOptions(nx=nx, ny=ny))
+        noise = np.random.default_rng(1).standard_normal((nx + 1, ny + 1))
+        return spec, seed_function(spec).values, noise
+
+    def test_matches_sparse_matrix(self, case):
+        spec, seed, noise = case
+        S = sparse_stiffness(spec)
+        for v in (seed, noise):
+            ref = (S @ v.ravel()).reshape(v.shape)
+            assert np.max(np.abs(apply_stiffness(spec, v) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_quadratic_form_is_dirichlet(self, case):
+        spec, seed, noise = case
+        for v in (seed, noise):
+            gamma = dirichlet(Field(v, spec))
+            assert np.vdot(v, apply_stiffness(spec, v)) == pytest.approx(gamma, rel=1e-13)
+
+    def test_symmetric(self, case):
+        spec, u, v = case
+        scale = np.sqrt(dirichlet(Field(u, spec)) * dirichlet(Field(v, spec)))
+        uv = np.vdot(u, apply_stiffness(spec, v))
+        vu = np.vdot(v, apply_stiffness(spec, u))
+        assert abs(uv - vu) <= 1e-13 * scale
 
 
 class TestTranslate:

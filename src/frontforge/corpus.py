@@ -293,9 +293,3 @@ def check(case: PinnedCase) -> CheckResult:
         return CheckResult(case, False, observed, f"unknown comparison kind {case.kind!r}")
     return CheckResult(case, ok, observed, detail)
 
-
-def run_all(cost: str | None = "fast", directory: str | None = None) -> list[CheckResult]:
-    cases = load_cases(directory)
-    if cost is not None:
-        cases = [c for c in cases if c.cost == cost]
-    return [check(c) for c in cases]

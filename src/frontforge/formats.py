@@ -8,6 +8,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -20,12 +21,12 @@ class ConfigError(ValueError):
 
 _NL_KEYS = {"nonlinearity.kind", "nonlinearity.alpha", "nonlinearity.beta", "nonlinearity.amplitude", "nonlinearity.t", "nonlinearity.c"}
 _GRID_KEYS = {"grid.nx", "grid.ny", "grid.x_span", "grid.y_span_down", "grid.y_span_up"}
-_SOLVER_KEYS = {"solver.tol", "solver.max_iter", "solver.rearrange_every", "solver.a", "solver.seed", "solver.refine", "solver.warm_iters"}
+_SOLVER_KEYS = {"solver.tol", "solver.max_iter", "solver.a", "solver.seed", "solver.refine"}
 _EVOLVE_KEYS = {"evolve.T", "evolve.dt", "evolve.out_every", "evolve.initial"}
 _MISC_KEYS = {"output.dir"}
 _ALL_KEYS = _NL_KEYS | _GRID_KEYS | _SOLVER_KEYS | _EVOLVE_KEYS | _MISC_KEYS
 
-_INT_KEYS = {"grid.nx", "grid.ny", "solver.max_iter", "solver.rearrange_every", "solver.refine", "solver.warm_iters"}
+_INT_KEYS = {"grid.nx", "grid.ny", "solver.max_iter", "solver.refine"}
 _STR_KEYS = {"nonlinearity.kind", "solver.seed", "evolve.initial", "output.dir"}
 
 
@@ -78,6 +79,8 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def _check_ranges(cfg: ExperimentConfig) -> None:
+    from .solver import SolverOptions
+
     nl = cfg.nonlinearity
     kind = nl.get("kind")
     if kind is not None and kind not in ("bistable_cubic", "combustion", "explicit"):
@@ -94,6 +97,20 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     for key, lo in (("nx", 16), ("ny", 64)):
         if key in cfg.grid and cfg.grid[key] < lo:
             raise ConfigError(f"grid.{key} must be at least {lo}")
+    for key in ("grid.x_span", "grid.y_span_down", "grid.y_span_up", "solver.tol", "solver.a"):
+        section, _, name = key.partition(".")
+        value = getattr(cfg, section).get(name)
+        if value is not None and not 0.0 < value < math.inf:
+            raise ConfigError(f"{key} must be positive and finite")
+    if cfg.solver.get("max_iter", 1) < 1:
+        raise ConfigError("solver.max_iter must be at least 1")
+    refine = cfg.solver.get("refine", 0)
+    if not 0 <= refine <= 3:
+        raise ConfigError("solver.refine must lie in 0..3")
+    # the solver's preconditioner holds dense (nx+1) x (nx+1) matrices
+    for key, cap in (("nx", 2048), ("ny", 8192)):
+        if cfg.grid.get(key, getattr(SolverOptions, key)) << refine > cap:
+            raise ConfigError(f"grid.{key} * 2^solver.refine must be at most {cap}")
     if "T" in cfg.evolve and cfg.evolve["T"] <= 0.0:
         raise ConfigError("evolve.T must be positive")
     if "initial" in cfg.evolve and cfg.evolve["initial"] not in ("oracle", "step"):
@@ -121,12 +138,10 @@ def build_solver_options(cfg: ExperimentConfig):
     from .solver import SolverOptions
 
     kw = {}
-    for name in ("nx", "ny", "x_span", "y_span_down", "y_span_up"):
-        if name in cfg.grid:
-            kw[name] = cfg.grid[name]
-    for name in ("tol", "max_iter", "rearrange_every", "a", "seed", "refine", "warm_iters"):
-        if name in cfg.solver:
-            kw[name] = cfg.solver[name]
+    for key in _GRID_KEYS | _SOLVER_KEYS:
+        section, _, name = key.partition(".")
+        if name in getattr(cfg, section):
+            kw[name] = getattr(cfg, section)[name]
     return SolverOptions(**kw)
 
 

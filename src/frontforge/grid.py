@@ -285,8 +285,8 @@ def project_constraint(w: Field, tol: float = 1e-8) -> Field:
     raise ValueError("constraint projection needs a shift beyond a quarter of the y-window")
 
 
-def rearrange_monotone_flagged(w: Field) -> tuple[Field, bool]:
-    """Monotone-in-y decreasing rearrangement; flags out-of-[0,1] clamping.
+def rearrange_monotone(w: Field) -> Field:
+    """Monotone-in-y decreasing rearrangement of w clamped to [0,1].
 
     Works per column in the variable z = e^{ay}/a: values are redistributed
     against the cell measures e^{ay_j} hy (weighted counting sort), which
@@ -294,12 +294,5 @@ def rearrange_monotone_flagged(w: Field) -> tuple[Field, bool]:
     every already-monotone column exactly.
     """
     g = w.spec
-    clamped = bool(np.any(w.values < -1e-12) or np.any(w.values > 1.0 + 1e-12))
-    vals = np.clip(w.values, 0.0, 1.0)
-    out = rearrange_columns(vals, g.ymeasure)
-    return Field(np.ascontiguousarray(out), g), clamped
-
-
-def rearrange_monotone(w: Field) -> Field:
-    out, _ = rearrange_monotone_flagged(w)
-    return out
+    out = rearrange_columns(np.clip(w.values, 0.0, 1.0), g.ymeasure)
+    return Field(np.ascontiguousarray(out), g)

@@ -10,12 +10,18 @@ can transport the front across the window, then projected Sobolev-gradient
 descent (the stiffness operator of Gamma_a as preconditioner, inverted
 through its Kronecker-sum structure: one small generalized eigenproblem in
 x and one tridiagonal factor per x mode, built once per grid) with Armijo
-backtracking, range clamping to [0,1], periodic monotone rearrangement, and
-the closed-form y-translation projection back onto the constraint.  The
+backtracking, interleaved with fixed-point bursts.  Every trial field goes
+through one pipeline (`_trial`): range clamping to [0,1], monotone
+rearrangement, and the closed-form y-translation onto the constraint.  The
 stiffness itself is applied matrix-free by `grid.apply_stiffness`, from the
 same definition of Gamma_a as `grid.dirichlet`.  The grid pins w = 1 at
 y_min and w = 0 at y_max, so the free nodes are the block [:, 1:-1];
 x-boundaries are natural (Neumann).
+
+The speed c = a*(1 - 2*lambda_a) means something only at a stationary point
+of E_a on Gamma_a = 1, so "converged" has one meaning: the stationarity
+residual passed (see `minimize`).  Any other stop is reported unconverged,
+and `extract_speed` then raises SolverError (exit code 1 on the CLI).
 """
 
 from __future__ import annotations
@@ -41,10 +47,6 @@ class DegenerateMultiplierError(SolverError):
     """lambda_a reached 1/2; the discretization cannot support the front."""
 
 
-class DivergenceError(SolverError):
-    """Energy kept increasing through the whole backtracking ladder."""
-
-
 @dataclass
 class SolverOptions:
     nx: int = 96
@@ -54,17 +56,20 @@ class SolverOptions:
     y_span_up: float = 12.0
     tol: float = 0.03  # stationarity residual relative to the gradient norm
     max_iter: int = 300
-    warm_iters: int = 60  # flux fixed-point steps before descent
-    burst_every: int = 25  # interleave a fixed-point burst into descent
-    rearrange_every: int = 10
-    constraint_tol: float = 1e-8
-    armijo: float = 1e-4
-    max_backtracks: int = 45
-    stall_rel: float = 1e-9  # relative per-step decrease counting as a stall
     a: float | None = None  # weight; None = choose_weight policy
     seed: str = "exponential"  # "exponential" | "kernel"
-    seed_field: Field | None = None
     refine: int = 0  # halvings of the mesh width
+
+
+# Iteration constants of `minimize`.
+_WARM_ITERS = 60  # flux fixed-point steps per burst
+_BURST_EVERY = 25  # descent iterations between periodic bursts
+_STALL_STEPS = 12  # stalled descent steps in a row that call for a burst
+_STALL_REL = 1e-9  # relative decrease of E_a at or below which a step stalls
+_REARRANGE_EVERY = 10  # accepted descent steps between rearrangements
+_CONSTRAINT_TOL = 1e-8  # |Gamma_a - 1| that the projection leaves alone
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 45
 
 
 @dataclass
@@ -193,39 +198,45 @@ def _boundary_fu(w: Field, nl: Nonlinearity) -> float:
     return gridmod.boundary_integral(w, lambda s: np.asarray(nl.f(s)) * s)
 
 
-def _multiplier(w: Field, nl: Nonlinearity, gamma: float | None = None) -> float:
-    """lambda_a from stationarity tested with phi = w: (D_kin - B)/(2 D_kin)."""
-    d_kin = gridmod.dirichlet(w) if gamma is None else gamma
-    return (d_kin - _boundary_fu(w, nl)) / (2.0 * d_kin)
+def _multiplier(w: Field, nl: Nonlinearity, gamma: float) -> float:
+    """lambda_a from stationarity tested with phi = w: (D_kin - B)/(2 D_kin),
+    with D_kin = gamma = Gamma_a(w)."""
+    return (gamma - _boundary_fu(w, nl)) / (2.0 * gamma)
 
 
-def _normalize(w: Field, opts: SolverOptions) -> Field:
-    out = gridmod.rearrange_monotone(w)
-    out = gridmod.project_constraint(out, tol=opts.constraint_tol)
-    _pin(out.values)
-    np.clip(out.values, 0.0, 1.0, out=out.values)
-    return out
+def _trial(w: Field, nl: Nonlinearity, rearrange: bool = True) -> tuple[Field, float]:
+    """The admissible field made from `w` (changed in place), and its E_a.
+
+    Pin the end columns, clamp to [0,1], rearrange monotone in y, translate
+    onto Gamma_a = 1 and pin again.  Raises ValueError when
+    `grid.project_constraint` cannot reach Gamma_a = 1.
+    """
+    _pin(w.values)
+    np.clip(w.values, 0.0, 1.0, out=w.values)
+    if rearrange:
+        w = gridmod.rearrange_monotone(w)
+    w = gridmod.project_constraint(w, tol=_CONSTRAINT_TOL)
+    _pin(w.values)
+    return w, gridmod.energy(w, nl)
 
 
-def _warm_start(
-    ws: _Workspace, w: Field, nl: Nonlinearity, opts: SolverOptions, history: list
-) -> Field:
-    """Flux fixed-point stage: solve the linear problem with frozen boundary
+def _warm_start(ws: _Workspace, w: Field, nl: Nonlinearity, history: list) -> tuple[Field, bool]:
+    """Flux fixed-point burst: solve the linear problem with frozen boundary
     flux f(w(0,y))/B, then clamp/rearrange/project.
 
     At the minimizer this map is stationary (its fixed point is the
     Euler-Lagrange equation), and far from it a single step can transport
     the front across the window, which gradient descent cannot do quickly.
-    The map is damped by backtracking on the mixing weight omega so that
-    every accepted step strictly decreases the energy; when no damping
-    helps, descent takes over.
+    The map is damped by backtracking on the mixing weight omega, and a step
+    is accepted only if it lowers E_a by more than `_STALL_REL` relative.
+    Returns the last accepted field and whether any step was accepted.
     """
     spec = w.spec
     pin = np.zeros_like(w.values)
     _pin(pin)
     s_pin_free = gridmod.apply_stiffness(spec, pin)[:, 1:-1]
-    e_cur = history[-1]
-    for _ in range(opts.warm_iters):
+    moved = False
+    for _ in range(_WARM_ITERS):
         b_over = _boundary_fu(w, nl)
         if not np.isfinite(b_over):
             break
@@ -237,29 +248,21 @@ def _warm_start(
         rhs[0] += _boundary_flux(w, nl)[1:-1] / divisor
         target = pin.copy()
         target[:, 1:-1] = ws.precond_solve(rhs)
-        accepted = False
         omega = 1.0
         for _ in range(6):
-            trial = Field(w.values + omega * (target - w.values), spec)
-            _pin(trial.values)
-            np.clip(trial.values, 0.0, 1.0, out=trial.values)
-            trial = gridmod.rearrange_monotone(trial)
             try:
-                trial = gridmod.project_constraint(trial, tol=opts.constraint_tol)
+                trial, e_new = _trial(Field(w.values + omega * (target - w.values), spec), nl)
             except ValueError:
-                omega *= 0.5
-                continue
-            _pin(trial.values)
-            e_new = gridmod.energy(trial, nl)
-            if e_new < e_cur - opts.stall_rel * abs(e_cur):
-                w, e_cur = trial, e_new
-                history.append(e_cur)
-                accepted = True
+                e_new = math.inf
+            if e_new < history[-1] - _STALL_REL * abs(history[-1]):
+                w, moved = trial, True
+                history.append(e_new)
                 break
+            trial = None  # free the rejected field before the next one is built
             omega *= 0.5
-        if not accepted:
+        else:
             break
-    return w
+    return w, moved
 
 
 def minimize(
@@ -273,26 +276,25 @@ def minimize(
     A flux fixed-point warm start places the front (energy-monitored), then
     projected Sobolev-gradient descent with Armijo backtracking polishes it:
     gradient step preconditioned by the inverse stiffness (`_Workspace`),
-    clamp to [0,1], monotone rearrangement every `rearrange_every` accepted
-    steps, and the y-translation that meets the constraint to round-off
-    (`grid.project_constraint`).  Converged means the stationarity residual
-    g - lambda_a D(Gamma_a) is below `tol` relative to the gradient norm
-    (both measured in the inverse-stiffness metric), or the energy has
-    stalled at the discretization floor.
+    then `_trial`, which rearranges every `_REARRANGE_EVERY` accepted steps.
+    A fixed-point burst runs every `_BURST_EVERY` iterations, and whenever
+    descent is exhausted: no step lowers E_a, or `_STALL_STEPS` steps in a
+    row lowered it by no more than `_STALL_REL` relative.
+
+    Converged means only that the stationarity residual g - lambda_a
+    D(Gamma_a) is at most `opts.tol` relative to the gradient norm (both in
+    the inverse-stiffness metric), with |Gamma_a - 1| <= 1e-7.  When neither
+    descent nor a burst lowers E_a, or after `opts.max_iter` iterations, the
+    result is returned unconverged and `extract_speed` refuses it.
     """
     opts = opts or SolverOptions()
     ws = _Workspace(spec)
 
     if seed is None:
         seed = gridmod.seed_function(spec)
-    w = seed.copy()
-    _pin(w.values)
-    np.clip(w.values, 0.0, 1.0, out=w.values)
-    w = _normalize(w, opts)
-
-    history = [gridmod.energy(w, nl)]
-    w = _warm_start(ws, w, nl, opts, history)
-    e_cur = history[-1]
+    w, e_seed = _trial(seed.copy(), nl)
+    history = [e_seed]
+    w, _ = _warm_start(ws, w, nl, history)
 
     eta = 1.0
     rho_ratio = math.inf
@@ -302,15 +304,12 @@ def minimize(
     it = 0
 
     for it in range(1, opts.max_iter + 1):
-        if opts.burst_every > 0 and it % opts.burst_every == 0:
+        if it % _BURST_EVERY == 0:
             # periodic fixed-point burst: descent moves fronts slowly along
             # the transport valley, the burst jumps along it (energy-safe)
-            e_before = e_cur
-            w = _warm_start(ws, w, nl, opts, history)
-            e_cur = history[-1]
-            if e_cur < e_before - opts.stall_rel * abs(e_before):
-                eta = 1.0
-                stalled = 0
+            w, moved = _warm_start(ws, w, nl, history)
+            if moved:
+                eta, stalled = 1.0, 0
 
         sw = gridmod.apply_stiffness(spec, w.values)
         g = _gradient(w, nl, sw)
@@ -319,69 +318,43 @@ def minimize(
         r_free = (g - 2.0 * lam * sw)[:, 1:-1]
         g_free = g[:, 1:-1]
         d_free = ws.precond_solve(g_free)
-        g_norm = math.sqrt(abs(float(np.vdot(g_free, d_free))))
+        slope = float(np.vdot(g_free, d_free))
         rho = math.sqrt(abs(float(np.vdot(r_free, ws.precond_solve(r_free)))))
-        rho_ratio = rho / max(g_norm, 1e-300)
-        if rho_ratio <= opts.tol and abs(gamma - 1.0) <= 10.0 * opts.constraint_tol:
+        rho_ratio = rho / max(math.sqrt(abs(slope)), 1e-300)
+        if rho_ratio <= opts.tol and abs(gamma - 1.0) <= 10.0 * _CONSTRAINT_TOL:
             converged = True
             break
-        if stalled >= 12:
-            # descent is exhausted: let the fixed-point stage try once more,
-            # and only call it converged if that cannot lower E either
-            e_before = e_cur
-            w = _warm_start(ws, w, nl, opts, history)
+
+        if stalled < _STALL_STEPS:
+            direction = np.zeros_like(w.values)
+            direction[:, 1:-1] = d_free
+            rearrange = accepted_since_rearr + 1 >= _REARRANGE_EVERY
             e_cur = history[-1]
-            stalled = 0
-            if e_cur >= e_before - 1e-9 * abs(e_before):
-                converged = True
-                break
-            continue
-
-        slope = float(np.vdot(g_free, d_free))
-        direction = np.zeros_like(w.values)
-        direction[:, 1:-1] = d_free
-
-        accepted = False
-        for _ in range(opts.max_backtracks):
-            trial = Field(w.values - eta * direction, spec)
-            _pin(trial.values)
-            np.clip(trial.values, 0.0, 1.0, out=trial.values)
-            do_rearr = accepted_since_rearr + 1 >= opts.rearrange_every
-            if do_rearr:
-                trial = gridmod.rearrange_monotone(trial)
-            try:
-                trial = gridmod.project_constraint(trial, tol=opts.constraint_tol)
-            except ValueError:
+            accepted = False
+            for _ in range(_MAX_BACKTRACKS):
+                try:
+                    trial, e_new = _trial(Field(w.values - eta * direction, spec), nl, rearrange)
+                except ValueError:
+                    e_new = math.inf
+                if e_new <= e_cur - _ARMIJO * eta * slope or e_new < e_cur:
+                    stalled = stalled + 1 if e_new >= e_cur - _STALL_REL * abs(e_cur) else 0
+                    accepted_since_rearr = 0 if rearrange else accepted_since_rearr + 1
+                    eta = min(eta * 1.5, 4.0)
+                    w, accepted = trial, True
+                    history.append(e_new)
+                    break
+                trial = None  # free the rejected field before the next one is built
                 eta *= 0.5
+            if accepted:
                 continue
-            _pin(trial.values)
-            e_new = gridmod.energy(trial, nl)
-            if e_new <= e_cur - opts.armijo * eta * slope or e_new < e_cur:
-                stalled = stalled + 1 if e_new >= e_cur - opts.stall_rel * abs(e_cur) else 0
-                w, e_cur = trial, e_new
-                accepted = True
-                accepted_since_rearr = 0 if do_rearr else accepted_since_rearr + 1
-                eta = min(eta * 1.5, 4.0)
-                break
-            eta *= 0.5
-        if not accepted:
-            e_before = e_cur
-            w = _warm_start(ws, w, nl, opts, history)
-            e_cur = history[-1]
-            if e_cur < e_before - 1e-9 * abs(e_before):
-                eta = 1.0
-                stalled = 0
-                continue
-            if stalled > 0 or rho_ratio < 10.0 * opts.tol or history[-1] < history[0]:
-                converged = True  # cannot descend further: discretization floor
-                break
-            raise DivergenceError(
-                f"no descent after {opts.max_backtracks} halvings at iteration {it}"
-            )
-        history.append(e_cur)
+        # descent is exhausted; if the fixed point cannot lower E_a either,
+        # the iterate is not stationary and the solve stops unconverged
+        w, moved = _warm_start(ws, w, nl, history)
+        if not moved:
+            break
+        eta, stalled = 1.0, 0
 
-    w = _normalize(w, opts)
-    e_cur = gridmod.energy(w, nl)
+    w, e_cur = _trial(w, nl)
     gamma = gridmod.dirichlet(w)
     lam = _multiplier(w, nl, gamma)
     if lam >= 0.5:
@@ -413,7 +386,10 @@ def extract_speed(result: MinimizerResult, nl: Nonlinearity | None = None) -> Fr
     natural weight exponent is c.
     """
     if not result.converged:
-        raise SolverError("minimizer did not converge; refusing to extract a speed")
+        raise SolverError(
+            f"minimizer did not converge (stationarity residual rho/|g| = "
+            f"{result.residual_norm:.3g}); refusing to extract a speed"
+        )
     if result.multiplier >= 0.5:
         raise DegenerateMultiplierError(f"lambda_a = {result.multiplier:.6f} >= 1/2")
     mu = 1.0 - 2.0 * result.multiplier
@@ -524,12 +500,8 @@ def solve_front(nl: Nonlinearity, opts: SolverOptions | None = None) -> FrontSol
         )
     a = opts.a if opts.a is not None else choose_weight(nl)
     spec = default_grid(a, opts)
-    if opts.seed_field is not None:
-        seed = opts.seed_field
-    elif opts.seed == "kernel":
-        vals = sample_front(ExplicitFrontParams(t=1.0, c=a), spec.xs, spec.ys)
-        seed = Field(vals, spec)
-    else:
-        seed = gridmod.seed_function(spec)
+    seed = None
+    if opts.seed == "kernel":
+        seed = Field(sample_front(ExplicitFrontParams(t=1.0, c=a), spec.xs, spec.ys), spec)
     result = minimize(spec, nl, opts, seed=seed)
     return extract_speed(result, nl)

@@ -6,6 +6,7 @@ import pytest
 from frontforge import cli, formats
 from frontforge.cli import main
 from frontforge.formats import ConfigError, parse_config_text
+from frontforge.solver import SolverOptions
 
 
 class TestConfig:
@@ -34,6 +35,29 @@ class TestConfig:
             parse_config_text("nonlinearity.kind = combustion\nwhatever = 3\n")
         with pytest.raises(ConfigError):
             parse_config_text("nonlinearity.kind = combustion\nseed = 42\n")
+        for line in ("solver.warm_iters = 0", "solver.rearrange_every = 10"):
+            with pytest.raises(ConfigError):
+                parse_config_text(f"nonlinearity.kind = combustion\n{line}\n")
+
+    def test_every_grid_and_solver_key_sets_an_option(self):
+        values = {
+            "grid.nx": 32,
+            "grid.ny": 128,
+            "grid.x_span": 9.0,
+            "grid.y_span_down": 30.0,
+            "grid.y_span_up": 10.0,
+            "solver.tol": 1e-3,
+            "solver.max_iter": 7,
+            "solver.a": 0.25,
+            "solver.seed": "kernel",
+            "solver.refine": 2,
+        }
+        assert set(values) == formats._GRID_KEYS | formats._SOLVER_KEYS
+        defaults = SolverOptions()
+        for key, value in values.items():
+            name = key.partition(".")[2]
+            opts = formats.build_solver_options(parse_config_text(f"{key} = {value}\n"))
+            assert getattr(opts, name) == value != getattr(defaults, name)
 
     def test_bad_number_rejected(self):
         with pytest.raises(ConfigError):
@@ -46,6 +70,11 @@ class TestConfig:
             parse_config_text("grid.ny = 8\n")
         with pytest.raises(ConfigError):
             parse_config_text("nonlinearity.kind = sin\n")
+
+    def test_solver_range_limits_accepted(self):
+        cfg = parse_config_text("grid.nx = 256\ngrid.ny = 1024\nsolver.refine = 3\nsolver.max_iter = 1\n")
+        assert (cfg.grid["nx"], cfg.grid["ny"], cfg.solver["refine"]) == (256, 1024, 3)
+        assert parse_config_text("solver.refine = 0\nsolver.tol = 1e-12\n").solver["refine"] == 0
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ConfigError):
@@ -156,6 +185,45 @@ class TestCli:
         cfg = tmp_path / "evolve.cfg"
         cfg.write_text(f"nonlinearity.kind = combustion\nevolve.initial = step\n{key} = 64\n")
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    def test_unconverged_solve_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(
+            "nonlinearity.kind = bistable_cubic\n"
+            "nonlinearity.alpha = 0.4\n"
+            "grid.nx = 48\n"
+            "grid.ny = 224\n"
+        )
+        out = tmp_path / "bundle"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not (out / "meta.txt").exists()
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "solver.max_iter = 0",
+            "solver.tol = 0",
+            "solver.tol = -1e-3",
+            "solver.a = 0",
+            "solver.a = nan",
+            "grid.x_span = 0",
+            "grid.y_span_down = -40",
+            "grid.y_span_up = inf",
+            "solver.refine = -1",
+            "solver.refine = 4",
+            "grid.nx = 4096",
+            "grid.nx = 1024\nsolver.refine = 2",
+            "grid.ny = 8448",
+            "solver.refine = 3\ngrid.ny = 1088",
+        ],
+    )
+    def test_solver_ranges_rejected_before_solving(self, tmp_path, monkeypatch, lines):
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        monkeypatch.setattr(cli, "solve_front", lambda *a, **k: pytest.fail("solve_front ran"))
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(f"nonlinearity.kind = combustion\n{lines}\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.slow
     def test_solve_bundle_and_reread(self, tmp_path, monkeypatch):

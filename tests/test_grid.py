@@ -12,7 +12,6 @@ from frontforge.grid import (
     energy,
     project_constraint,
     rearrange_monotone,
-    rearrange_monotone_flagged,
     seed_function,
     trace,
     trace_crossing,
@@ -227,13 +226,13 @@ class TestRearrangement:
         out = rearrange_monotone(w)
         assert np.all(np.diff(out.values, axis=1) <= 0.0)
 
-    def test_clamp_flag(self):
+    def test_clamps_to_unit_interval(self):
         spec = small_spec()
         vals = np.full((spec.nx + 1, spec.ny + 1), 1.3)
-        _, clamped = rearrange_monotone_flagged(Field(vals, spec))
-        assert clamped
-        _, clamped = rearrange_monotone_flagged(Field(np.full_like(vals, 0.5), spec))
-        assert not clamped
+        vals[:, spec.ny // 2 :] = -0.2
+        assert np.array_equal(rearrange_monotone(Field(vals, spec)).values, np.clip(vals, 0.0, 1.0))
+        half = np.full_like(vals, 0.5)
+        assert np.array_equal(rearrange_monotone(Field(half, spec)).values, half)
 
     def test_boundary_potential_preserved(self):
         nl = make_bistable_cubic(0.25)

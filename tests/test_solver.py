@@ -5,6 +5,7 @@ from frontforge.grid import GridSpec, Field, dirichlet, seed_function, trace
 from frontforge.nonlinearity import NonlinearityError, make_bistable_cubic, make_combustion, reflect
 from frontforge.solver import (
     MinimizerResult,
+    SolverError,
     SolverOptions,
     _gradient,
     _Workspace,
@@ -76,6 +77,33 @@ class TestMinimize:
         hist = np.asarray(res.energy_history)
         # every accepted step decreases the energy (descent property)
         assert np.all(np.diff(hist) <= 1e-9 * np.abs(hist[:-1]) + 1e-13)
+
+    def test_descent_converges_by_the_residual(self):
+        # the fixed point alone stops short here, so descent steps (and the
+        # fixed-point burst a stalled descent triggers) finish the solve
+        nl = make_bistable_cubic(0.35)
+        opts = SolverOptions(nx=64, ny=288)
+        spec = default_grid(choose_weight(nl), opts)
+        res = minimize(spec, nl, opts)
+        assert res.iterations > 1
+        assert res.converged
+        assert res.residual_norm <= opts.tol
+        assert np.all(np.diff(res.energy_history) <= 0.0)
+        sol = extract_speed(res)
+        assert sol.speed == pytest.approx(sol.speed_variational, rel=5e-2)
+
+    def test_non_stationary_iterate_is_not_converged(self):
+        # on this coarse grid neither descent nor the fixed point reaches a
+        # stationary point: rho/|g| stays near 0.44 and c = a(1 - 2 lambda_a)
+        # is 23 % off a(1 - 2 I_a), so no speed may be reported
+        nl = make_bistable_cubic(0.4)
+        opts = SolverOptions(nx=48, ny=224)
+        spec = default_grid(choose_weight(nl), opts)
+        res = minimize(spec, nl, opts)
+        assert not res.converged
+        assert res.residual_norm > opts.tol
+        with pytest.raises(SolverError):
+            solve_front(nl, opts)
 
 
 class TestExtractSpeed:

@@ -2,10 +2,14 @@
 """Time frontforge's hot kernels and the variational solver's layers.
 
 Runs each kernel in-process (the scipy Bessel pair, the LAPACK tridiagonal
-solve, the numpy rearrangement), plus the solver's layers on the seed at the
-default grid (`workspace_build_96x448` and `precond_solve_96x448` for the
-preconditioner, `apply_stiffness_96x448` for the matrix-free stiffness apply,
-`project_constraint_96x448` for the constraint projection), and prints the
+solve, the numpy rearrangement on uniform random rows and, as
+`rearrange_solver_96x448`, on a field shaped like the solver's: mostly
+nonincreasing rows, with a rippled band in a quarter of them), plus the
+solver's layers on the seed at the default grid (`workspace_build_96x448` and
+`precond_solve_96x448` for the preconditioner, `apply_stiffness_96x448` for
+the matrix-free stiffness apply, `project_constraint_96x448` for the
+constraint projection, `trial_96x448` for one whole trial: clamp, rearrange,
+project and energy of an admissible field scaled by 1.01), and prints the
 best of several repeats:
 
     python3 benchmarks/bench_kernels.py [--json]
@@ -63,6 +67,13 @@ def run_suite() -> dict:
     results["precond_solve_96x448"] = bench(ws.precond_solve, g_free)
     results["apply_stiffness_96x448"] = bench(grid.apply_stiffness, spec, seed.values)
     results["project_constraint_96x448"] = bench(grid.project_constraint, seed)
+
+    w, _ = solver._trial(seed.copy(), nl)
+    rippled = w.values.copy()
+    rippled[: (spec.nx + 1) // 4, 180:260] += 0.01 * np.sin(np.arange(80.0))
+    results["rearrange_solver_96x448"] = bench(_kernels.rearrange_columns, rippled, spec.ymeasure)
+    # _trial changes its input in place, so each call gets a fresh field
+    results["trial_96x448"] = bench(lambda: solver._trial(grid.Field(w.values * 1.01, spec), nl))
 
     return results
 

@@ -1,16 +1,17 @@
 """Hot numeric kernels, one implementation each.
 
-The scaled Bessel pair comes from scipy.special (k0e, k1e), the batched
+The scaled Bessel pair comes from scipy.special (k0e, k1e, imported on first
+use so that laws without a Bessel function never load it), the batched
 tridiagonal solve from LAPACK's dgtsv (scipy.linalg.lapack), and the
-weighted rearrangement is numpy: a stable sort and a cumulative-measure
-search per row.
+weighted rearrangement is numpy: rows that are already nonincreasing are
+kept as they are, every other row gets a stable sort and a cumulative-measure
+search.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import lapack
-from scipy.special import k0e, k1e
 
 # ---------------------------------------------------------------------------
 # scaled modified Bessel functions: e^s K_0(s), e^s K_1(s)
@@ -19,6 +20,8 @@ from scipy.special import k0e, k1e
 
 def k01_scaled(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(e^s K_0(s), e^s K_1(s)) for a 1-D positive array; never underflows."""
+    from scipy.special import k0e, k1e
+
     s = np.ascontiguousarray(s, dtype=np.float64)
     return k0e(s), k1e(s)
 
@@ -51,20 +54,27 @@ def tridiag_solve_many(dl, d, du, rhs):
 # ---------------------------------------------------------------------------
 
 
-def rearrange_columns(vals, meas):
+def rearrange_columns(vals, meas, *, out=None):
     """Weighted decreasing rearrangement of each row of `vals` (along axis 1).
 
     `meas[j]` is the measure of cell j.  The output row is nonincreasing and
-    redistributes the input values by quantile resampling at cell midpoints:
-    a row that is already nonincreasing is returned unchanged.
+    redistributes the input values by quantile resampling at cell midpoints.
+    The resampling maps a row that is already nonincreasing onto itself, so
+    such rows are copied as they are and only rows with an ascent are
+    sorted.  The result goes into `out` when given (it may be `vals` itself:
+    rows are independent), else into a new array; `vals` is not changed
+    unless it is `out`.
     """
     vals = np.ascontiguousarray(vals, dtype=np.float64)
     meas = np.ascontiguousarray(meas, dtype=np.float64)
-    ncol, n = vals.shape
+    n = vals.shape[1]
     prefix = np.cumsum(meas) - meas
     zeta = prefix + 0.5 * meas
-    out = np.empty_like(vals)
-    for i in range(ncol):
+    if out is None:
+        out = vals.copy()
+    elif out is not vals:
+        np.copyto(out, vals)
+    for i in np.flatnonzero((vals[:, 1:] > vals[:, :-1]).any(axis=1)):
         idx = np.argsort(-vals[i], kind="stable")
         sv = vals[i, idx]
         cum = np.cumsum(meas[idx])

@@ -32,7 +32,7 @@ from .explicit_front import (
     front_profile,
 )
 from .formats import ConfigError, ExperimentConfig
-from .grid import TraceProfile
+from .grid import NumericalError, TraceProfile
 from .nonlinearity import NonlinearityError
 from .solver import SolverError, SolverOptions, solve_front
 
@@ -256,13 +256,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.fn(args)
-    except (ConfigError, NonlinearityError, FileNotFoundError, ValueError) as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    except (SolverError, QuadratureError, RuntimeError) as exc:
+    except (NumericalError, SolverError, QuadratureError, RuntimeError) as exc:
+        # ahead of the ValueError branch: NumericalError is a ValueError
         print(f"numerical failure: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 1
+    except (ConfigError, NonlinearityError, FileNotFoundError, ValueError) as exc:
+        print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,9 +4,17 @@ Fields live on uniform (nx+1) x (ny+1) node grids over [0, x_max] x
 [y_min, y_max].  The weighted Dirichlet form Gamma_a, behind both the energy
 and the constraint, is an edge-based quadratic form (trapezoid weights at
 nodes, arithmetic-mean weight on vertical edges), which keeps it
-O(h^2)-consistent.  This module holds its only definition: the bilinear form
-`_form` on the differences from `_diffs`, and its matrix-free apply
-`apply_stiffness`, the exact linear operator of the solver's gradient.
+O(h^2)-consistent.  This module holds its only definition: the x-edge and
+y-edge parts `_x_part`, `_y_part` of the bilinear form on products of the
+differences from `_diff`, and its matrix-free apply `apply_stiffness`, the
+exact linear operator of the solver's gradient.
+
+The solver's trial loop runs `rearrange_monotone`, `dirichlet`,
+`_cell_forms` and `translate` on every trial, so they work in place on as
+few field-sized temporaries as they can and free each one before the next
+is built: at the default grid a field is about 350 KB, and every extra one
+alive at a time made the C allocator return heap pages to the system and
+fault them back in on the next trial.
 """
 
 from __future__ import annotations
@@ -18,6 +26,13 @@ import numpy as np
 
 from ._kernels import rearrange_columns
 from .nonlinearity import Nonlinearity
+
+
+class NumericalError(ValueError):
+    """A numerical failure deep in a run, as opposed to invalid input: a
+    trace that does not cross its level, or a field that cannot be brought
+    onto Gamma_a = 1 inside the window.  The CLI maps it to exit code 1;
+    callers that treat any ValueError as a rejected trial still catch it."""
 
 
 @dataclass(eq=False)
@@ -101,24 +116,31 @@ class TraceProfile:
 # -- quadratic forms ----------------------------------------------------------
 
 
-def _diffs(spec: GridSpec, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled x and y differences of nodal values, the input of `_form`."""
-    return (v[1:, :] - v[:-1, :]) / spec.hx, (v[:, 1:] - v[:, :-1]) / spec.hy
+def _diff(v: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Differences of nodal values along `axis` (0: x, 1: y), divided by h."""
+    d = np.diff(v, axis=axis)
+    d /= h
+    return d
 
 
-def _form(spec: GridSpec, du, dv) -> float:
-    """The bilinear form of Gamma_a on two difference pairs from `_diffs`."""
-    (ux, uy), (vx, vy) = du, dv
-    kx = float(np.sum(ux * vx @ (spec.tau * spec.wy)) * spec.hx * spec.hy)
-    ky = float(np.sum(spec.sigma @ (uy * vy * spec.wy_edge[None, :])) * spec.hx * spec.hy)
-    return kx + ky
+def _x_part(spec: GridSpec, p: np.ndarray) -> float:
+    """x-edge part of Gamma_a's bilinear form, from the product p = ux*vx of
+    two x differences."""
+    return float(np.sum(p @ (spec.tau * spec.wy)) * spec.hx * spec.hy)
+
+
+def _y_part(spec: GridSpec, p: np.ndarray) -> float:
+    """y-edge part of Gamma_a's bilinear form, from the product p = uy*vy of
+    two y differences; p is weighted in place."""
+    p *= spec.wy_edge
+    return float(np.sum(spec.sigma @ p) * spec.hx * spec.hy)
 
 
 def apply_stiffness(spec: GridSpec, v: np.ndarray) -> np.ndarray:
-    """S v, where Gamma_a(v) = v . S v: the adjoint of `_diffs` applied to
-    the differences weighted as in `_form`, each edge's flux scattered back
-    onto its two end nodes."""
-    ux, uy = _diffs(spec, v)
+    """S v, where Gamma_a(v) = v . S v: the adjoint of `_diff` applied to
+    the differences weighted as in `_x_part` and `_y_part`, each edge's flux
+    scattered back onto its two end nodes."""
+    ux, uy = _diff(v, 0, spec.hx), _diff(v, 1, spec.hy)
     fx = ux * (spec.tau * spec.wy) * spec.hy
     fy = uy * spec.wy_edge * spec.sigma[:, None] * spec.hx
     out = np.zeros(v.shape)
@@ -130,9 +152,17 @@ def apply_stiffness(spec: GridSpec, v: np.ndarray) -> np.ndarray:
 
 
 def dirichlet(w: Field) -> float:
-    """Weighted Dirichlet integral int e^{ay} |grad w|^2 dx dy."""
-    d = _diffs(w.spec, w.values)
-    return _form(w.spec, d, d)
+    """Weighted Dirichlet integral int e^{ay} |grad w|^2 dx dy.
+
+    Each direction's differences are squared in place and reduced before the
+    other direction's are built.
+    """
+    g = w.spec
+    dx = _diff(w.values, 0, g.hx)
+    kx = _x_part(g, np.multiply(dx, dx, out=dx))
+    del dx
+    dy = _diff(w.values, 1, g.hy)
+    return kx + _y_part(g, np.multiply(dy, dy, out=dy))
 
 
 def boundary_integral(w: Field, fun) -> float:
@@ -186,7 +216,7 @@ def trace_crossing(profile: TraceProfile, level: float = 0.5) -> float:
     y = profile.y_nodes
     below = v <= level
     if not below.any() or below[0]:
-        raise ValueError(f"trace does not cross level {level:g} inside the window")
+        raise NumericalError(f"trace does not cross level {level:g} inside the window")
     k = int(np.argmax(below))
     v0, v1 = v[k - 1], v[k]
     if v1 == v0:
@@ -217,7 +247,11 @@ def translate(w: Field, t: float) -> Field:
     frac = np.clip(j - j0, 0.0, 1.0)
     frac = np.where(j < 0.0, 0.0, np.where(j > g.ny, 0.0, frac))
     j0 = np.where(j < 0.0, 0, j0)
-    vals = (1.0 - frac)[None, :] * w.values[:, j0] + frac[None, :] * w.values[:, j1]
+    vals = w.values[:, j0]
+    vals *= 1.0 - frac
+    upper = w.values[:, j1]
+    upper *= frac
+    vals += upper
     return Field(vals, g)
 
 
@@ -232,10 +266,16 @@ def _cell_forms(w: Field, k: int) -> tuple[float, float, float]:
     """
     g = w.spec
     cols = np.clip(np.arange(g.ny + 2) + k, 0, g.ny)
-    ext_x, ext_y = _diffs(g, w.values[:, cols])
-    da = (ext_x[:, :-1], ext_y[:, :-1])
-    db = (ext_x[:, 1:], ext_y[:, 1:])
-    return _form(g, da, da), _form(g, da, db), _form(g, db, db)
+    qx = _window_parts(_x_part, g, _diff(w.values, 0, g.hx)[:, cols])
+    qy = _window_parts(_y_part, g, _diff(w.values[:, cols], 1, g.hy))
+    return qx[0] + qy[0], qx[1] + qy[1], qx[2] + qy[2]
+
+
+def _window_parts(part, spec: GridSpec, d: np.ndarray) -> tuple[float, float, float]:
+    """part(A*A), part(A*B), part(B*B) for the windows A = d[:, :-1] and
+    B = d[:, 1:] of the differences of an extended field."""
+    a, b = d[:, :-1], d[:, 1:]
+    return part(spec, a * a), part(spec, a * b), part(spec, b * b)
 
 
 def _unit_root(p: float, q: float, r: float) -> float:
@@ -263,26 +303,31 @@ def project_constraint(w: Field, tol: float = 1e-8) -> Field:
     each grid cell (see `_cell_forms`).  Starting from the cell of the
     continuum shift log(Gamma)/a, the search walks one cell at a time to the
     cell whose ends bracket Gamma = 1 and solves the quadratic there, so the
-    result meets the constraint to round-off.  Shifts beyond a quarter of
-    the y-window raise ValueError, as in `translate`.
+    result meets the constraint to round-off.  A field with zero Dirichlet
+    energy, or one that needs a shift beyond a quarter of the y-window (the
+    limit of `translate`), raises NumericalError.
     """
     g = w.spec
     gamma = dirichlet(w)
     if gamma <= 0.0:
-        raise ValueError("cannot project a field with zero Dirichlet energy")
+        raise NumericalError("cannot project a field with zero Dirichlet energy")
     if abs(gamma - 1.0) <= tol:
         return w.copy()
 
-    reach = 0.25 * (g.y_max - g.y_min) / g.hy
+    limit = 0.25 * (g.y_max - g.y_min)
+    reach = limit / g.hy
     k = math.floor(math.log(gamma) / (g.a * g.hy))
     while -reach - 1.0 <= k <= reach:
         p, q, r = _cell_forms(w, k)
         if (p - 1.0) * (r - 1.0) <= 0.0:
-            return translate(w, (k + _unit_root(p, q, r)) * g.hy)
+            t = (k + _unit_root(p, q, r)) * g.hy
+            if abs(t) > limit:
+                break
+            return translate(w, t)
         # Gamma falls with the shift; the cell ends are shared, so the walk
         # never turns back
         k += 1 if r > 1.0 else -1
-    raise ValueError("constraint projection needs a shift beyond a quarter of the y-window")
+    raise NumericalError("constraint projection needs a shift beyond a quarter of the y-window")
 
 
 def rearrange_monotone(w: Field) -> Field:
@@ -291,8 +336,10 @@ def rearrange_monotone(w: Field) -> Field:
     Works per column in the variable z = e^{ay}/a: values are redistributed
     against the cell measures e^{ay_j} hy (weighted counting sort), which
     preserves the weighted distribution up to one-cell resampling and fixes
-    every already-monotone column exactly.
+    every already-monotone column exactly; such columns are copied, not
+    sorted.  The clamped copy, C-ordered for the kernel's row access, is
+    rearranged in place.
     """
     g = w.spec
-    out = rearrange_columns(np.clip(w.values, 0.0, 1.0), g.ymeasure)
-    return Field(np.ascontiguousarray(out), g)
+    vals = np.clip(w.values, 0.0, 1.0, order="C")
+    return Field(rearrange_columns(vals, g.ymeasure, out=vals), g)

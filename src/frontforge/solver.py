@@ -208,8 +208,8 @@ def _trial(w: Field, nl: Nonlinearity, rearrange: bool = True) -> tuple[Field, f
     """The admissible field made from `w` (changed in place), and its E_a.
 
     Pin the end columns, clamp to [0,1], rearrange monotone in y, translate
-    onto Gamma_a = 1 and pin again.  Raises ValueError when
-    `grid.project_constraint` cannot reach Gamma_a = 1.
+    onto Gamma_a = 1 and pin again.  Raises `grid.NumericalError` (a
+    ValueError) when `grid.project_constraint` cannot reach Gamma_a = 1.
     """
     _pin(w.values)
     np.clip(w.values, 0.0, 1.0, out=w.values)

@@ -152,3 +152,44 @@ def free_stiffness_solve(spec, g):
     free = free.ravel()
     S_ff = sparse_stiffness(spec)[free][:, free].tocsc()
     return spsolve(S_ff, np.ravel(g)).reshape(g.shape)
+
+
+def rearrange_rows_sorted(vals, meas):
+    """Weighted decreasing rearrangement that sorts every row, one row at a
+    time (stable sort, cumulative-measure search at cell midpoints): the
+    reference for `_kernels.rearrange_columns`, which keeps rows that are
+    already nonincreasing as they are."""
+    vals = np.ascontiguousarray(vals, dtype=np.float64)
+    meas = np.ascontiguousarray(meas, dtype=np.float64)
+    n = vals.shape[1]
+    zeta = (np.cumsum(meas) - meas) + 0.5 * meas
+    out = np.empty_like(vals)
+    for i in range(vals.shape[0]):
+        idx = np.argsort(-vals[i], kind="stable")
+        cum = np.cumsum(meas[idx])
+        k = np.searchsorted(cum, zeta, side="left")
+        out[i] = vals[i, idx][np.minimum(k, n - 1)]
+    return out
+
+
+def dirichlet_expression(spec, v) -> float:
+    """Gamma_a(v) with each edge direction written as one expression on
+    fresh temporaries: the reference for the in-place `grid.dirichlet`,
+    which must give the same bits (same operations in the same order)."""
+    ux = (v[1:, :] - v[:-1, :]) / spec.hx
+    uy = (v[:, 1:] - v[:, :-1]) / spec.hy
+    kx = float(np.sum(ux * ux @ (spec.tau * spec.wy)) * spec.hx * spec.hy)
+    ky = float(np.sum(spec.sigma @ (uy * uy * spec.wy_edge[None, :])) * spec.hx * spec.hy)
+    return kx + ky
+
+
+def translate_expression(spec, v, t: float):
+    """w(x, y + t) by linear interpolation written as one expression: the
+    reference for the in-place `grid.translate` (same bits)."""
+    j = np.arange(spec.ny + 1, dtype=float) + t / spec.hy
+    j0 = np.clip(np.floor(j).astype(int), 0, spec.ny)
+    j1 = np.clip(j0 + 1, 0, spec.ny)
+    frac = np.clip(j - j0, 0.0, 1.0)
+    frac = np.where(j < 0.0, 0.0, np.where(j > spec.ny, 0.0, frac))
+    j0 = np.where(j < 0.0, 0, j0)
+    return (1.0 - frac)[None, :] * v[:, j0] + frac[None, :] * v[:, j1]

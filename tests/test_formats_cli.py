@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from frontforge import cli, formats
+from frontforge import cli, formats, grid
 from frontforge.cli import main
 from frontforge.formats import ConfigError, parse_config_text
 from frontforge.solver import SolverOptions
@@ -185,6 +185,31 @@ class TestCli:
         cfg = tmp_path / "evolve.cfg"
         cfg.write_text(f"nonlinearity.kind = combustion\nevolve.initial = step\n{key} = 64\n")
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("failure", ["zero-energy projection", "far projection", "no crossing"])
+    def test_numerical_error_exits_1(self, tmp_path, monkeypatch, failure):
+        spec = grid.GridSpec(x_max=24.0, y_min=-60.0, y_max=20.0, nx=16, ny=64, a=0.25)
+        ys = spec.ys
+
+        def failing_solve(nl, opts):
+            if failure == "zero-energy projection":
+                grid.project_constraint(grid.Field(np.full((17, 65), 0.4), spec))
+            elif failure == "far projection":
+                # Gamma = e^{a t} with t a full window: the shift onto Gamma = 1 is t
+                w = grid.seed_function(spec)
+                t = spec.y_max - spec.y_min
+                grid.project_constraint(grid.Field(w.values * np.exp(0.5 * spec.a * t) / np.sqrt(grid.dirichlet(w)), spec))
+            else:
+                grid.trace_crossing(grid.TraceProfile(ys, np.full_like(ys, 0.9)))
+            pytest.fail("no NumericalError raised")
+
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        monkeypatch.setattr(cli, "solve_front", failing_solve)
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("nonlinearity.kind = combustion\n")
+        out = tmp_path / "bundle"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not (out / "meta.txt").exists()
 
     def test_unconverged_solve_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FRONTFORGE_OUT", raising=False)

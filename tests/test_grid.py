@@ -4,6 +4,7 @@ import pytest
 from frontforge.grid import (
     Field,
     GridSpec,
+    NumericalError,
     TraceProfile,
     _cell_forms,
     apply_stiffness,
@@ -19,7 +20,7 @@ from frontforge.grid import (
 )
 from frontforge.nonlinearity import make_bistable_cubic
 from frontforge.solver import SolverOptions, choose_weight, default_grid, seed_energy_value
-from oracles import sparse_stiffness
+from oracles import dirichlet_expression, sparse_stiffness, translate_expression
 
 
 def small_spec(a=0.25, ny=256):
@@ -118,6 +119,22 @@ class TestStiffness:
         assert abs(uv - vu) <= 1e-13 * scale
 
 
+def _fields_in_both_layouts(spec):
+    rng = np.random.default_rng(4)
+    for vals in (bump_field(spec).values, rng.uniform(0.0, 1.0, (spec.nx + 1, spec.ny + 1))):
+        yield vals
+        yield np.asfortranarray(vals)  # the layout translate's gathers produce
+
+
+def test_in_place_evaluation_matches_expressions_bit_for_bit():
+    spec = small_spec()
+    for vals in _fields_in_both_layouts(spec):
+        w = Field(vals, spec)
+        assert dirichlet(w) == dirichlet_expression(spec, vals)
+        for t in (3.7 * spec.hy, -11.2 * spec.hy, 0.5 * spec.hy):
+            assert np.array_equal(translate(w, t).values, translate_expression(spec, vals, t))
+
+
 class TestTranslate:
     def test_identity(self):
         spec = small_spec()
@@ -198,17 +215,22 @@ class TestProjection:
         w = bump_field(spec)
         gamma = dirichlet(w)
         edge = 0.25 * (spec.y_max - spec.y_min)
-        for t in (1.5 * edge, -1.5 * edge):
+        # the walk leaves the window, or its last cell holds a root beyond it
+        for t in (1.5 * edge, -1.5 * edge, edge + 0.5 * spec.hy, -edge - 0.5 * spec.hy):
             # scaled to Gamma = e^{a t}, so the continuum shift onto Gamma = 1 is t
             scaled = Field(w.values * np.exp(0.5 * spec.a * t) / np.sqrt(gamma), spec)
-            with pytest.raises(ValueError):
+            with pytest.raises(NumericalError):
                 project_constraint(scaled)
 
     def test_zero_energy_rejected(self):
         spec = small_spec()
         flat = Field(np.full((spec.nx + 1, spec.ny + 1), 0.4), spec)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             project_constraint(flat)
+
+    def test_numerical_error_is_a_value_error(self):
+        # the solver's trial loops treat any ValueError as a rejected trial
+        assert issubclass(NumericalError, ValueError)
 
 
 class TestRearrangement:
@@ -299,5 +321,7 @@ class TestSeedAndTrace:
         ys = np.linspace(-5.0, 5.0, 101)
         vals = 1.0 / (1.0 + np.exp(2.0 * (ys - 0.7)))
         assert trace_crossing(TraceProfile(ys, vals)) == pytest.approx(0.7, abs=1e-2)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             trace_crossing(TraceProfile(ys, np.full_like(ys, 0.9)))
+        with pytest.raises(NumericalError):
+            trace_crossing(TraceProfile(ys, np.full_like(ys, 0.1)))

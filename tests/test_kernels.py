@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from frontforge import _kernels
-from oracles import bessel_k_scaled_quadrature
+from oracles import bessel_k_scaled_quadrature, rearrange_rows_sorted
 
 RNG = np.random.default_rng(12)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _sweep_cases(nx=24, ny=40, r=3.7):
@@ -66,6 +71,53 @@ def test_rearrange_preserves_weighted_distribution():
         np.testing.assert_allclose(m0, m1, atol=1.2 * meas.max())
 
 
+def _mixed_rows(n=449):
+    """Rows of every shape the rearrangement meets, and which are monotone."""
+    rng = np.random.default_rng(21)
+    down = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
+    plateaus = np.round(down, 1)  # ties in long runs
+    inverted = down.copy()
+    inverted[[100, 101]] = inverted[[101, 100]]  # one ascent
+    front = 1.0 / (1.0 + np.exp(0.05 * (np.arange(n) - 300.0)))
+    bumped = front.copy()
+    bumped[280:300] += 0.02 * np.sin(np.arange(20))  # a perturbed band
+    rows = [
+        (down, True),
+        (np.linspace(1.0, 0.0, n), True),
+        (plateaus, True),
+        (np.full(n, 0.3), True),
+        (np.zeros(n), True),
+        (np.ones(n), True),
+        (front, True),
+        (inverted, False),
+        (plateaus[::-1].copy(), False),
+        (bumped, False),
+        (rng.uniform(0.0, 1.0, n), False),
+        (rng.uniform(0.0, 1.0, n), False),
+    ]
+    vals = np.array([r for r, _ in rows])
+    monotone = np.array([m for _, m in rows])
+    assert np.array_equal(monotone, ~np.any(np.diff(vals, axis=1) > 0.0, axis=1))
+    return vals, monotone
+
+
+def test_rearrange_batch_matches_row_by_row_sort():
+    vals, monotone = _mixed_rows()
+    meas = np.exp(np.linspace(-20.0, 6.0, vals.shape[1]))
+    meas[[0, -1]] *= 0.5
+    given = vals.copy()
+    out = _kernels.rearrange_columns(vals, meas)
+    assert np.array_equal(vals, given)  # input untouched
+    assert np.array_equal(out, rearrange_rows_sorted(vals, meas))
+    assert np.array_equal(out[monotone], given[monotone])
+    # into a caller's array, including the input itself
+    into = np.empty_like(vals)
+    assert _kernels.rearrange_columns(vals, meas, out=into) is into
+    assert np.array_equal(into, out)
+    assert _kernels.rearrange_columns(vals, meas, out=vals) is vals
+    assert np.array_equal(vals, out)
+
+
 def test_k01_scaled_matches_quadrature_oracle():
     s = np.geomspace(1e-6, 700.0, 61)
     k0, k1 = _kernels.k01_scaled(s)
@@ -79,3 +131,10 @@ def test_bessel_core_branches_join_smoothly():
     for s0 in (2.0, 8.0):
         lo, hi = _kernels.k01_scaled(np.array([s0 * (1 - 1e-12), s0 * (1 + 1e-12)]))[0]
         assert lo == pytest.approx(hi, rel=1e-11)
+
+
+def test_import_does_not_load_scipy_special():
+    code = "import sys, frontforge; assert 'scipy.special' not in sys.modules, 'loaded'"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

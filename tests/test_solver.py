@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from frontforge import grid as gridmod
 from frontforge.grid import GridSpec, Field, dirichlet, seed_function, trace
 from frontforge.nonlinearity import NonlinearityError, make_bistable_cubic, make_combustion, reflect
 from frontforge.solver import (
@@ -8,6 +11,7 @@ from frontforge.solver import (
     SolverError,
     SolverOptions,
     _gradient,
+    _trial,
     _Workspace,
     choose_weight,
     default_grid,
@@ -53,6 +57,37 @@ class TestPreconditioner:
         for rhs in (gradient, noise):
             ref = free_stiffness_solve(spec, rhs)
             assert np.max(np.abs(ws.precond_solve(rhs) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def _peak_in_fields(fn, *args) -> float:
+    """Peak of the allocations traced during fn(*args), in 97x449 float64 fields."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak / (97 * 449 * 8)
+
+
+def test_trial_peak_allocation_in_fields():
+    # one trial on a perturbed admissible field at the default 96x448 grid,
+    # and each grid step of a trial on its own.  The in-place pipeline
+    # measures 3.2 fields for the trial (the version that built every
+    # temporary fresh: 5.2), and 1.4 / 2.2 / 2.2 / 1.5 for dirichlet /
+    # translate / the cell forms / rearrangement (fresh: 4.2 / 3.2 / 4.2 /
+    # 2.1); each pin has half a field of margin
+    nl = make_bistable_cubic(0.25)
+    spec = default_grid(choose_weight(nl), SolverOptions())
+    w, _ = _trial(seed_function(spec), nl)
+    assert w.values.shape == (97, 449)
+    perturbed = Field(w.values * 1.01, spec)
+    assert _peak_in_fields(_trial, perturbed, nl) <= 3.25 + 0.5
+    assert _peak_in_fields(gridmod.dirichlet, perturbed) <= 1.4 + 0.5
+    assert _peak_in_fields(gridmod.translate, perturbed, 0.37 * spec.hy) <= 2.25 + 0.5
+    assert _peak_in_fields(gridmod._cell_forms, perturbed, 3) <= 2.2 + 0.5
+    assert _peak_in_fields(gridmod.rearrange_monotone, perturbed) <= 1.5 + 0.5
 
 
 class TestMinimize:

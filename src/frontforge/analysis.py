@@ -17,12 +17,13 @@ from .grid import TraceProfile, trace_crossing
 from .nonlinearity import Nonlinearity, validate
 from .solver import SolverOptions, choose_weight, solve_front
 
-_MODELS = {
+# the (side, quantity) pairs that have a tail law, in reporting order
+TAIL_LAWS = (
     ("plus", "minus_u_y"),
-    ("plus", "u"),
     ("minus", "minus_u_y"),
+    ("plus", "u"),
     ("minus", "one_minus_u"),
-}
+)
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,7 @@ class DecayReport:
 
 
 def _model(side: str, quantity: str, c: float, y: np.ndarray) -> np.ndarray:
-    if (side, quantity) not in _MODELS:
+    if (side, quantity) not in TAIL_LAWS:
         raise ValueError(f"no tail law for side={side!r}, quantity={quantity!r}")
     if side == "plus":
         return np.exp(-c * y) * y ** (-1.5)

@@ -111,19 +111,14 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    from .analysis import fit_decay
+    from .analysis import TAIL_LAWS, fit_decay
 
     y, u, uy = formats.read_trace_csv(args.input)
     tr = TraceProfile(y, u)
     tdy = TraceProfile(y, uy)
     out = formats.output_dir(args.out)
     wrote = []
-    for side, quantity in (
-        ("plus", "minus_u_y"),
-        ("minus", "minus_u_y"),
-        ("plus", "u"),
-        ("minus", "one_minus_u"),
-    ):
+    for side, quantity in TAIL_LAWS:
         try:
             rep = fit_decay(tr, tdy, args.c, side, quantity)
         except ValueError as exc:

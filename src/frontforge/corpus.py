@@ -26,7 +26,7 @@ class PinnedCase:
     identifier: str
     command: str
     expected: float
-    kind: str  # rel | abs | min | bool
+    kind: str  # rel | abs | min | max | bool
     tol: float
     provenance: str
     cost: str  # fast | slow
@@ -182,7 +182,7 @@ def _cmd_choose_weight_cubic(alpha):
 
 
 def _cmd_residual_order(t, c):
-    from .explicit_front import ExplicitFrontParams, sample_front
+    from .explicit_front import ExplicitFrontParams
     from .front_suite import oracle_residual_orders
 
     return oracle_residual_orders(ExplicitFrontParams(float(t), float(c)))[0]

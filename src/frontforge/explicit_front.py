@@ -256,19 +256,23 @@ def explicit_front(params: ExplicitFrontParams, x: float, y) -> float | np.ndarr
     return np.array([_u_speed2(x_off, 0.5 * params.c * float(v)) for v in np.asarray(y)])
 
 
+def _sweep(x_off: float, etas: np.ndarray) -> np.ndarray:
+    """The speed-2 front at x_off on the ascending eta nodes: its value at the
+    top node plus the cumulative kernel integrals of the cells above."""
+    top = _u_speed2(x_off, float(etas[-1]))
+    cells = _cells(x_off, etas)
+    u = np.empty(len(etas))
+    u[-1] = top
+    u[:-1] = top + np.cumsum(cells[::-1])[::-1]
+    return u
+
+
 def front_profile(params: ExplicitFrontParams, x: float, ys: np.ndarray) -> np.ndarray:
     """u^{t,c}(x, ys) on an ascending grid via one cumulative kernel pass."""
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 1 or len(ys) < 2 or np.any(np.diff(ys) <= 0.0):
         raise ValueError("ys must be strictly increasing with at least two nodes")
-    x_off = 0.5 * params.c * x + params.t
-    etas = 0.5 * params.c * ys
-    top = _u_speed2(x_off, float(etas[-1]))
-    cells = _cells(x_off, etas)
-    u = np.empty(len(ys))
-    u[-1] = top
-    u[:-1] = top + np.cumsum(cells[::-1])[::-1]
-    return u
+    return _sweep(0.5 * params.c * x + params.t, 0.5 * params.c * ys)
 
 
 def explicit_front_dy(params: ExplicitFrontParams, x: float, y):
@@ -419,11 +423,7 @@ def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonli
     y_star = _hphase_root(t)
 
     eta_grid = _law_eta_grid(t, step)
-    top = _u_speed2(t, float(eta_grid[-1]))
-    cells = _cells(t, eta_grid)
-    u = np.empty(len(eta_grid))
-    u[-1] = top
-    u[:-1] = top + np.cumsum(cells[::-1])[::-1]
+    u = _sweep(t, eta_grid)
 
     f_tab = _f_speed2(t, eta_grid)
     fp_tab = _fprime_speed2(t, eta_grid)

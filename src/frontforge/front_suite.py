@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import fit_decay, standard_window
+from .analysis import TAIL_LAWS, fit_decay, standard_window
 from .evolution import EvolveOptions, evolve, measure_speed
 from .explicit_front import ExplicitFrontParams, front_nonlinearity, sample_front
 from .grid import Field, GridSpec, TraceProfile, trace, trace_crossing
@@ -135,17 +135,8 @@ def evolution_speed_match(alpha: float = 0.25) -> float:
 
 def derivative_trace(tr: TraceProfile) -> TraceProfile:
     """Centered-difference u_y of a trace (interior nodes)."""
-    dy = np.diff(tr.y_nodes)
     der = (tr.values[2:] - tr.values[:-2]) / (tr.y_nodes[2:] - tr.y_nodes[:-2])
     return TraceProfile(tr.y_nodes[1:-1], der)
-
-
-_FOUR_LAWS = (
-    ("plus", "minus_u_y"),
-    ("minus", "minus_u_y"),
-    ("plus", "u"),
-    ("minus", "one_minus_u"),
-)
 
 
 def _resolved_floor(tr: TraceProfile) -> float:
@@ -174,7 +165,7 @@ def front_decay_reports(sol: FrontSolution) -> dict:
     tdy = derivative_trace(tr)
     floor = _resolved_floor(tr) + 2.0 * (tr.y_nodes[1] - tr.y_nodes[0])
     out = {}
-    for side, quantity in _FOUR_LAWS:
+    for side, quantity in TAIL_LAWS:
         lo, hi = standard_window(tr, side)
         if side == "minus":
             lo = max(lo, floor)

@@ -5,23 +5,26 @@ manifold Gamma_a(w) = 1, then converts the minimizer to a traveling front:
 with multiplier lambda_a the rescaling u(x,y) = w(mu x, mu y), mu = 1 -
 2*lambda_a, travels at speed c = a*(1 - 2*lambda_a) = a*(1 - 2*I_a).
 
-Minimization runs in two stages: a damped flux fixed-point warm start that
-can transport the front across the window, then projected Sobolev-gradient
-descent (the stiffness operator of Gamma_a as preconditioner, inverted
-through its Kronecker-sum structure: one small generalized eigenproblem in
-x and one tridiagonal factor per x mode, built once per grid) with Armijo
-backtracking, interleaved with fixed-point bursts.  Every trial field goes
-through one pipeline (`_trial`): range clamping to [0,1], monotone
-rearrangement, and the closed-form y-translation onto the constraint.  The
-stiffness itself is applied matrix-free by `grid.apply_stiffness`, from the
-same definition of Gamma_a as `grid.dirichlet`.  The grid pins w = 1 at
-y_min and w = 0 at y_max, so the free nodes are the block [:, 1:-1];
-x-boundaries are natural (Neumann).
+Minimization is one loop.  Each iteration runs a burst of the damped flux
+fixed point, which can transport the front across the window, and then the
+stationarity test; only when the burst is stuck does it try one
+preconditioned Sobolev-gradient step (the stiffness operator of Gamma_a,
+inverted through its Kronecker-sum structure: one small generalized
+eigenproblem in x and one tridiagonal factor per x mode, built once per
+grid).  Both kinds of step go through one acceptance rule (`_step`): halve
+the step until E_a falls.  Every trial field goes through one pipeline
+(`_trial`): range clamping to [0,1], monotone rearrangement, and the
+closed-form y-translation onto the constraint.  The stiffness itself is
+applied matrix-free by `grid.apply_stiffness`, from the same definition of
+Gamma_a as `grid.dirichlet`.  The grid pins w = 1 at y_min and w = 0 at
+y_max, so the free nodes are the block [:, 1:-1]; x-boundaries are natural
+(Neumann).
 
 The speed c = a*(1 - 2*lambda_a) means something only at a stationary point
 of E_a on Gamma_a = 1, so "converged" has one meaning: the stationarity
 residual passed (see `minimize`).  Any other stop is reported unconverged,
-and `extract_speed` then raises SolverError (exit code 1 on the CLI).
+and `extract_speed` then raises SolverError (exit code 1 on the CLI), as it
+does when c and a*(1 - 2*I_a) disagree by more than 5 %.
 """
 
 from __future__ import annotations
@@ -63,13 +66,13 @@ class SolverOptions:
 
 # Iteration constants of `minimize`.
 _WARM_ITERS = 60  # flux fixed-point steps per burst
-_BURST_EVERY = 25  # descent iterations between periodic bursts
-_STALL_STEPS = 12  # stalled descent steps in a row that call for a burst
-_STALL_REL = 1e-9  # relative decrease of E_a at or below which a step stalls
-_REARRANGE_EVERY = 10  # accepted descent steps between rearrangements
+_BURST_TRIES = 6  # step lengths 1, 1/2, ..., 1/32 of a fixed-point step
+_GRADIENT_TRIES = 45  # step lengths 1, 1/2, ..., 2^-44 of a gradient step
+_STALL_REL = 1e-9  # relative decrease of E_a at or below which a step is refused
 _CONSTRAINT_TOL = 1e-8  # |Gamma_a - 1| that the projection leaves alone
-_ARMIJO = 1e-4
-_MAX_BACKTRACKS = 45
+# largest |c - c_var| / c_var that `extract_speed` reports: the two speed
+# estimates coincide at the continuum minimizer
+_SPEED_AGREEMENT = 0.05
 
 
 @dataclass
@@ -204,7 +207,7 @@ def _multiplier(w: Field, nl: Nonlinearity, gamma: float) -> float:
     return (gamma - _boundary_fu(w, nl)) / (2.0 * gamma)
 
 
-def _trial(w: Field, nl: Nonlinearity, rearrange: bool = True) -> tuple[Field, float]:
+def _trial(w: Field, nl: Nonlinearity) -> tuple[Field, float]:
     """The admissible field made from `w` (changed in place), and its E_a.
 
     Pin the end columns, clamp to [0,1], rearrange monotone in y, translate
@@ -213,23 +216,42 @@ def _trial(w: Field, nl: Nonlinearity, rearrange: bool = True) -> tuple[Field, f
     """
     _pin(w.values)
     np.clip(w.values, 0.0, 1.0, out=w.values)
-    if rearrange:
-        w = gridmod.rearrange_monotone(w)
+    w = gridmod.rearrange_monotone(w)
     w = gridmod.project_constraint(w, tol=_CONSTRAINT_TOL)
     _pin(w.values)
     return w, gridmod.energy(w, nl)
 
 
+def _step(w: Field, nl: Nonlinearity, delta: np.ndarray, tries: int, history: list) -> Field | None:
+    """The first admissible `_trial` of w + s*delta, s = 1, 1/2, ... (at most
+    `tries` lengths), whose E_a is below history[-1] by more than
+    `_STALL_REL` relative; its E_a is appended to `history`.  None when no
+    step length qualifies.
+    """
+    e_cur = history[-1]
+    s = 1.0
+    for _ in range(tries):
+        try:
+            trial, e_new = _trial(Field(w.values + s * delta, w.spec), nl)
+        except ValueError:
+            e_new = math.inf
+        if e_new < e_cur - _STALL_REL * abs(e_cur):
+            history.append(e_new)
+            return trial
+        trial = None  # free the rejected field before the next one is built
+        s *= 0.5
+    return None
+
+
 def _warm_start(ws: _Workspace, w: Field, nl: Nonlinearity, history: list) -> tuple[Field, bool]:
     """Flux fixed-point burst: solve the linear problem with frozen boundary
-    flux f(w(0,y))/B, then clamp/rearrange/project.
+    flux f(w(0,y))/B, then take a `_step` towards the solution.
 
     At the minimizer this map is stationary (its fixed point is the
     Euler-Lagrange equation), and far from it a single step can transport
     the front across the window, which gradient descent cannot do quickly.
-    The map is damped by backtracking on the mixing weight omega, and a step
-    is accepted only if it lowers E_a by more than `_STALL_REL` relative.
-    Returns the last accepted field and whether any step was accepted.
+    The map is damped by `_step`'s halving of the mixing weight.  Returns
+    the last accepted field and whether any step was accepted.
     """
     spec = w.spec
     pin = np.zeros_like(w.values)
@@ -242,26 +264,17 @@ def _warm_start(ws: _Workspace, w: Field, nl: Nonlinearity, history: list) -> tu
             break
         # B approximates 1 - 2*lambda_a >= 1 at the minimizer; floor the
         # divisor so misplaced seeds (B near or below 0) still get a
-        # usefully-scaled flux solve, damped by the energy check below
+        # usefully-scaled flux solve, damped by the energy check in `_step`
         divisor = max(b_over, 0.2)
         rhs = -s_pin_free
         rhs[0] += _boundary_flux(w, nl)[1:-1] / divisor
-        target = pin.copy()
-        target[:, 1:-1] = ws.precond_solve(rhs)
-        omega = 1.0
-        for _ in range(6):
-            try:
-                trial, e_new = _trial(Field(w.values + omega * (target - w.values), spec), nl)
-            except ValueError:
-                e_new = math.inf
-            if e_new < history[-1] - _STALL_REL * abs(history[-1]):
-                w, moved = trial, True
-                history.append(e_new)
-                break
-            trial = None  # free the rejected field before the next one is built
-            omega *= 0.5
-        else:
+        delta = pin.copy()
+        delta[:, 1:-1] = ws.precond_solve(rhs)
+        delta -= w.values
+        trial = _step(w, nl, delta, _BURST_TRIES, history)
+        if trial is None:
             break
+        w, moved = trial, True
     return w, moved
 
 
@@ -271,21 +284,20 @@ def minimize(
     opts: SolverOptions | None = None,
     seed: Field | None = None,
 ) -> MinimizerResult:
-    """Two-stage constrained minimization of the discrete E_a on Gamma_a = 1.
+    """Constrained minimization of the discrete E_a on Gamma_a = 1.
 
-    A flux fixed-point warm start places the front (energy-monitored), then
-    projected Sobolev-gradient descent with Armijo backtracking polishes it:
-    gradient step preconditioned by the inverse stiffness (`_Workspace`),
-    then `_trial`, which rearranges every `_REARRANGE_EVERY` accepted steps.
-    A fixed-point burst runs every `_BURST_EVERY` iterations, and whenever
-    descent is exhausted: no step lowers E_a, or `_STALL_STEPS` steps in a
-    row lowered it by no more than `_STALL_REL` relative.
+    Each iteration runs one flux fixed-point burst (`_warm_start`) and then
+    the stationarity test.  Only when the burst accepted no step is one
+    preconditioned Sobolev-gradient step tried: delta = -S_ff^{-1} g on the
+    free nodes (`_Workspace`), taken by `_step` under the same acceptance
+    rule as the burst's steps.
 
     Converged means only that the stationarity residual g - lambda_a
     D(Gamma_a) is at most `opts.tol` relative to the gradient norm (both in
     the inverse-stiffness metric), with |Gamma_a - 1| <= 1e-7.  When neither
-    descent nor a burst lowers E_a, or after `opts.max_iter` iterations, the
-    result is returned unconverged and `extract_speed` refuses it.
+    the burst nor the gradient step lowers E_a, or after `opts.max_iter`
+    iterations, the result is returned unconverged and `extract_speed`
+    refuses it.
     """
     opts = opts or SolverOptions()
     ws = _Workspace(spec)
@@ -294,23 +306,12 @@ def minimize(
         seed = gridmod.seed_function(spec)
     w, e_seed = _trial(seed.copy(), nl)
     history = [e_seed]
-    w, _ = _warm_start(ws, w, nl, history)
-
-    eta = 1.0
     rho_ratio = math.inf
-    accepted_since_rearr = 0
-    stalled = 0
     converged = False
     it = 0
 
     for it in range(1, opts.max_iter + 1):
-        if it % _BURST_EVERY == 0:
-            # periodic fixed-point burst: descent moves fronts slowly along
-            # the transport valley, the burst jumps along it (energy-safe)
-            w, moved = _warm_start(ws, w, nl, history)
-            if moved:
-                eta, stalled = 1.0, 0
-
+        w, moved = _warm_start(ws, w, nl, history)
         sw = gridmod.apply_stiffness(spec, w.values)
         g = _gradient(w, nl, sw)
         gamma = gridmod.dirichlet(w)
@@ -324,35 +325,16 @@ def minimize(
         if rho_ratio <= opts.tol and abs(gamma - 1.0) <= 10.0 * _CONSTRAINT_TOL:
             converged = True
             break
-
-        if stalled < _STALL_STEPS:
-            direction = np.zeros_like(w.values)
-            direction[:, 1:-1] = d_free
-            rearrange = accepted_since_rearr + 1 >= _REARRANGE_EVERY
-            e_cur = history[-1]
-            accepted = False
-            for _ in range(_MAX_BACKTRACKS):
-                try:
-                    trial, e_new = _trial(Field(w.values - eta * direction, spec), nl, rearrange)
-                except ValueError:
-                    e_new = math.inf
-                if e_new <= e_cur - _ARMIJO * eta * slope or e_new < e_cur:
-                    stalled = stalled + 1 if e_new >= e_cur - _STALL_REL * abs(e_cur) else 0
-                    accepted_since_rearr = 0 if rearrange else accepted_since_rearr + 1
-                    eta = min(eta * 1.5, 4.0)
-                    w, accepted = trial, True
-                    history.append(e_new)
-                    break
-                trial = None  # free the rejected field before the next one is built
-                eta *= 0.5
-            if accepted:
-                continue
-        # descent is exhausted; if the fixed point cannot lower E_a either,
-        # the iterate is not stationary and the solve stops unconverged
-        w, moved = _warm_start(ws, w, nl, history)
-        if not moved:
+        if moved:
+            continue
+        # the fixed point is stuck away from a stationary point: one
+        # gradient step, and if that cannot lower E_a either, stop
+        delta = np.zeros_like(w.values)
+        np.negative(d_free, out=delta[:, 1:-1])
+        trial = _step(w, nl, delta, _GRADIENT_TRIES, history)
+        if trial is None:
             break
-        eta, stalled = 1.0, 0
+        w = trial
 
     w, e_cur = _trial(w, nl)
     gamma = gridmod.dirichlet(w)
@@ -383,7 +365,9 @@ def extract_speed(result: MinimizerResult, nl: Nonlinearity | None = None) -> Fr
     mu = 1 - 2*lambda_a, c = a*mu.  The resampling w(mu x, mu y) lands
     exactly on the nodes of the grid with all spans divided by mu, so the
     front keeps the minimizer's nodal values on a contracted grid whose
-    natural weight exponent is c.
+    natural weight exponent is c.  A converged result whose c and
+    c_var = a*(1 - 2*I_a) differ by more than `_SPEED_AGREEMENT` relative is
+    refused too: the residual test alone does not certify the speed.
     """
     if not result.converged:
         raise SolverError(
@@ -394,6 +378,12 @@ def extract_speed(result: MinimizerResult, nl: Nonlinearity | None = None) -> Fr
         raise DegenerateMultiplierError(f"lambda_a = {result.multiplier:.6f} >= 1/2")
     mu = 1.0 - 2.0 * result.multiplier
     c = result.a * mu
+    c_var = result.a * (1.0 - 2.0 * result.infimum)
+    if abs(c - c_var) > _SPEED_AGREEMENT * abs(c_var):
+        raise SolverError(
+            f"speed estimates disagree: c = a(1 - 2 lambda_a) = {c:.6g} against "
+            f"c_var = a(1 - 2 I_a) = {c_var:.6g}; refusing to report a speed"
+        )
     spec = result.minimizer.spec
     front_spec = GridSpec(
         x_max=spec.x_max / mu,
@@ -405,7 +395,6 @@ def extract_speed(result: MinimizerResult, nl: Nonlinearity | None = None) -> Fr
     )
     front = Field(result.minimizer.values.copy(), front_spec)
     tr = gridmod.trace(front)
-    c_var = result.a * (1.0 - 2.0 * result.infimum)
     interior = boundary = math.nan
     if nl is not None:
         interior, boundary = pde_residual(

@@ -224,6 +224,20 @@ class TestCli:
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
         assert not (out / "meta.txt").exists()
 
+    def test_disagreeing_speeds_exit_1(self, tmp_path, monkeypatch):
+        # converged by the residual, but c and c_var are 9 % apart
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(
+            "nonlinearity.kind = bistable_cubic\n"
+            "nonlinearity.alpha = 0.4\n"
+            "grid.nx = 64\n"
+            "grid.ny = 288\n"
+        )
+        out = tmp_path / "bundle"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert not (out / "meta.txt").exists()
+
     @pytest.mark.parametrize(
         "lines",
         [

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -114,8 +115,8 @@ class TestMinimize:
         assert np.all(np.diff(hist) <= 1e-9 * np.abs(hist[:-1]) + 1e-13)
 
     def test_descent_converges_by_the_residual(self):
-        # the fixed point alone stops short here, so descent steps (and the
-        # fixed-point burst a stalled descent triggers) finish the solve
+        # the first fixed-point burst stops at its step cap short of the
+        # residual test here, so a second burst finishes the solve
         nl = make_bistable_cubic(0.35)
         opts = SolverOptions(nx=64, ny=288)
         spec = default_grid(choose_weight(nl), opts)
@@ -127,10 +128,32 @@ class TestMinimize:
         sol = extract_speed(res)
         assert sol.speed == pytest.approx(sol.speed_variational, rel=5e-2)
 
+    def test_gradient_step_finishes_where_the_fixed_point_stalls(self):
+        # the fixed point alone stops here at rho/|g| ~ 0.99; gradient steps
+        # taken when a burst is stuck carry the solve to the residual test,
+        # with the two speed estimates within 1 %
+        nl = make_bistable_cubic(0.4)
+        opts = SolverOptions()
+        res = minimize(default_grid(choose_weight(nl), opts), nl, opts)
+        assert res.iterations > 1
+        assert res.converged
+        sol = extract_speed(res)
+        assert sol.speed == pytest.approx(sol.speed_variational, rel=1e-2)
+
+    def test_disagreeing_speeds_are_refused(self):
+        # on this grid the residual test passes, yet c = a(1 - 2 lambda_a)
+        # is 9 % off a(1 - 2 I_a): the speed check refuses the result
+        nl = make_bistable_cubic(0.4)
+        opts = SolverOptions(nx=64, ny=288)
+        res = minimize(default_grid(choose_weight(nl), opts), nl, opts)
+        assert res.converged
+        with pytest.raises(SolverError, match="disagree"):
+            extract_speed(res)
+
     def test_non_stationary_iterate_is_not_converged(self):
-        # on this coarse grid neither descent nor the fixed point reaches a
-        # stationary point: rho/|g| stays near 0.44 and c = a(1 - 2 lambda_a)
-        # is 23 % off a(1 - 2 I_a), so no speed may be reported
+        # on this coarse grid neither the fixed point nor a gradient step
+        # reaches a stationary point: rho/|g| stays near 0.44 and c = a(1 -
+        # 2 lambda_a) is 23 % off a(1 - 2 I_a), so no speed may be reported
         nl = make_bistable_cubic(0.4)
         opts = SolverOptions(nx=48, ny=224)
         spec = default_grid(choose_weight(nl), opts)
@@ -142,12 +165,13 @@ class TestMinimize:
 
 
 class TestExtractSpeed:
-    def test_formula_on_synthetic_result(self):
+    @staticmethod
+    def _synthetic(infimum: float) -> MinimizerResult:
         spec = GridSpec(x_max=8.0, y_min=-20.0, y_max=6.0, nx=16, ny=64, a=0.5)
         vals = np.tile(np.linspace(1.0, 0.0, spec.ny + 1), (spec.nx + 1, 1))
-        res = MinimizerResult(
+        return MinimizerResult(
             minimizer=Field(vals, spec),
-            infimum=-0.1,
+            infimum=infimum,
             multiplier=0.0,
             a=0.5,
             iterations=1,
@@ -155,10 +179,21 @@ class TestExtractSpeed:
             constraint=1.0,
             residual_norm=0.0,
         )
+
+    def test_formula_on_synthetic_result(self):
+        res = self._synthetic(infimum=0.0)
         sol = extract_speed(res)
         assert sol.mu == 1.0
         assert sol.speed == 0.5
-        np.testing.assert_array_equal(sol.front.values, vals)
+        assert sol.speed_variational == 0.5
+        np.testing.assert_array_equal(sol.front.values, res.minimizer.values)
+
+    def test_refuses_disagreeing_speed_estimates(self):
+        # multiplier 0 and infimum -0.1: c = 0.5 against c_var = 0.6
+        with pytest.raises(SolverError, match="disagree"):
+            extract_speed(self._synthetic(infimum=-0.1))
+        # 4.8 % apart is reported
+        assert extract_speed(self._synthetic(infimum=-0.025)).speed == 0.5
 
     def test_two_speed_estimates_agree(self, oracle_solution):
         assert oracle_solution.speed == pytest.approx(
@@ -172,19 +207,8 @@ class TestExtractSpeed:
         assert spec.x_max == pytest.approx(8.0 / oracle_solution.speed, rel=0.05)
 
     def test_refuses_unconverged(self):
-        spec = GridSpec(x_max=8.0, y_min=-20.0, y_max=6.0, nx=16, ny=64, a=0.5)
-        vals = np.tile(np.linspace(1.0, 0.0, spec.ny + 1), (spec.nx + 1, 1))
-        res = MinimizerResult(
-            minimizer=Field(vals, spec),
-            infimum=-0.1,
-            multiplier=0.0,
-            a=0.5,
-            iterations=1,
-            converged=False,
-            constraint=1.0,
-            residual_norm=1.0,
-        )
-        with pytest.raises(Exception):
+        res = replace(self._synthetic(infimum=0.0), converged=False, residual_norm=1.0)
+        with pytest.raises(SolverError, match="did not converge"):
             extract_speed(res)
 
 

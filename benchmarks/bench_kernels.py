@@ -9,8 +9,11 @@ solver's layers on the seed at the default grid (`workspace_build_96x448` and
 `precond_solve_96x448` for the preconditioner, `apply_stiffness_96x448` for
 the matrix-free stiffness apply, `project_constraint_96x448` for the
 constraint projection, `trial_96x448` for one whole trial: clamp, rearrange,
-project and energy of an admissible field scaled by 1.01), and prints the
-best of several repeats:
+project and energy of an admissible field scaled by 1.01), and the parabolic
+evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
+(`evolution_step_129x1153` for one step of a run on its sweep matrices,
+`evolution_leg_129x1153` for one `evolve` leg of 0.125 time units), and
+prints the best of several repeats:
 
     python3 benchmarks/bench_kernels.py [--json]
 """
@@ -74,6 +77,21 @@ def run_suite() -> dict:
     results["rearrange_solver_96x448"] = bench(_kernels.rearrange_columns, rippled, spec.ymeasure)
     # _trial changes its input in place, so each call gets a fresh field
     results["trial_96x448"] = bench(lambda: solver._trial(grid.Field(w.values * 1.01, spec), nl))
+
+    # the evolution on the oracle front, as one frontbench `evolution` leg
+    from frontforge import evolution
+    from frontforge.explicit_front import ExplicitFrontParams, front_nonlinearity, sample_front
+    from frontforge.front_suite import evolution_grid
+
+    params = ExplicitFrontParams(1.0, 2.0)
+    law = front_nonlinearity(params)
+    spec = evolution_grid(params.c, 64)
+    front = grid.Field(sample_front(params, spec.xs, spec.ys), spec)
+    dt = 0.5 * evolution.stability_limit(spec, law)
+    sweeps = evolution._sweep_matrices(spec, dt)
+    state = evolution.EvolutionState(front, 0.0)
+    results["evolution_step_129x1153"] = bench(evolution._advance, state, dt, law, sweeps)
+    results["evolution_leg_129x1153"] = bench(evolution.evolve, front, law, 0.125)
 
     return results
 

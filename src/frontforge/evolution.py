@@ -5,7 +5,8 @@ measures the empirical invasion speed from the drift of the 1/2-level of
 the boundary trace.  Diffusion is treated implicitly by alternating
 tridiagonal sweeps (backward-Euler splitting: unconditionally stable and
 max-principle preserving), the boundary reaction explicitly through the
-ghost row at x = 0, which caps the step at O(hx / Lip f).
+ghost row at x = 0, which caps the step at hx / (2 Lip f).  `evolve` settles
+one step size and one pair of sweep matrices per run.
 
 A moving window keeps long runs feasible: when the level approaches either
 y-boundary the field is shifted by whole cells and extended constantly,
@@ -50,8 +51,10 @@ class SpeedTrace:
 class EvolveOptions:
     dt: float | None = None  # None: half the stability limit
     out_every: float | None = None  # sampling interval; None: T/80
-    recenter_margin: float = 0.2  # fraction of the window width
-    level: float = 0.5
+
+
+_RECENTER_MARGIN = 0.2  # fraction of the window width
+_LEVEL = 0.5
 
 
 def lipschitz_bound(nl: Nonlinearity, samples: int = 2001) -> float:
@@ -66,11 +69,36 @@ def stability_limit(spec: GridSpec, nl: Nonlinearity) -> float:
     return spec.hx / (2.0 * lip)
 
 
-def _reaction_source(vals: np.ndarray, spec: GridSpec, nl: Nonlinearity) -> np.ndarray:
-    """Ghost-row flux term: -v_x(0,y) = f(v(0,y)) folded into the x-stencil."""
-    src = np.zeros_like(vals)
-    src[0, :] = 2.0 * np.asarray(nl.f(vals[0, :])) / spec.hx
-    return src
+def _check_dt(dt: float, lim: float) -> None:
+    if not 0.0 < dt <= lim * (1.0 + 1e-12):
+        raise ValueError(f"dt = {dt:g} must be positive and at most the stability limit {lim:g}")
+
+
+def _sweep_matrices(spec: GridSpec, dt: float):
+    """Diagonals (dl, d, du) of the x- and y-sweep matrices for step dt."""
+
+    def diagonals(n, h):
+        r = dt / (h * h)
+        return np.full(n + 1, -r), np.full(n + 1, 1.0 + 2.0 * r), np.full(n + 1, -r)
+
+    dl, d, du = x = diagonals(spec.nx, spec.hx)
+    du[0] = dl[-1] = 2.0 * dl[1]  # ghost closure at x = 0, Neumann at x_max
+    dl, d, du = y = diagonals(spec.ny, spec.hy)
+    du[0] = dl[-1] = 0.0  # the Dirichlet rows at y_min/y_max are identities
+    d[0] = d[-1] = 1.0
+    return x, y
+
+
+def _advance(state: EvolutionState, dt: float, nl: Nonlinearity, sweeps) -> EvolutionState:
+    """One step of size dt on the sweep matrices `_sweep_matrices(spec, dt)`."""
+    spec = state.field.spec
+    # the ghost-row flux -v_x = f(v) enters the x-sweep's right-hand side on
+    # row 0 only; the Dirichlet columns keep v
+    vstar = state.field.values.copy()
+    vstar[0, 1:-1] += dt * (2.0 * np.asarray(nl.f(vstar[0, 1:-1])) / spec.hx)
+    vstar[:, 1:-1] = tridiag_solve_many(*sweeps[0], vstar[:, 1:-1])
+    vnew = tridiag_solve_many(*sweeps[1], vstar.T).T
+    return EvolutionState(Field(np.ascontiguousarray(vnew), spec), state.time + dt)
 
 
 def step(state: EvolutionState, dt: float, nl: Nonlinearity) -> EvolutionState:
@@ -79,41 +107,12 @@ def step(state: EvolutionState, dt: float, nl: Nonlinearity) -> EvolutionState:
     x-sweep: (I - dt D_xx) v* = v + dt*s(v); the reactive boundary enters
     D_xx through the second-order ghost closure, its nonlinear part s is
     frozen at the current state.  y-sweep: (I - dt D_yy) v' = v*, with the
-    y_min/y_max rows held at their Dirichlet values.
+    y_min/y_max rows held at their Dirichlet values.  Raises ValueError
+    unless 0 < dt <= stability_limit.
     """
     spec = state.field.spec
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    lim = stability_limit(spec, nl)
-    if dt > lim * (1.0 + 1e-12):
-        raise ValueError(f"dt = {dt:g} exceeds the stability limit {lim:g}")
-    v = state.field.values
-    nx, ny = spec.nx, spec.ny
-    rx = dt / (spec.hx * spec.hx)
-    ry = dt / (spec.hy * spec.hy)
-
-    # x-sweep over interior y-columns (Dirichlet rows stay fixed)
-    dl = np.full(nx + 1, -rx)
-    d = np.full(nx + 1, 1.0 + 2.0 * rx)
-    du = np.full(nx + 1, -rx)
-    du[0] = -2.0 * rx  # ghost closure at the reactive boundary
-    dl[nx] = -2.0 * rx  # homogeneous Neumann at x_max
-    rhs = v + dt * _reaction_source(v, spec, nl)
-    vstar = v.copy()
-    vstar[:, 1:ny] = tridiag_solve_many(dl, d, du, rhs[:, 1:ny])
-
-    # y-sweep over all x-rows; Dirichlet rows are identity equations
-    dl2 = np.full(ny + 1, -ry)
-    d2 = np.full(ny + 1, 1.0 + 2.0 * ry)
-    du2 = np.full(ny + 1, -ry)
-    dl2[0] = du2[0] = dl2[ny] = du2[ny] = 0.0
-    d2[0] = d2[ny] = 1.0
-    # off-diagonals touching the Dirichlet rows keep coupling (their values
-    # enter the interior equations through the rhs implicitly)
-    vnew = tridiag_solve_many(dl2, d2, du2, vstar.T).T
-
-    out = Field(np.ascontiguousarray(vnew), spec)
-    return EvolutionState(field=out, time=state.time + dt)
+    _check_dt(dt, stability_limit(spec, nl))
+    return _advance(state, dt, nl, _sweep_matrices(spec, dt))
 
 
 def _recenter(vals: np.ndarray, cells: int) -> np.ndarray:
@@ -138,8 +137,10 @@ def evolve(
 ) -> tuple[EvolutionState, SpeedTrace]:
     """Integrate to time T, recording the level position of the boundary trace.
 
-    Level positions are reported in the fixed initial frame even when the
-    moving window recenters the field.
+    dt (default: half the stability limit) must lie in (0, stability_limit],
+    else ValueError before any step; the run takes n = ceil(T/dt) steps of
+    T/n.  Level positions are reported in the fixed initial frame even when
+    the moving window recenters the field.
     """
     opts = opts or EvolveOptions()
     if T <= 0.0:
@@ -147,34 +148,34 @@ def evolve(
     if np.any(initial.values < -1e-12) or np.any(initial.values > 1.0 + 1e-12):
         raise ValueError("initial data must take values in [0, 1]")
     spec = initial.spec
-    dt = opts.dt if opts.dt is not None else 0.5 * stability_limit(spec, nl)
+    lim = stability_limit(spec, nl)
+    dt = 0.5 * lim if opts.dt is None else opts.dt
+    _check_dt(dt, lim)
+    n_steps = max(1, math.ceil(T / dt))
+    dt = T / n_steps
+    sweeps = _sweep_matrices(spec, dt)
     out_every = opts.out_every if opts.out_every is not None else T / 80.0
 
     state = EvolutionState(field=initial.copy(), time=0.0)
     offset = 0.0
     span = spec.y_max - spec.y_min
-    lo_trigger = spec.y_min + opts.recenter_margin * span
-    hi_trigger = spec.y_max - opts.recenter_margin * span
+    lo_trigger = spec.y_min + _RECENTER_MARGIN * span
+    hi_trigger = spec.y_max - _RECENTER_MARGIN * span
 
     times = []
     levels = []
 
     def record():
-        level = trace_crossing(trace(state.field), opts.level)
+        level = trace_crossing(trace(state.field), _LEVEL)
         times.append(state.time)
         levels.append(level + offset)
         return level
 
     level_local = record()
     next_out = out_every
-    n_steps = max(1, math.ceil(T / dt))
-    dt_eff = T / n_steps
-    if dt_eff > stability_limit(spec, nl):
-        n_steps += 1
-        dt_eff = T / n_steps
 
     for _ in range(n_steps):
-        state = step(state, dt_eff, nl)
+        state = _advance(state, dt, nl, sweeps)
         if state.time + 1e-12 >= next_out:
             level_local = record()
             next_out += out_every
@@ -182,10 +183,7 @@ def evolve(
                 target = 0.5 * (spec.y_min + spec.y_max)
                 cells = int(round((level_local - target) / spec.hy))
                 if cells != 0:
-                    state = EvolutionState(
-                        field=Field(_recenter(state.field.values, cells), spec),
-                        time=state.time,
-                    )
+                    state.field = Field(_recenter(state.field.values, cells), spec)
                     offset += cells * spec.hy
 
     if times[-1] < state.time:

@@ -28,6 +28,8 @@ _ALL_KEYS = _NL_KEYS | _GRID_KEYS | _SOLVER_KEYS | _EVOLVE_KEYS | _MISC_KEYS
 
 _INT_KEYS = {"grid.nx", "grid.ny", "solver.max_iter", "solver.refine"}
 _STR_KEYS = {"nonlinearity.kind", "solver.seed", "evolve.initial", "output.dir"}
+# checked to be positive and finite at parse time
+_POSITIVE_KEYS = ("grid.x_span", "grid.y_span_down", "grid.y_span_up", "solver.tol", "solver.a", "evolve.T", "evolve.dt", "evolve.out_every")
 
 
 @dataclass
@@ -97,7 +99,7 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     for key, lo in (("nx", 16), ("ny", 64)):
         if key in cfg.grid and cfg.grid[key] < lo:
             raise ConfigError(f"grid.{key} must be at least {lo}")
-    for key in ("grid.x_span", "grid.y_span_down", "grid.y_span_up", "solver.tol", "solver.a"):
+    for key in _POSITIVE_KEYS:
         section, _, name = key.partition(".")
         value = getattr(cfg, section).get(name)
         if value is not None and not 0.0 < value < math.inf:
@@ -111,8 +113,6 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     for key, cap in (("nx", 2048), ("ny", 8192)):
         if cfg.grid.get(key, getattr(SolverOptions, key)) << refine > cap:
             raise ConfigError(f"grid.{key} * 2^solver.refine must be at most {cap}")
-    if "T" in cfg.evolve and cfg.evolve["T"] <= 0.0:
-        raise ConfigError("evolve.T must be positive")
     if "initial" in cfg.evolve and cfg.evolve["initial"] not in ("oracle", "step"):
         raise ConfigError("evolve.initial must be oracle|step")
     if "seed" in cfg.solver and cfg.solver["seed"] not in ("exponential", "kernel"):

@@ -193,3 +193,53 @@ def translate_expression(spec, v, t: float):
     frac = np.where(j < 0.0, 0.0, np.where(j > spec.ny, 0.0, frac))
     j0 = np.where(j < 0.0, 0, j0)
     return (1.0 - frac)[None, :] * v[:, j0] + frac[None, :] * v[:, j1]
+
+
+def _reaction_source(vals: np.ndarray, spec, nl) -> np.ndarray:
+    """Ghost-row flux term: -v_x(0,y) = f(v(0,y)) folded into the x-stencil."""
+    src = np.zeros_like(vals)
+    src[0, :] = 2.0 * np.asarray(nl.f(vals[0, :])) / spec.hx
+    return src
+
+
+def step_reference(state, dt: float, nl):
+    """One evolution step that rebuilds the limit, both sweep matrices and a
+    full-field reaction source on every call: the reference for
+    `evolution.step` and `evolution.evolve`, which must give the same bits."""
+    from frontforge._kernels import tridiag_solve_many
+    from frontforge.evolution import EvolutionState, stability_limit
+    from frontforge.grid import Field
+
+    spec = state.field.spec
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    lim = stability_limit(spec, nl)
+    if dt > lim * (1.0 + 1e-12):
+        raise ValueError(f"dt = {dt:g} exceeds the stability limit {lim:g}")
+    v = state.field.values
+    nx, ny = spec.nx, spec.ny
+    rx = dt / (spec.hx * spec.hx)
+    ry = dt / (spec.hy * spec.hy)
+
+    # x-sweep over interior y-columns (Dirichlet rows stay fixed)
+    dl = np.full(nx + 1, -rx)
+    d = np.full(nx + 1, 1.0 + 2.0 * rx)
+    du = np.full(nx + 1, -rx)
+    du[0] = -2.0 * rx  # ghost closure at the reactive boundary
+    dl[nx] = -2.0 * rx  # homogeneous Neumann at x_max
+    rhs = v + dt * _reaction_source(v, spec, nl)
+    vstar = v.copy()
+    vstar[:, 1:ny] = tridiag_solve_many(dl, d, du, rhs[:, 1:ny])
+
+    # y-sweep over all x-rows; Dirichlet rows are identity equations
+    dl2 = np.full(ny + 1, -ry)
+    d2 = np.full(ny + 1, 1.0 + 2.0 * ry)
+    du2 = np.full(ny + 1, -ry)
+    dl2[0] = du2[0] = dl2[ny] = du2[ny] = 0.0
+    d2[0] = d2[ny] = 1.0
+    # off-diagonals touching the Dirichlet rows keep coupling (their values
+    # enter the interior equations through the rhs implicitly)
+    vnew = tridiag_solve_many(dl2, d2, du2, vstar.T).T
+
+    out = Field(np.ascontiguousarray(vnew), spec)
+    return EvolutionState(field=out, time=state.time + dt)

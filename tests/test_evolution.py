@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from frontforge import evolution
 from frontforge.evolution import (
     EvolutionState,
     EvolveOptions,
@@ -13,6 +16,7 @@ from frontforge.evolution import (
 from frontforge.front_suite import evolution_grid, oracle_evolution_run, step_initial
 from frontforge.grid import Field, GridSpec, trace
 from frontforge.nonlinearity import make_bistable_cubic, make_combustion
+from oracles import step_reference
 
 
 def quiet_law():
@@ -55,8 +59,21 @@ class TestStep:
         spec = small_grid()
         nl = make_bistable_cubic(0.25)
         state = EvolutionState(Field(np.zeros((spec.nx + 1, spec.ny + 1)), spec), 0.0)
-        with pytest.raises(ValueError):
-            step(state, 10.0 * stability_limit(spec, nl), nl)
+        for factor in (10.0, 0.0, math.nan):
+            with pytest.raises(ValueError):
+                step(state, factor * stability_limit(spec, nl), nl)
+
+    @pytest.mark.parametrize("law", [make_bistable_cubic(0.25), quiet_law()], ids=["cubic", "quiet"])
+    def test_matches_reference_step(self, law):
+        spec = small_grid()
+        blob = 0.35 + 0.25 * np.random.default_rng(0).uniform(size=(spec.nx + 1, spec.ny + 1))
+        dt = 0.5 * stability_limit(spec, law)
+        for values in (blob, np.ones_like(blob), np.full_like(blob, 0.5)):
+            state = ref = EvolutionState(Field(values, spec), 0.0)
+            for _ in range(5):
+                state, ref = step(state, dt, law), step_reference(ref, dt, law)
+                assert np.array_equal(state.field.values, ref.field.values)
+                assert state.time == ref.time
 
     def test_profile_translates_by_ct(self, oracle_nl):
         # evolving the closed-form front shifts it by c*dt per step
@@ -109,6 +126,68 @@ class TestEvolve:
         measured = measure_speed(speed_trace, burn_in_fraction=0.5)
         assert measured > 0.0
         assert measured == pytest.approx(sol.speed, rel=0.25)  # power-rate relaxation
+
+    def test_maximum_principle_with_reaction(self, monkeypatch):
+        # steps at the stability limit keep step data inside [0, 1] on every
+        # step of the leg, the final field included
+        nl = make_bistable_cubic(0.25)
+        spec = evolution_grid(0.1, resolution=24)
+        dt = stability_limit(spec, nl)
+        bounds = []
+        advance_unrecorded = evolution._advance
+
+        def advance(*args):
+            out = advance_unrecorded(*args)
+            bounds.append((out.field.values.min(), out.field.values.max()))
+            return out
+
+        monkeypatch.setattr(evolution, "_advance", advance)
+        final, _ = evolve(step_initial(spec, y0=0.0), nl, T=40.0 * dt, opts=EvolveOptions(dt=dt))
+        assert len(bounds) == 40
+        assert bounds[-1] == (final.field.values.min(), final.field.values.max())
+        assert min(lo for lo, _ in bounds) >= -1e-12
+        assert max(hi for _, hi in bounds) <= 1.0 + 1e-12
+
+    def test_leg_matches_reference_steps(self, oracle_nl):
+        # the benchmark's evolution leg: oracle front, evolution_grid(2, 64)
+        from frontforge.explicit_front import ExplicitFrontParams, sample_front
+
+        params = ExplicitFrontParams(1.0, 2.0)
+        spec = evolution_grid(2.0, resolution=64)
+        init = Field(sample_front(params, spec.xs, spec.ys), spec)
+        T = 0.125
+        n = math.ceil(T / (0.5 * stability_limit(spec, oracle_nl)))
+        final, _ = evolve(init, oracle_nl, T)
+        ref = EvolutionState(init, 0.0)
+        for _ in range(n):
+            ref = step_reference(ref, T / n, oracle_nl)
+        assert np.array_equal(final.field.values, ref.field.values)
+
+    @pytest.mark.parametrize("dt_factor", [None, 0.3])
+    def test_stability_limit_runs_once(self, monkeypatch, dt_factor):
+        spec = small_grid()
+        nl = make_bistable_cubic(0.25)
+        lim = stability_limit(spec, nl)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stability_limit(*args)
+
+        monkeypatch.setattr(evolution, "stability_limit", counted)
+        dt = None if dt_factor is None else dt_factor * lim
+        state, _ = evolve(step_initial(spec, y0=-2.0), nl, T=20.0 * lim, opts=EvolveOptions(dt=dt))
+        assert state.time == pytest.approx(20.0 * lim)
+        assert len(calls) == 1
+
+    def test_over_limit_dt_rejected_before_first_step(self, monkeypatch):
+        spec = small_grid()
+        nl = make_bistable_cubic(0.25)
+        dt = 1.01 * stability_limit(spec, nl)
+        monkeypatch.setattr(evolution, "_advance", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(ValueError) as exc:
+            evolve(step_initial(spec, y0=-2.0), nl, T=10.0 * dt, opts=EvolveOptions(dt=dt))
+        assert f"dt = {dt:g} " in str(exc.value)
 
     def test_traveling_invariance_and_speed(self):
         speed, drift = oracle_evolution_run(1.0, 2.0, T=3.0, resolution=48)

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from frontforge import cli, formats, grid
+from frontforge import cli, evolution, formats, grid
 from frontforge.cli import main
 from frontforge.formats import ConfigError, parse_config_text
 from frontforge.solver import SolverOptions
@@ -184,6 +184,15 @@ class TestCli:
         monkeypatch.setattr(cli, "solve_front", lambda *a, **k: pytest.fail("solve_front ran"))
         cfg = tmp_path / "evolve.cfg"
         cfg.write_text(f"nonlinearity.kind = combustion\nevolve.initial = step\n{key} = 64\n")
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("line", ["evolve.dt = 0", "evolve.out_every = -1", "evolve.T = inf"])
+    def test_evolve_ranges_rejected_before_solving(self, tmp_path, monkeypatch, line):
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        monkeypatch.setattr(cli, "solve_front", lambda *a, **k: pytest.fail("solve_front ran"))
+        monkeypatch.setattr(evolution, "evolve", lambda *a, **k: pytest.fail("evolve ran"))
+        cfg = tmp_path / "evolve.cfg"
+        cfg.write_text(f"nonlinearity.kind = combustion\nevolve.initial = step\n{line}\n")
         assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize("failure", ["zero-energy projection", "far projection", "no crossing"])

@@ -5,35 +5,28 @@ import sys
 import numpy as np
 import pytest
 
-from frontforge import _kernels
+from frontforge import _kernels, evolution
+from frontforge.grid import GridSpec
 from oracles import bessel_k_scaled_quadrature, rearrange_rows_sorted
 
 RNG = np.random.default_rng(12)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _sweep_cases(nx=24, ny=40, r=3.7):
-    """The two matrices evolution.step builds, each with the right-hand side
-    layout it passes: a C-ordered column slice (x) and a transpose (y)."""
+def _sweep_cases(nx=24, ny=64):
+    """The two matrices `evolution._sweep_matrices` builds, each with the
+    right-hand side layout the evolution passes: a C-ordered column slice
+    (x) and a transpose (y)."""
     rng = np.random.default_rng(5)
-    # x-sweep: ghost closure at x = 0, Neumann at x_max
-    dl = np.full(nx + 1, -r)
-    d = np.full(nx + 1, 1.0 + 2.0 * r)
-    du = np.full(nx + 1, -r)
-    du[0] = -2.0 * r
-    dl[nx] = -2.0 * r
+    spec = GridSpec(x_max=1.0, y_min=-1.0, y_max=1.0, nx=nx, ny=ny, a=0.5)
+    # dt / hx^2 = 3.7: the x-sweep is far from the identity
+    x_sweep, y_sweep = evolution._sweep_matrices(spec, 3.7 * spec.hx * spec.hx)
     rhs = rng.standard_normal((nx + 1, ny + 1))[:, 1:ny]
     assert not rhs.flags.c_contiguous and not rhs.flags.f_contiguous
-    yield dl, d, du, rhs
-    # y-sweep: identity rows at both Dirichlet ends
-    dl = np.full(ny + 1, -r)
-    d = np.full(ny + 1, 1.0 + 2.0 * r)
-    du = np.full(ny + 1, -r)
-    dl[0] = du[0] = dl[ny] = du[ny] = 0.0
-    d[0] = d[ny] = 1.0
+    yield (*x_sweep, rhs)
     rhs = rng.standard_normal((nx + 1, ny + 1)).T
     assert rhs.flags.f_contiguous
-    yield dl, d, du, rhs
+    yield (*y_sweep, rhs)
 
 
 def test_tridiag_matches_dense_solve():

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time frontforge's hot kernels and the variational solver's layers.
 
-Runs each kernel in-process (the scipy Bessel pair, the LAPACK tridiagonal
-solve, the numpy rearrangement on uniform random rows and, as
+Runs each kernel in-process (the scipy Bessel pair and, as
+`bessel_scipy_k1e_400k`, K_1 alone for the Poisson kernel, the LAPACK
+tridiagonal solve, the numpy rearrangement on uniform random rows and, as
 `rearrange_solver_96x448`, on a field shaped like the solver's: mostly
 nonincreasing rows, with a rippled band in a quarter of them), plus the
 solver's layers on the seed at the default grid (`workspace_build_96x448` and
@@ -12,8 +13,10 @@ constraint projection, `trial_96x448` for one whole trial: clamp, rearrange,
 project and energy of an admissible field scaled by 1.01), and the parabolic
 evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
 (`evolution_step_129x1153` for one step of a run on its sweep matrices,
-`evolution_leg_129x1153` for one `evolve` leg of 0.125 time units), and
-prints the best of several repeats:
+`evolution_leg_129x1153` for one `evolve` leg of 0.125 time units), and the
+closed-form oracle at t = 1, c = 2 (`sample_front_129x897` for the sampled
+field on the fine residual grid h = 1/64, `front_nonlinearity_t1c2` for the
+law table), and prints the best of several repeats:
 
     python3 benchmarks/bench_kernels.py [--json]
 """
@@ -45,6 +48,7 @@ def run_suite() -> dict:
 
     s = rng.uniform(1e-3, 400.0, size=400_000)
     results["bessel_scipy_k0e_k1e_400k"] = bench(_kernels.k01_scaled, s)
+    results["bessel_scipy_k1e_400k"] = bench(_kernels.k1_scaled, s)
 
     n, m = 1024, 512
     dl = np.full(n, -1.0)
@@ -81,7 +85,7 @@ def run_suite() -> dict:
     # the evolution on the oracle front, as one frontbench `evolution` leg
     from frontforge import evolution
     from frontforge.explicit_front import ExplicitFrontParams, front_nonlinearity, sample_front
-    from frontforge.front_suite import evolution_grid
+    from frontforge.front_suite import evolution_grid, oracle_residual_grid
 
     params = ExplicitFrontParams(1.0, 2.0)
     law = front_nonlinearity(params)
@@ -92,6 +96,11 @@ def run_suite() -> dict:
     state = evolution.EvolutionState(front, 0.0)
     results["evolution_step_129x1153"] = bench(evolution._advance, state, dt, law, sweeps)
     results["evolution_leg_129x1153"] = bench(evolution.evolve, front, law, 0.125)
+
+    # the closed-form oracle, as in a frontbench `oracle-field` round
+    spec = oracle_residual_grid(params, 1.0 / 64.0)
+    results["sample_front_129x897"] = bench(sample_front, params, spec.xs, spec.ys)
+    results["front_nonlinearity_t1c2"] = bench(front_nonlinearity, params)
 
     return results
 

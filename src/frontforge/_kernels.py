@@ -1,11 +1,14 @@
 """Hot numeric kernels, one implementation each.
 
-The scaled Bessel pair comes from scipy.special (k0e, k1e, imported on first
-use so that laws without a Bessel function never load it), the batched
-tridiagonal solve from LAPACK's dgtsv (scipy.linalg.lapack), and the
-weighted rearrangement is numpy: rows that are already nonincreasing are
-kept as they are, every other row gets a stable sort and a cumulative-measure
-search.
+The scaled Bessel functions come from scipy.special, imported on first use so
+that laws without a Bessel function never load it: `k01_scaled` evaluates
+the pair (k0e, k1e) for the callers that need both (the Green kernel G^t,
+the implicit law f^t and specfun), `k1_scaled` evaluates k1e alone for the
+Poisson kernel P^t, which is most of the closed-form front's cost.  The
+batched tridiagonal solve comes from LAPACK's dgtsv (scipy.linalg.lapack),
+and the weighted rearrangement is numpy: rows that are already
+nonincreasing are kept as they are, every other row gets a stable sort and a
+cumulative-measure search.
 """
 
 from __future__ import annotations
@@ -24,6 +27,13 @@ def k01_scaled(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     s = np.ascontiguousarray(s, dtype=np.float64)
     return k0e(s), k1e(s)
+
+
+def k1_scaled(s: np.ndarray) -> np.ndarray:
+    """e^s K_1(s) for a 1-D positive array, the same bits as k01_scaled(s)[1]."""
+    from scipy.special import k1e
+
+    return k1e(np.ascontiguousarray(s, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------

@@ -137,14 +137,18 @@ def evolve(
 ) -> tuple[EvolutionState, SpeedTrace]:
     """Integrate to time T, recording the level position of the boundary trace.
 
-    dt (default: half the stability limit) must lie in (0, stability_limit],
-    else ValueError before any step; the run takes n = ceil(T/dt) steps of
-    T/n.  Level positions are reported in the fixed initial frame even when
-    the moving window recenters the field.
+    dt (default: half the stability limit) must lie in (0, stability_limit]
+    and out_every (default: T/80) must be positive and finite, else
+    ValueError before any step; the run takes n = ceil(T/dt) steps of T/n.
+    Level positions are reported in the fixed initial frame even when the
+    moving window recenters the field.
     """
     opts = opts or EvolveOptions()
     if T <= 0.0:
         raise ValueError("T must be positive")
+    out_every = opts.out_every if opts.out_every is not None else T / 80.0
+    if not (out_every > 0.0 and math.isfinite(out_every)):
+        raise ValueError(f"out_every = {out_every:g} must be positive and finite")
     if np.any(initial.values < -1e-12) or np.any(initial.values > 1.0 + 1e-12):
         raise ValueError("initial data must take values in [0, 1]")
     spec = initial.spec
@@ -154,7 +158,6 @@ def evolve(
     n_steps = max(1, math.ceil(T / dt))
     dt = T / n_steps
     sweeps = _sweep_matrices(spec, dt)
-    out_every = opts.out_every if opts.out_every is not None else T / 80.0
 
     state = EvolutionState(field=initial.copy(), time=0.0)
     offset = 0.0

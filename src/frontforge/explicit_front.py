@@ -12,7 +12,16 @@ against.
 
 All kernel evaluations use exponentially scaled Bessel functions with the
 exponent -(z + r) computed in cancellation-free form, so profiles stay
-accurate far into both tails.
+accurate far into both tails.  The Poisson kernel, and with it every front
+value, profile and sampled field, evaluates e^r K_1(r) alone
+(`_kernels.k1_scaled`); the Green kernel needs e^r K_0(r) and the implicit law
+f^t both functions, and they take the pair from `_kernels.k01_scaled`.
+
+A sampled field is one batched quadrature pass over all its columns: one
+shared panel table, one kernel evaluation per block of columns and one
+cumulative sum per column.  A block holds as many columns as fit in
+_BLOCK_POINTS kernel points of the 12-point rule, so the temporaries stay the
+same size whatever the number of columns.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import k01_scaled
+from ._kernels import k01_scaled, k1_scaled
 from .nonlinearity import Nonlinearity, ignition_point, make_custom
 from .specfun import k_ratio
 
@@ -37,6 +46,8 @@ _Z_GEO = -32.0
 _Z_DEAD = 400.0
 #: use the complement integral for trace values this far down
 _Y_COMPLEMENT = -34.0
+#: kernel points of the 12-point rule in one block of columns of `_cells`
+_BLOCK_POINTS = 65536
 
 
 class QuadratureError(RuntimeError):
@@ -76,8 +87,7 @@ def _p_kernel(x_off, z):
     """P^t(x, z) with x_off = x + t, in the speed-2 normalization."""
     z = np.asarray(z, dtype=float)
     r = np.hypot(x_off, z)
-    _, k1h = k01_scaled(np.ravel(r))
-    k1h = k1h.reshape(r.shape)
+    k1h = k1_scaled(np.ravel(r)).reshape(r.shape)
     return x_off / (math.pi * r) * k1h * np.exp(_expo_down(x_off, z, r))
 
 
@@ -133,45 +143,62 @@ def _subpanels(edges: np.ndarray):
     return starts, stops, owner
 
 
-def _cells(x_off: float, edges: np.ndarray, tol: float = 1e-11):
-    """Integral of the kernel over each cell [edges[i], edges[i+1]].
+def _rule(x_offs: np.ndarray, mid: np.ndarray, hw: np.ndarray, n: int) -> np.ndarray:
+    """n-point Gauss sums of the kernel on each sub-panel (centers `mid`,
+    half-widths `hw`), one row per offset in `x_offs`."""
+    xi, wi = _gl(n)
+    zz = mid[:, None] + hw[:, None] * xi[None, :]
+    vals = _p_kernel(x_offs[:, None], zz.ravel()).reshape(-1, n)
+    return (vals * wi[None, :]).sum(axis=1).reshape(len(x_offs), -1) * hw
 
-    Cells wider than a panel are subdivided internally.  Every cell is
-    evaluated with nested Gauss rules; disagreement beyond `tol` raises.
+
+def _cells(x_offs: np.ndarray, edges: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+    """Integrals of the kernel over each cell [edges[i], edges[i+1]], one row
+    per offset in the 1-D array `x_offs`.
+
+    Cells wider than a panel are subdivided internally.  Every row is checked
+    with nested 6/12-point Gauss rules; a row that fails is redone on halved
+    sub-panels with 12/24 points, and disagreement beyond `tol` there raises.
+    Rows go in blocks of at most _BLOCK_POINTS kernel points of the 12-point
+    rule (at least one row).
     """
+    x_offs = np.asarray(x_offs, dtype=float)
     starts, stops, owner = _subpanels(edges)
     mid = 0.5 * (starts + stops)
     hw = 0.5 * (stops - starts)
-
-    def rule(n):
-        xi, wi = _gl(n)
-        zz = mid[:, None] + hw[:, None] * xi[None, :]
-        vals = _p_kernel(x_off, zz.ravel()).reshape(zz.shape)
-        return (vals * wi[None, :]).sum(axis=1) * hw
-
-    coarse = rule(6)
-    fine = rule(12)
-    err = float(np.abs(fine - coarse).sum())
-    if err > max(tol, 1e-13 * float(np.abs(fine).sum())):
-        # halve every sub-panel; halves stay in order, next to their owner
-        starts2 = np.column_stack([starts, mid]).ravel()
-        stops2 = np.column_stack([mid, stops]).ravel()
-        mid = 0.5 * (starts2 + stops2)
-        hw = 0.5 * (stops2 - starts2)
-        owner = np.repeat(owner, 2)
-        coarse = rule(12)
-        fine = rule(24)
-        err = float(np.abs(fine - coarse).sum())
-        if err > max(tol, 1e-12 * float(np.abs(fine).sum())):
-            raise QuadratureError("kernel quadrature did not converge", err)
-    out = np.zeros(len(edges) - 1)
-    np.add.at(out, owner, fine)
+    halved = None
+    out = np.zeros((len(x_offs), len(edges) - 1))
+    block = max(1, _BLOCK_POINTS // (12 * len(mid)))
+    for first in range(0, len(x_offs), block):
+        rows = np.arange(first, min(first + block, len(x_offs)))
+        coarse = _rule(x_offs[rows], mid, hw, 6)
+        fine = _rule(x_offs[rows], mid, hw, 12)
+        err = np.abs(fine - coarse).sum(axis=1)
+        bad = err > np.maximum(tol, 1e-13 * np.abs(fine).sum(axis=1))
+        np.add.at(out, (rows[~bad, None], owner), fine[~bad])
+        if not bad.any():
+            continue
+        if halved is None:
+            # halve every sub-panel; halves stay in order, next to their owner
+            starts2 = np.column_stack([starts, mid]).ravel()
+            stops2 = np.column_stack([mid, stops]).ravel()
+            halved = 0.5 * (starts2 + stops2), 0.5 * (stops2 - starts2), np.repeat(owner, 2)
+        mid2, hw2, owner2 = halved
+        coarse = _rule(x_offs[rows[bad]], mid2, hw2, 12)
+        fine = _rule(x_offs[rows[bad]], mid2, hw2, 24)
+        err = np.abs(fine - coarse).sum(axis=1)
+        worse = err > np.maximum(tol, 1e-12 * np.abs(fine).sum(axis=1))
+        if worse.any():
+            raise QuadratureError("kernel quadrature did not converge", float(err[worse][0]))
+        np.add.at(out, (rows[bad, None], owner2), fine)
     return out
 
 
-def _integral_p(x_off: float, a: float, b: float) -> float:
-    """int_a^b of the kernel at offset x_off (direct panel quadrature)."""
-    return float(_cells(x_off, _edges(a, b)).sum())
+def _integral_p(x_off, a: float, b: float):
+    """int_a^b of the kernel at each offset of x_off (direct panel quadrature);
+    a float for a scalar offset."""
+    sums = _cells(np.atleast_1d(x_off), _edges(a, b)).sum(axis=1)
+    return float(sums[0]) if np.ndim(x_off) == 0 else sums
 
 
 def _minus_tail(x_off: float, w_from: float) -> float:
@@ -256,23 +283,34 @@ def explicit_front(params: ExplicitFrontParams, x: float, y) -> float | np.ndarr
     return np.array([_u_speed2(x_off, 0.5 * params.c * float(v)) for v in np.asarray(y)])
 
 
-def _sweep(x_off: float, etas: np.ndarray) -> np.ndarray:
-    """The speed-2 front at x_off on the ascending eta nodes: its value at the
-    top node plus the cumulative kernel integrals of the cells above."""
-    top = _u_speed2(x_off, float(etas[-1]))
-    cells = _cells(x_off, etas)
-    u = np.empty(len(etas))
-    u[-1] = top
-    u[:-1] = top + np.cumsum(cells[::-1])[::-1]
+def _sweep(x_offs: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    """The speed-2 front on the ascending eta nodes, one row per offset in
+    `x_offs`: its value at the top node plus the cumulative kernel integrals
+    of the cells above."""
+    top_eta = float(etas[-1])
+    if _Y_COMPLEMENT <= top_eta < _Z_DEAD:  # _u_speed2's direct branch, all rows at once
+        top = _integral_p(x_offs, top_eta, max(top_eta, 0.0) + 30.0)
+    else:
+        top = np.array([_u_speed2(x, top_eta) for x in x_offs])
+    u = np.empty((len(x_offs), len(etas)))
+    # cumulative sums from the top node down, written into u[:, :-1] reversed
+    np.cumsum(_cells(x_offs, etas)[:, ::-1], axis=1, out=u[:, -2::-1])
+    u[:, :-1] += top[:, None]
+    u[:, -1] = top
     return u
+
+
+def _ascending(ys) -> np.ndarray:
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 1 or len(ys) < 2 or np.any(np.diff(ys) <= 0.0):
+        raise ValueError("ys must be strictly increasing with at least two nodes")
+    return ys
 
 
 def front_profile(params: ExplicitFrontParams, x: float, ys: np.ndarray) -> np.ndarray:
     """u^{t,c}(x, ys) on an ascending grid via one cumulative kernel pass."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.ndim != 1 or len(ys) < 2 or np.any(np.diff(ys) <= 0.0):
-        raise ValueError("ys must be strictly increasing with at least two nodes")
-    return _sweep(0.5 * params.c * x + params.t, 0.5 * params.c * ys)
+    x_off = 0.5 * params.c * x + params.t
+    return _sweep(np.array([x_off]), 0.5 * params.c * _ascending(ys))[0]
 
 
 def explicit_front_dy(params: ExplicitFrontParams, x: float, y):
@@ -285,8 +323,10 @@ def explicit_front_dy(params: ExplicitFrontParams, x: float, y):
 
 
 def sample_front(params: ExplicitFrontParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Field u^{t,c} on the tensor grid xs x ys, shape (len(xs), len(ys))."""
-    return np.stack([front_profile(params, float(x), ys) for x in np.asarray(xs)])
+    """Field u^{t,c} on the tensor grid xs x ys, shape (len(xs), len(ys)),
+    all columns in one batched kernel pass."""
+    x_offs = 0.5 * params.c * np.asarray(xs, dtype=float) + params.t
+    return _sweep(x_offs, 0.5 * params.c * _ascending(ys))
 
 
 def asymptotic_constant(params: ExplicitFrontParams, side: str) -> float:
@@ -423,7 +463,7 @@ def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonli
     y_star = _hphase_root(t)
 
     eta_grid = _law_eta_grid(t, step)
-    u = _sweep(t, eta_grid)
+    u = _sweep(np.array([t]), eta_grid)[0]
 
     f_tab = _f_speed2(t, eta_grid)
     fp_tab = _fprime_speed2(t, eta_grid)

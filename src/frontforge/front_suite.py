@@ -8,6 +8,8 @@ corpus can pin them.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .analysis import TAIL_LAWS, fit_decay, standard_window
@@ -82,8 +84,14 @@ def oracle_evolution_run(
     """Evolve the closed-form front under its own law: (speed, shape drift).
 
     Shape drift is the sup distance between the final and initial boundary
-    traces after aligning their 1/2-levels (traveling-wave invariance).
+    traces after aligning their 1/2-levels (traveling-wave invariance).  The
+    run is deterministic, so each argument set is computed once per process.
     """
+    return _oracle_evolution_run(float(t), float(c), float(T), int(resolution))
+
+
+@lru_cache(maxsize=8)
+def _oracle_evolution_run(t: float, c: float, T: float, resolution: int) -> tuple[float, float]:
     params = ExplicitFrontParams(t, c)
     nl = front_nonlinearity(params)
     spec = evolution_grid(c, resolution)

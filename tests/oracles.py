@@ -108,6 +108,78 @@ def subpanels_linspace(edges, panel: float, z_geo: float, z_dead: float):
     return np.concatenate(starts), np.concatenate(stops), np.concatenate(owner)
 
 
+def _poisson_kernel_pair(x_off, z):
+    """P^t from the Bessel pair k01_scaled, as before the K_1-only kernel."""
+    from frontforge import explicit_front as ef
+    from frontforge._kernels import k01_scaled
+
+    z = np.asarray(z, dtype=float)
+    r = np.hypot(x_off, z)
+    _, k1h = k01_scaled(np.ravel(r))
+    k1h = k1h.reshape(r.shape)
+    return x_off / (math.pi * r) * k1h * np.exp(ef._expo_down(x_off, z, r))
+
+
+def panel_cells_by_column(x_off: float, edges, tol: float = 1e-11):
+    """Kernel integrals over the cells of `edges` for one scalar offset: the
+    reference for one row of the batched `explicit_front._cells`."""
+    from frontforge import explicit_front as ef
+
+    starts, stops, owner = ef._subpanels(edges)
+    mid = 0.5 * (starts + stops)
+    hw = 0.5 * (stops - starts)
+
+    def rule(n):
+        xi, wi = ef._gl(n)
+        zz = mid[:, None] + hw[:, None] * xi[None, :]
+        vals = _poisson_kernel_pair(x_off, zz.ravel()).reshape(zz.shape)
+        return (vals * wi[None, :]).sum(axis=1) * hw
+
+    coarse = rule(6)
+    fine = rule(12)
+    err = float(np.abs(fine - coarse).sum())
+    if err > max(tol, 1e-13 * float(np.abs(fine).sum())):
+        starts2 = np.column_stack([starts, mid]).ravel()
+        stops2 = np.column_stack([mid, stops]).ravel()
+        mid = 0.5 * (starts2 + stops2)
+        hw = 0.5 * (stops2 - starts2)
+        owner = np.repeat(owner, 2)
+        coarse = rule(12)
+        fine = rule(24)
+        err = float(np.abs(fine - coarse).sum())
+        if err > max(tol, 1e-12 * float(np.abs(fine).sum())):
+            raise ef.QuadratureError("kernel quadrature did not converge", err)
+    out = np.zeros(len(edges) - 1)
+    np.add.at(out, owner, fine)
+    return out
+
+
+def sample_front_by_columns(params, xs, ys):
+    """u^{t,c} on xs x ys one column at a time, each column its own scalar
+    panel quadrature: the reference for the batched
+    `explicit_front.sample_front`, which must give the same bits.  The panel
+    table, the Gauss nodes and the deep tail below the complement threshold
+    come from explicit_front itself."""
+    from frontforge import explicit_front as ef
+
+    def top_value(x_off, eta):
+        if eta >= ef._Z_DEAD:
+            return 0.0
+        if eta >= ef._Y_COMPLEMENT:
+            return float(panel_cells_by_column(x_off, ef._edges(eta, max(eta, 0.0) + 30.0)).sum())
+        return 1.0 - ef._minus_tail(x_off, -eta)
+
+    def sweep(x_off, etas):
+        top = top_value(x_off, float(etas[-1]))
+        u = np.empty(len(etas))
+        u[-1] = top
+        u[:-1] = top + np.cumsum(panel_cells_by_column(x_off, etas)[::-1])[::-1]
+        return u
+
+    ys = np.asarray(ys, dtype=float)
+    return np.stack([sweep(0.5 * params.c * float(x) + params.t, 0.5 * params.c * ys) for x in np.asarray(xs)])
+
+
 def sparse_stiffness(spec) -> sp.csr_matrix:
     """Sparse S with Gamma_a(w) = w^T S w (edge-based quadrature), assembled
     edge by edge: the reference for `grid.apply_stiffness`."""

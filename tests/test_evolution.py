@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frontforge import evolution
+from frontforge import evolution, front_suite
 from frontforge.evolution import (
     EvolutionState,
     EvolveOptions,
@@ -189,10 +189,27 @@ class TestEvolve:
             evolve(step_initial(spec, y0=-2.0), nl, T=10.0 * dt, opts=EvolveOptions(dt=dt))
         assert f"dt = {dt:g} " in str(exc.value)
 
+    @pytest.mark.parametrize("out_every", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_out_every_rejected_before_first_step(self, monkeypatch, out_every):
+        spec = small_grid()
+        monkeypatch.setattr(evolution, "_advance", lambda *a: pytest.fail("a step ran"))
+        with pytest.raises(ValueError) as exc:
+            evolve(step_initial(spec, y0=-2.0), quiet_law(), T=2.0, opts=EvolveOptions(out_every=out_every))
+        assert f"out_every = {out_every:g} " in str(exc.value)
+
     def test_traveling_invariance_and_speed(self):
         speed, drift = oracle_evolution_run(1.0, 2.0, T=3.0, resolution=48)
         assert speed == pytest.approx(2.0, rel=0.05)
         assert drift < 0.02
+
+    def test_oracle_run_shares_one_cache_key(self, monkeypatch):
+        # the corpus (positional) and criterion 10 (keywords) reach the same run
+        runs = []
+        monkeypatch.setattr(front_suite, "_oracle_evolution_run", lambda *a: runs.append(a) or (2.0, 0.0))
+        assert front_suite.oracle_evolution_speed(1, 2) == 2.0
+        oracle_evolution_run(1.0, 2.0, T=3.0, resolution=64)
+        assert runs[0] == runs[1] == (1.0, 2.0, 3.0, 64)
+        assert [type(v) for v in runs[0]] == [type(v) for v in runs[1]]
 
     def test_recentering_keeps_level_recorded_continuously(self, oracle_nl):
         from frontforge.explicit_front import ExplicitFrontParams, sample_front

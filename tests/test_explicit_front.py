@@ -24,7 +24,7 @@ from frontforge.front_suite import evolution_grid
 from frontforge.grid import TraceProfile
 from frontforge.nonlinearity import antiderivative, validate
 from frontforge.specfun import bessel_k, k_ratio
-from oracles import subpanels_linspace
+from oracles import panel_cells_by_column, sample_front_by_columns, subpanels_linspace
 
 P12 = ExplicitFrontParams(t=1.0, c=2.0)
 
@@ -112,12 +112,63 @@ class TestPanelQuadrature:
         gl = ef._gl
         monkeypatch.setattr(ef, "_gl", lambda n: orders.append(n) or gl(n))
         edges = np.linspace(-2.0, 2.0, 11)
-        cells = ef._cells(0.3, edges)
+        cells = ef._cells(np.array([0.3]), edges)[0]
         assert 24 in orders
         for k in range(len(cells)):
             lo, hi = edges[k], edges[k + 1]
             ref, _ = quad(lambda z: poisson_kernel(0.3, 0.0, z), lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)
             assert cells[k] == pytest.approx(ref, abs=1e-12)
+
+
+class TestBatchedSampling:
+    """The batched pass gives the bits of the column-by-column pipeline."""
+
+    # (0.05, 2): the x = 0 column fails the 6/12 check and is halved
+    COARSE_XS = np.linspace(0.0, 2.0, 9)
+    COARSE_YS = np.linspace(-10.0, 4.0, 141)
+
+    @pytest.mark.parametrize("t,c", [(1.0, 2.0), (2.5, 0.7)])
+    def test_evolution_grid_matches_columns(self, t, c):
+        params = ExplicitFrontParams(t, c)
+        spec = evolution_grid(2.0, 64)
+        eta_cells = 12 * len(ef._subpanels(0.5 * c * spec.ys)[0])
+        assert len(spec.xs) > ef._BLOCK_POINTS // eta_cells  # more than one block
+        got = ef.sample_front(params, spec.xs, spec.ys)
+        assert np.array_equal(got, sample_front_by_columns(params, spec.xs, spec.ys))
+
+    def test_halved_column_matches_columns(self, monkeypatch):
+        params = ExplicitFrontParams(0.05, 2.0)
+        orders = []
+        gl = ef._gl
+        monkeypatch.setattr(ef, "_gl", lambda n: orders.append(n) or gl(n))
+        got = ef.sample_front(params, self.COARSE_XS, self.COARSE_YS)
+        assert 24 in orders
+        monkeypatch.undo()
+        assert np.array_equal(got, sample_front_by_columns(params, self.COARSE_XS, self.COARSE_YS))
+
+    def test_complement_top_matches_columns(self):
+        ys = np.linspace(-60.0, -35.0, 51)  # top node at eta = -35
+        assert 0.5 * P12.c * ys[-1] < ef._Y_COMPLEMENT
+        got = ef.sample_front(P12, self.COARSE_XS, ys)
+        assert np.array_equal(got, sample_front_by_columns(P12, self.COARSE_XS, ys))
+
+    def test_profile_law_table_and_mass_match_columns(self):
+        ys = np.linspace(-12.0, 4.0, 97)
+        assert np.array_equal(front_profile(P12, 0.3, ys), sample_front_by_columns(P12, [0.3], ys)[0])
+        eta = ef._law_eta_grid(P12.t, 0.05)
+        # speed 2 and x = 0: the sampled column is the law's speed-2 sweep
+        want = sample_front_by_columns(ExplicitFrontParams(P12.t, 2.0), [0.0], eta)[0]
+        assert np.array_equal(ef._sweep(np.array([P12.t]), eta)[0], want)
+        lo = -((0.8 * P12.t * 1.0e17) ** 2)
+        assert kernel_mass(P12.t) == float(panel_cells_by_column(P12.t, ef._edges(lo, 380.0)).sum())
+
+    def test_unresolved_kernel_still_raises(self):
+        with pytest.raises(ef.QuadratureError):
+            ef.sample_front(ExplicitFrontParams(0.01, 2.0), self.COARSE_XS, self.COARSE_YS)
+
+    def test_bad_nodes_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ef.sample_front(P12, self.COARSE_XS, self.COARSE_YS[::-1])
 
 
 class TestFrontValues:

@@ -119,6 +119,11 @@ def test_k01_scaled_matches_quadrature_oracle():
         np.testing.assert_allclose(k, want, rtol=1e-13, atol=0.0)
 
 
+def test_k1_scaled_is_the_pairs_k1():
+    s = np.concatenate([np.geomspace(1e-6, 700.0, 61), np.random.default_rng(3).uniform(1e-3, 400.0, 997)])
+    assert np.array_equal(_kernels.k1_scaled(s), _kernels.k01_scaled(s)[1])
+
+
 def test_bessel_core_branches_join_smoothly():
     # values straddling s = 2 (scipy's series/Chebyshev switch) and s = 8
     for s0 in (2.0, 8.0):

@@ -16,7 +16,10 @@ evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
 `evolution_leg_129x1153` for one `evolve` leg of 0.125 time units), and the
 closed-form oracle at t = 1, c = 2 (`sample_front_129x897` for the sampled
 field on the fine residual grid h = 1/64, `front_nonlinearity_t1c2` for the
-law table), and prints the best of several repeats:
+law table, `invert_trace_tail_t1c2` for the trace inversion at s = 1e-180 that
+the endpoint slope needs, `invert_trace_one_side_t1c2` for the inversion at
+s = 1 - 1e-6, which runs on the complement integral below eta = -34), and
+prints the best of several repeats:
 
     python3 benchmarks/bench_kernels.py [--json]
 """
@@ -84,7 +87,7 @@ def run_suite() -> dict:
 
     # the evolution on the oracle front, as one frontbench `evolution` leg
     from frontforge import evolution
-    from frontforge.explicit_front import ExplicitFrontParams, front_nonlinearity, sample_front
+    from frontforge.explicit_front import ExplicitFrontParams, front_nonlinearity, invert_trace, sample_front
     from frontforge.front_suite import evolution_grid, oracle_residual_grid
 
     params = ExplicitFrontParams(1.0, 2.0)
@@ -101,6 +104,8 @@ def run_suite() -> dict:
     spec = oracle_residual_grid(params, 1.0 / 64.0)
     results["sample_front_129x897"] = bench(sample_front, params, spec.xs, spec.ys)
     results["front_nonlinearity_t1c2"] = bench(front_nonlinearity, params)
+    results["invert_trace_tail_t1c2"] = bench(invert_trace, params, 1e-180)
+    results["invert_trace_one_side_t1c2"] = bench(invert_trace, params, 1.0 - 1e-6)
 
     return results
 

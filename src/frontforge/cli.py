@@ -19,7 +19,6 @@ import argparse
 import os
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,12 +38,12 @@ from .solver import SolverError, SolverOptions, solve_front
 
 def _cmd_explicit_front(args) -> int:
     params = ExplicitFrontParams(args.t, args.c)
+    nl = front_nonlinearity(params)  # rejects a t below LAW_T_MIN before any quadrature
     out = formats.output_dir(args.out)
     ys = np.linspace(args.y_min, args.y_max, args.samples)
     u = front_profile(params, 0.0, ys)
     uy = explicit_front_dy(params, 0.0, ys)
     formats.write_trace_csv(os.path.join(out, "trace.csv"), ys, u, uy)
-    nl = front_nonlinearity(params)
     ss = np.linspace(0.0, 1.0, args.table + 1)
     formats.write_columns(
         os.path.join(out, "nonlinearity.csv"),
@@ -185,11 +184,7 @@ def _cmd_verify(args) -> int:
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         return name, ok, detail
 
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, checks))
-    else:
-        results = [run(item) for item in checks]
+    results = [run(item) for item in checks]
     width = max(len(name) for name, _, _ in results)
     failures = 0
     for name, ok, detail in results:
@@ -237,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("verify", help="built-in property suite")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--full", action="store_true", help="include solver-backed checks (minutes)")
     p.set_defaults(fn=_cmd_verify)

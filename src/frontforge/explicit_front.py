@@ -17,6 +17,9 @@ value, profile and sampled field, evaluates e^r K_1(r) alone
 (`_kernels.k1_scaled`); the Green kernel needs e^r K_0(r) and the implicit law
 f^t both functions, and they take the pair from `_kernels.k01_scaled`.
 
+Every front value goes through the one checked quadrature `_cells`; below
+_Y_COMPLEMENT as 1 minus the mass below, from `kernel_mass`'s limit `_far`.
+
 A sampled field is one batched quadrature pass over all its columns: one
 shared panel table, one kernel evaluation per block of columns and one
 cumulative sum per column.  A block holds as many columns as fit in
@@ -33,10 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import k01_scaled, k1_scaled
-from .nonlinearity import Nonlinearity, ignition_point, make_custom
+from .nonlinearity import Nonlinearity, _bisect, ignition_point, make_custom
 from .specfun import k_ratio
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: uniform quadrature panels this wide resolve the kernel to machine precision
 _PANEL = 0.4
@@ -48,6 +49,8 @@ _Z_DEAD = 400.0
 _Y_COMPLEMENT = -34.0
 #: kernel points of the 12-point rule in one block of columns of `_cells`
 _BLOCK_POINTS = 65536
+#: smallest kernel offset t whose law table `front_nonlinearity` resolves
+LAW_T_MIN = 0.125
 
 
 class QuadratureError(RuntimeError):
@@ -201,35 +204,22 @@ def _integral_p(x_off, a: float, b: float):
     return float(sums[0]) if np.ndim(x_off) == 0 else sums
 
 
-def _minus_tail(x_off: float, w_from: float) -> float:
-    """int_{-inf}^{-w_from} of the kernel = kernel mass below -w_from.
-
-    Integrated in the mirrored variable with geometric panels out to where
-    the analytic w^{-3/2} bound pushes the remainder under 1e-17.
-    """
-    w_far = max(2.0 * w_from, (0.8 * x_off * 1.0e17) ** 2)
-    edges = [w_from]
-    w = w_from
-    while w < w_far:
-        w *= 1.35
-        edges.append(min(w, w_far))
-    edges = np.asarray(edges)
-    xi, wi = _gl(12)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    hw = 0.5 * (hi - lo)
-    zz = -(mid[:, None] + hw[:, None] * xi[None, :])
-    vals = _p_kernel(x_off, zz.ravel()).reshape(zz.shape)
-    return float(((vals * wi[None, :]).sum(axis=1) * hw).sum())
+def _far(x_off: float) -> float:
+    """Lower limit of the kernel's mass integral at a scalar offset: the
+    kernel's w^{-3/2} decay leaves less than 1e-17 of its mass below it."""
+    return -((0.8 * x_off * 1.0e17) ** 2)
 
 
-def _u_speed2(x_off: float, eta: float) -> float:
-    """u^t at (x, eta) in speed-2 coordinates, with x_off = x + t."""
+def _u_speed2(x_off, eta: float):
+    """u^t at (x, eta) in speed-2 coordinates, with x_off = x + t; a float
+    for a scalar offset, one value per offset for an array."""
     if eta >= _Z_DEAD:
-        return 0.0
+        return 0.0 if np.ndim(x_off) == 0 else np.zeros(len(x_off))
     if eta >= _Y_COMPLEMENT:
         return _integral_p(x_off, eta, max(eta, 0.0) + 30.0)
-    return 1.0 - _minus_tail(x_off, -eta)
+    # 1 minus the mass below eta, each offset integrated from its own _far
+    below = [_integral_p(x, min(2.0 * eta, _far(x)), eta) for x in np.atleast_1d(x_off).tolist()]
+    return 1.0 - (below[0] if np.ndim(x_off) == 0 else np.array(below))
 
 
 # -- public closed forms ------------------------------------------------------
@@ -268,9 +258,7 @@ def kernel_mass(t: float, x: float = 0.0, lo: float | None = None, hi: float = 3
     under 1e-16 for the default.
     """
     x_off = x + t
-    if lo is None:
-        lo = -((0.8 * x_off * 1.0e17) ** 2)
-    return _integral_p(x_off, lo, hi)
+    return _integral_p(x_off, _far(x_off) if lo is None else lo, hi)
 
 
 def explicit_front(params: ExplicitFrontParams, x: float, y) -> float | np.ndarray:
@@ -287,11 +275,7 @@ def _sweep(x_offs: np.ndarray, etas: np.ndarray) -> np.ndarray:
     """The speed-2 front on the ascending eta nodes, one row per offset in
     `x_offs`: its value at the top node plus the cumulative kernel integrals
     of the cells above."""
-    top_eta = float(etas[-1])
-    if _Y_COMPLEMENT <= top_eta < _Z_DEAD:  # _u_speed2's direct branch, all rows at once
-        top = _integral_p(x_offs, top_eta, max(top_eta, 0.0) + 30.0)
-    else:
-        top = np.array([_u_speed2(x, top_eta) for x in x_offs])
+    top = _u_speed2(x_offs, float(etas[-1]))
     u = np.empty((len(x_offs), len(etas)))
     # cumulative sums from the top node down, written into u[:, :-1] reversed
     np.cumsum(_cells(x_offs, etas)[:, ::-1], axis=1, out=u[:, -2::-1])
@@ -359,11 +343,8 @@ def _fprime_speed2(t: float, eta) -> np.ndarray:
 
 
 def invert_trace(params: ExplicitFrontParams, s: float) -> float:
-    """The unique y with u^{t,c}(0, y) = s, by bracketed bisection.
-
-    Converges to relative tolerance 1e-12 in the trace value (or to an
-    interval of width 1e-13 in y, whichever comes first).
-    """
+    """The unique y with u^{t,c}(0, y) = s, by bracketed bisection to a
+    bracket of relative width 1e-13 in the speed-2 trace position."""
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
     t = params.t
@@ -372,16 +353,7 @@ def invert_trace(params: ExplicitFrontParams, s: float) -> float:
         hi *= 2.0
     while _u_speed2(t, lo) < s and lo > -1.0e18:
         lo *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        um = _u_speed2(t, mid)
-        if abs(um - s) <= 1e-12 * min(s, 1.0 - s) or (hi - lo) <= 1e-13 * max(1.0, abs(mid)):
-            return 2.0 * mid / params.c
-        if um > s:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / params.c
+    return 2.0 * _bisect(lambda eta: _u_speed2(t, eta) - s, lo, hi, 1e-13) / params.c
 
 
 def explicit_nonlinearity(params: ExplicitFrontParams, s: float) -> float:
@@ -408,29 +380,12 @@ def explicit_nonlinearity_deriv(params: ExplicitFrontParams, s: float) -> float:
 
 
 def _hphase_root(t: float) -> float:
-    """The positive eta where h^t vanishes (f' sign change positions)."""
-
-    def h(r):
-        return -r / (t * t) + 1.0 / r + float(k_ratio(r))
-
-    lo = t
+    """The positive eta where h^t, and with it f^t', changes sign; at eta = 0
+    h^t(t) = (K_0 + K_2)/(2 K_1)(t) > 0."""
     hi = max(4.0 * t, 4.0)
-    while h(hi) > 0.0:
+    while _fprime_speed2(t, hi) > 0.0:
         hi *= 2.0
-    flo = h(lo)
-    if flo <= 0.0:
-        # root sits below r = t in r, i.e. at eta = 0+; degenerate, keep tiny
-        return 1e-8
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo < 1e-13 * hi:
-            break
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    r_star = 0.5 * (lo + hi)
-    return math.sqrt(max(r_star * r_star - t * t, 0.0))
+    return _bisect(lambda eta: _fprime_speed2(t, eta), 0.0, hi, 1e-13)
 
 
 def _law_eta_grid(t: float, step: float) -> np.ndarray:
@@ -460,6 +415,8 @@ def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonli
     below ~1e-9, far inside what the variational solver resolves.
     """
     t, c = params.t, params.c
+    if t < LAW_T_MIN:
+        raise ValueError(f"the law table needs t >= {LAW_T_MIN:g}, got t = {t:g}")
     y_star = _hphase_root(t)
 
     eta_grid = _law_eta_grid(t, step)
@@ -488,8 +445,9 @@ def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonli
 
     def f_core(s):
         s, idx, hloc, w = locate(s)
-        h00 = (1.0 + 2.0 * w) * (1.0 - w) ** 2
-        h10 = w * (1.0 - w) ** 2
+        # products, not **, so a scalar s gives the array bits
+        h00 = (1.0 + 2.0 * w) * ((1.0 - w) * (1.0 - w))
+        h10 = w * ((1.0 - w) * (1.0 - w))
         h01 = w * w * (3.0 - 2.0 * w)
         h11 = w * w * (w - 1.0)
         val = (
@@ -518,17 +476,8 @@ def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonli
     delta = min(gamma1, 1.0 - gamma2)
     delta = min(delta, 0.499)
 
-    # unique zero of f^t between the two turning points
-    lo_eta, hi_eta = -y_star, y_star  # f < 0 at hi_eta side, > 0 at lo_eta
-    for _ in range(200):
-        mid = 0.5 * (lo_eta + hi_eta)
-        if hi_eta - lo_eta < 1e-12 * max(1.0, abs(mid)):
-            break
-        if _f_speed2(t, mid) > 0.0:
-            lo_eta = mid
-        else:
-            hi_eta = mid
-    alpha = _u_speed2(t, 0.5 * (lo_eta + hi_eta))
+    # unique zero of f^t between the two turning points, f^t > 0 below it
+    alpha = _u_speed2(t, _bisect(lambda eta: _f_speed2(t, eta), -y_star, y_star, 1e-12))
 
     scale = 0.5 * c
     nl = make_custom(

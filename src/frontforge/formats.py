@@ -81,6 +81,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
 
 def _check_ranges(cfg: ExperimentConfig) -> None:
+    from .explicit_front import LAW_T_MIN
     from .solver import SolverOptions
 
     nl = cfg.nonlinearity
@@ -93,9 +94,10 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
         raise ConfigError("nonlinearity.beta must lie in (0, 1)")
     if "amplitude" in nl and nl["amplitude"] <= 0.0:
         raise ConfigError("nonlinearity.amplitude must be positive")
-    for key in ("t", "c"):
-        if key in nl and nl[key] <= 0.0:
-            raise ConfigError(f"nonlinearity.{key} must be positive")
+    if "t" in nl and not nl["t"] >= LAW_T_MIN:
+        raise ConfigError(f"nonlinearity.t must be at least {LAW_T_MIN:g}, the smallest the law table resolves")
+    if "c" in nl and nl["c"] <= 0.0:
+        raise ConfigError("nonlinearity.c must be positive")
     for key, lo in (("nx", 16), ("ny", 64)):
         if key in cfg.grid and cfg.grid[key] < lo:
             raise ConfigError(f"grid.{key} must be at least {lo}")

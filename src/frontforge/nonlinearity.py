@@ -137,7 +137,8 @@ def make_combustion(beta: float, amplitude: float) -> Nonlinearity:
 
     def G(s):
         s = np.asarray(s, dtype=float)
-        core = np.where(s > b, _g_core(np.minimum(s, 1.0)), 0.0)
+        # an array: np.minimum makes a 0-d s a numpy scalar, whose ** is libm pow
+        core = np.where(s > b, _g_core(np.asarray(np.minimum(s, 1.0))), 0.0)
         high = g1 - 0.5 * slope1 * (s - 1.0) ** 2
         return np.where(s > 1.0, high, core)
 
@@ -202,8 +203,9 @@ def make_custom(
         t = (sc - nodes[idx]) / h
         ga, gb = g_nodes[idx], g_nodes[idx + 1]
         da, db = -fn[idx] * h, -fn[idx + 1] * h
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
+        # products, not **: for a 0-d s, t is a numpy scalar (see make_combustion)
+        h00 = (1.0 + 2.0 * t) * ((1.0 - t) * (1.0 - t))
+        h10 = t * ((1.0 - t) * (1.0 - t))
         h01 = t * t * (3.0 - 2.0 * t)
         h11 = t * t * (t - 1.0)
         core = h00 * ga + h10 * da + h01 * gb + h11 * db
@@ -394,9 +396,17 @@ def ignition_point(nl: Nonlinearity, tol: float = 1e-10) -> float:
         raise NonlinearityError(
             f"antiderivative does not change sign on [{lo:g}, 1]: {flo:g} .. {fhi:g}"
         )
-    while hi - lo > tol:
+    # the bracket lies in [0, 1], where _bisect's relative stop is absolute
+    return _bisect(lambda s: -antiderivative(nl, s), lo, hi, tol)
+
+
+def _bisect(fun, lo: float, hi: float, rel: float) -> float:
+    """The midpoint of the bracket [lo, hi] of a sign change of `fun`,
+    positive on the lo side and nonpositive on the hi side, halved while
+    hi - lo > rel * max(1, |lo|, |hi|)."""
+    while hi - lo > rel * max(1.0, abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
-        if antiderivative(nl, mid) < 0.0:
+        if fun(mid) > 0.0:
             lo = mid
         else:
             hi = mid

@@ -158,8 +158,8 @@ def sample_front_by_columns(params, xs, ys):
     """u^{t,c} on xs x ys one column at a time, each column its own scalar
     panel quadrature: the reference for the batched
     `explicit_front.sample_front`, which must give the same bits.  The panel
-    table, the Gauss nodes and the deep tail below the complement threshold
-    come from explicit_front itself."""
+    table, the Gauss nodes and the far limit of the complement integral come
+    from explicit_front itself."""
     from frontforge import explicit_front as ef
 
     def top_value(x_off, eta):
@@ -167,7 +167,7 @@ def sample_front_by_columns(params, xs, ys):
             return 0.0
         if eta >= ef._Y_COMPLEMENT:
             return float(panel_cells_by_column(x_off, ef._edges(eta, max(eta, 0.0) + 30.0)).sum())
-        return 1.0 - ef._minus_tail(x_off, -eta)
+        return 1.0 - float(panel_cells_by_column(x_off, ef._edges(min(2.0 * eta, ef._far(x_off)), eta)).sum())
 
     def sweep(x_off, etas):
         top = top_value(x_off, float(etas[-1]))

@@ -14,6 +14,7 @@ from frontforge.explicit_front import (
     explicit_front_dy,
     explicit_nonlinearity,
     explicit_nonlinearity_deriv,
+    front_nonlinearity,
     front_profile,
     green_g,
     invert_trace,
@@ -104,6 +105,18 @@ class TestPanelQuadrature:
         assert (len(owner) > len(edges) - 1) == split  # some cells hold several sub-panels
         for got, want in zip((starts, stops, owner), ref):
             np.testing.assert_array_equal(got, want)
+
+    def test_complement_branch_is_checked(self, monkeypatch):
+        orders = []
+        gl = ef._gl
+        monkeypatch.setattr(ef, "_gl", lambda n: orders.append(n) or gl(n))
+        ef._u_speed2(1.0, -40.0)
+        assert {6, 12} <= set(orders)
+
+    @pytest.mark.parametrize("x_off", [0.3, 1.0, 4.0])
+    def test_complement_branch_meets_direct_integral(self, x_off):
+        eta = math.nextafter(ef._Y_COMPLEMENT, -math.inf)
+        assert ef._u_speed2(x_off, eta) == pytest.approx(ef._integral_p(x_off, eta, 30.0), abs=1e-15)
 
     def test_refined_rule_matches_direct_integral(self, monkeypatch):
         # the kernel at x + t = 0.3 is too peaked for the 6/12 check, so
@@ -301,6 +314,12 @@ class TestPackagedNonlinearity:
         assert lipschitz_bound(oracle_nl) == pytest.approx(1.6994839, abs=1e-6)
         limit = stability_limit(evolution_grid(P12.c, 64), oracle_nl)
         assert math.ceil(0.125 / (0.5 * limit)) == 28
+
+    def test_offset_below_table_limit_rejected_before_quadrature(self, monkeypatch):
+        assert front_nonlinearity(ExplicitFrontParams(ef.LAW_T_MIN, 2.0)).beta < 1.0
+        monkeypatch.setattr(ef, "_cells", lambda *a, **k: pytest.fail("quadrature ran"))
+        with pytest.raises(ValueError, match="t >= 0.125"):
+            front_nonlinearity(ExplicitFrontParams(0.12, 2.0))
 
     def test_structural_constants(self, oracle_nl):
         assert 0.0 < oracle_nl.delta < 0.5

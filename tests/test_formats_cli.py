@@ -71,6 +71,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             parse_config_text("nonlinearity.kind = sin\n")
 
+    @pytest.mark.parametrize("t", ["0.12", "0"])
+    def test_law_offset_below_table_limit_rejected(self, tmp_path, monkeypatch, t):
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        monkeypatch.setattr(cli, "solve_front", lambda *a, **k: pytest.fail("solve_front ran"))
+        text = f"nonlinearity.kind = explicit\nnonlinearity.t = {t}\n"
+        with pytest.raises(ConfigError, match="at least 0.125"):
+            parse_config_text(text)
+        cfg = tmp_path / "explicit.cfg"
+        cfg.write_text(text)
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert main(["explicit-front", "--t", t, "--c", "2", "--out", str(tmp_path / "ef")]) == 2
+        assert not (tmp_path / "ef").exists()
+        assert parse_config_text("nonlinearity.t = 0.125\n").nonlinearity["t"] == 0.125
+
     def test_solver_range_limits_accepted(self):
         cfg = parse_config_text("grid.nx = 256\ngrid.ny = 1024\nsolver.refine = 3\nsolver.max_iter = 1\n")
         assert (cfg.grid["nx"], cfg.grid["ny"], cfg.solver["refine"]) == (256, 1024, 3)

@@ -235,3 +235,27 @@ def test_antiderivative_violation_point_matches_running_sum():
         if acc > worst:
             worst, worst_s = acc, float(hi)
     assert ("antiderivative_nonpositive_below_beta", worst_s) in validate(nl).violated_conditions
+
+
+@pytest.mark.parametrize("law", ["cubic_nl", "combustion", "oracle_nl", "reflected"])
+def test_scalar_evaluation_gives_the_array_bits(law, request):
+    if law == "combustion":
+        nl = make_combustion(0.3, 1.0)
+    elif law == "reflected":
+        nl = reflect(request.getfixturevalue("oracle_nl"))
+    else:
+        nl = request.getfixturevalue(law)
+    s = np.linspace(-0.5, 1.5, 20001)
+    for fun in (nl.f, nl.f_prime, nl.G):
+        np.testing.assert_array_equal([float(fun(float(v))) for v in s], fun(s))
+
+
+def test_bisect_stops_at_relative_bracket_width():
+    root = nlmod._bisect(lambda x: 2.0 - x * x, 0.0, 2.0, 1e-12)
+    assert abs(root - math.sqrt(2.0)) <= 1e-12
+    # above 1 the width is relative to the bracket's magnitude: halving
+    # 4e8 down to 1e-10 * 1e8 takes 36 steps
+    calls = []
+    root = nlmod._bisect(lambda x: calls.append(x) or 1.0e8 - x, 0.0, 4.0e8, 1e-10)
+    assert abs(root - 1.0e8) <= 1e-10 * 1.0e8
+    assert len(calls) == 36

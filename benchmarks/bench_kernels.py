@@ -5,7 +5,10 @@ Runs each kernel in-process (the scipy Bessel pair and, as
 `bessel_scipy_k1e_400k`, K_1 alone for the Poisson kernel, the LAPACK
 tridiagonal solve, the numpy rearrangement on uniform random rows and, as
 `rearrange_solver_96x448`, on a field shaped like the solver's: mostly
-nonincreasing rows, with a rippled band in a quarter of them), plus the
+nonincreasing rows, with a rippled band in a quarter of them), the two law
+checks every `solve_front` runs before minimizing (`choose_weight_cubic` for
+the weight policy on the cubic law, alpha = 0.25, and `validate_oracle_law`
+for the structural validation of the oracle law, t = 1, c = 2), plus the
 solver's layers on the seed at the default grid (`workspace_build_96x448` and
 `precond_solve_96x448` for the preconditioner, `apply_stiffness_96x448` for
 the matrix-free stiffness apply, `project_constraint_96x448` for the
@@ -66,9 +69,10 @@ def run_suite() -> dict:
 
     # solver layers on the cubic law's seed at the default 96x448 grid
     from frontforge import grid, solver
-    from frontforge.nonlinearity import make_bistable_cubic
+    from frontforge.nonlinearity import make_bistable_cubic, validate
 
     nl = make_bistable_cubic(0.25)
+    results["choose_weight_cubic"] = bench(solver.choose_weight, nl)
     spec = solver.default_grid(solver.choose_weight(nl), solver.SolverOptions())
     seed = grid.seed_function(spec)
     ws = solver._Workspace(spec)
@@ -92,6 +96,7 @@ def run_suite() -> dict:
 
     params = ExplicitFrontParams(1.0, 2.0)
     law = front_nonlinearity(params)
+    results["validate_oracle_law"] = bench(validate, law)
     spec = evolution_grid(params.c, 64)
     front = grid.Field(sample_front(params, spec.xs, spec.ys), spec)
     dt = 0.5 * evolution.stability_limit(spec, law)

@@ -75,8 +75,8 @@ def fit_decay(
     1/b <= q/model <= b on the window.  Windows reaching into |y| < 1 or
     the outer 15% of the trace domain are rejected as contaminated.
     """
-    if c <= 0.0:
-        raise ValueError("c must be positive")
+    if not (c > 0.0 and np.isfinite(c)):
+        raise ValueError(f"c must be positive and finite, got {c}")
     lo_ok, hi_ok = standard_window(trace, side)
     if window is None:
         window = (lo_ok, hi_ok)

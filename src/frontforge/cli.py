@@ -112,6 +112,8 @@ def _cmd_evolve(args) -> int:
 def _cmd_asymptotics(args) -> int:
     from .analysis import TAIL_LAWS, fit_decay
 
+    if not (args.c > 0.0 and np.isfinite(args.c)):
+        raise ValueError(f"--c must be positive and finite, got {args.c}")
     y, u, uy = formats.read_trace_csv(args.input)
     tr = TraceProfile(y, u)
     tdy = TraceProfile(y, uy)

@@ -55,10 +55,11 @@ class EvolveOptions:
 
 _RECENTER_MARGIN = 0.2  # fraction of the window width
 _LEVEL = 0.5
+_LIPSCHITZ_SAMPLES = 2001  # nodes on [0, 1] where |f'| is sampled
 
 
-def lipschitz_bound(nl: Nonlinearity, samples: int = 2001) -> float:
-    s = np.linspace(0.0, 1.0, samples)
+def lipschitz_bound(nl: Nonlinearity) -> float:
+    s = np.linspace(0.0, 1.0, _LIPSCHITZ_SAMPLES)
     return float(np.max(np.abs(np.asarray(nl.f_prime(s)))))
 
 

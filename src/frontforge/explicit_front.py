@@ -51,6 +51,8 @@ _Y_COMPLEMENT = -34.0
 _BLOCK_POINTS = 65536
 #: smallest kernel offset t whose law table `front_nonlinearity` resolves
 LAW_T_MIN = 0.125
+#: spacing of the uniform core of the law table's trace positions
+_LAW_STEP = 0.05
 
 
 class QuadratureError(RuntimeError):
@@ -217,9 +219,14 @@ def _u_speed2(x_off, eta: float):
         return 0.0 if np.ndim(x_off) == 0 else np.zeros(len(x_off))
     if eta >= _Y_COMPLEMENT:
         return _integral_p(x_off, eta, max(eta, 0.0) + 30.0)
-    # 1 minus the mass below eta, each offset integrated from its own _far
+    return 1.0 - _mass_below(x_off, eta)
+
+
+def _mass_below(x_off, eta: float):
+    """1 - u^t at (x, eta), each offset integrated from its own _far; a float
+    for a scalar offset."""
     below = [_integral_p(x, min(2.0 * eta, _far(x)), eta) for x in np.atleast_1d(x_off).tolist()]
-    return 1.0 - (below[0] if np.ndim(x_off) == 0 else np.array(below))
+    return below[0] if np.ndim(x_off) == 0 else np.array(below)
 
 
 # -- public closed forms ------------------------------------------------------
@@ -343,17 +350,22 @@ def _fprime_speed2(t: float, eta) -> np.ndarray:
 
 
 def invert_trace(params: ExplicitFrontParams, s: float) -> float:
-    """The unique y with u^{t,c}(0, y) = s, by bracketed bisection to a
-    bracket of relative width 1e-13 in the speed-2 trace position."""
+    """The unique y with u^{t,c}(0, y) = s, by bisection to a bracket of
+    relative width 1e-13 in the speed-2 trace position; above s = 1/2 on
+    1 - s against the mass below, which resolves 1 - u where u rounds to s."""
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
     t = params.t
-    lo, hi = -4.0, 4.0  # eta bracket; u decreasing from 1 to 0
-    while _u_speed2(t, hi) > s and hi < 1.0e6:
+
+    def gap(eta):
+        return (1.0 - s) - _mass_below(t, eta) if s > 0.5 else _u_speed2(t, eta) - s
+
+    lo, hi = -4.0, 4.0  # eta bracket; the gap decreases from 1 - s to -s
+    while gap(hi) > 0.0 and hi < 1.0e6:
         hi *= 2.0
-    while _u_speed2(t, lo) < s and lo > -1.0e18:
+    while gap(lo) < 0.0 and lo > -1.0e18:
         lo *= 2.0
-    return 2.0 * _bisect(lambda eta: _u_speed2(t, eta) - s, lo, hi, 1e-13) / params.c
+    return 2.0 * _bisect(gap, lo, hi, 1e-13) / params.c
 
 
 def explicit_nonlinearity(params: ExplicitFrontParams, s: float) -> float:
@@ -388,8 +400,8 @@ def _hphase_root(t: float) -> float:
     return _bisect(lambda eta: _fprime_speed2(t, eta), 0.0, hi, 1e-13)
 
 
-def _law_eta_grid(t: float, step: float) -> np.ndarray:
-    """Trace positions of the law table: a uniform core of spacing `step`
+def _law_eta_grid(t: float) -> np.ndarray:
+    """Trace positions of the law table: a uniform core of spacing _LAW_STEP
     with a geometric tail below it and a coarse tail above."""
     core_lo, core_hi = -40.0 * max(t, 1.0), 15.0 + 3.0 * t
     tail = []
@@ -398,12 +410,12 @@ def _law_eta_grid(t: float, step: float) -> np.ndarray:
         v *= 1.2
         tail.append(v)
     neg_tail = np.asarray(tail[::-1])  # ascending, strictly below core_lo
-    core = np.arange(core_lo, core_hi + step, step)
+    core = np.arange(core_lo, core_hi + _LAW_STEP, _LAW_STEP)
     pos_tail = core_hi + np.cumsum(np.full(40, 0.5))
     return np.concatenate([neg_tail, core, pos_tail])
 
 
-def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonlinearity:
+def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
     """The reaction law f^{t,c} packaged as a table-backed Nonlinearity.
 
     The trace is swept once (cumulative quadrature) on a grid combining a
@@ -419,7 +431,7 @@ def front_nonlinearity(params: ExplicitFrontParams, step: float = 0.05) -> Nonli
         raise ValueError(f"the law table needs t >= {LAW_T_MIN:g}, got t = {t:g}")
     y_star = _hphase_root(t)
 
-    eta_grid = _law_eta_grid(t, step)
+    eta_grid = _law_eta_grid(t)
     u = _sweep(np.array([t]), eta_grid)[0]
 
     f_tab = _f_speed2(t, eta_grid)

@@ -1,7 +1,9 @@
 """Reaction laws on the boundary: bistable and combustion families.
 
-A reaction law f lives on [0,1] with f(0) = f(1) = 0 and is extended
-linearly outside (matching value and one-sided slope at 0 and 1).  Valid
+A reaction law f lives on [0,1] with f(0) = f(1) = 0.  The constructors
+give its [0,1] cores and one rule, `_law`, continues it outside: f with its
+endpoint slopes (slope0*s below 0, slope1*(s-1) above 1), f' as those
+slopes and the potential G = -int_0^s f as the matching quadratic.  Valid
 laws satisfy five structural conditions:
 
     1. f(0) = f(1) = 0,
@@ -52,6 +54,35 @@ class ValidationReport:
 
 # -- constructors -----------------------------------------------------------
 
+#: cells of the Simpson table behind a custom law's potential
+_TABLE_POINTS = 4096
+
+
+def _law(f, f_prime, G, slopes, g1, **fields) -> Nonlinearity:
+    """The law with [0,1] cores f, f_prime, G: f is slopes[0]*s below 0 and
+    slopes[1]*(s-1) above 1, f' the slope there, and G continues from G(0) = 0
+    and G(1) = g1 with G' = -f.  The cores see s clipped to [0,1] as an array
+    (a numpy scalar's ** is libm pow)."""
+    lo, hi = slopes
+
+    def core(fun, s):
+        return fun(np.asarray(np.clip(s, 0.0, 1.0)))
+
+    def fx(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s < 0.0, lo * s, np.where(s > 1.0, hi * (s - 1.0), core(f, s)))
+
+    def fpx(s):
+        s = np.asarray(s, dtype=float)
+        return np.where(s < 0.0, lo, np.where(s > 1.0, hi, core(f_prime, s)))
+
+    def Gx(s):
+        s = np.asarray(s, dtype=float)
+        high = g1 - 0.5 * hi * (s - 1.0) ** 2
+        return np.where(s < 0.0, -0.5 * lo * s * s, np.where(s > 1.0, high, core(G, s)))
+
+    return Nonlinearity(f=fx, f_prime=fpx, G=Gx, extension_slopes=(lo, hi), **fields)
+
 
 def make_bistable_cubic(alpha: float) -> Nonlinearity:
     """Cubic bistable law f(s) = s(1-s)(s-alpha), positively balanced.
@@ -62,30 +93,6 @@ def make_bistable_cubic(alpha: float) -> Nonlinearity:
     if not 0.0 < alpha < 0.5:
         raise NonlinearityError(f"alpha must lie in (0, 1/2), got {alpha}")
     a = float(alpha)
-    slope0 = -a
-    slope1 = a - 1.0
-
-    def f(s):
-        s = np.asarray(s, dtype=float)
-        core = s * (1.0 - s) * (s - a)
-        low = slope0 * s
-        high = slope1 * (s - 1.0)
-        return np.where(s < 0.0, low, np.where(s > 1.0, high, core))
-
-    def f_prime(s):
-        s = np.asarray(s, dtype=float)
-        core = -3.0 * s * s + 2.0 * (1.0 + a) * s - a
-        return np.where(s < 0.0, slope0, np.where(s > 1.0, slope1, core))
-
-    g1 = -(1.0 - 2.0 * a) / 12.0  # G(1) = -int_0^1 f
-
-    def G(s):
-        s = np.asarray(s, dtype=float)
-        core = 0.25 * s**4 - (1.0 + a) / 3.0 * s**3 + 0.5 * a * s * s
-        low = -0.5 * slope0 * s * s
-        high = g1 - 0.5 * slope1 * (s - 1.0) ** 2
-        return np.where(s < 0.0, low, np.where(s > 1.0, high, core))
-
     # f' = -3s^2 + 2(1+a)s - a is negative outside its two roots
     disc = np.sqrt((1.0 + a) ** 2 - 3.0 * a)
     r_lo = ((1.0 + a) - disc) / 3.0
@@ -93,15 +100,16 @@ def make_bistable_cubic(alpha: float) -> Nonlinearity:
     delta = min(r_lo, 1.0 - r_hi)
     # closed-form root in (alpha, 1) of int_0^s f = 0
     beta = 2.0 * (1.0 + a) / 3.0 - np.sqrt(4.0 * (1.0 + a) ** 2 / 9.0 - 2.0 * a)
-    return Nonlinearity(
+    return _law(
+        lambda s: s * (1.0 - s) * (s - a),
+        lambda s: -3.0 * s * s + 2.0 * (1.0 + a) * s - a,
+        lambda s: 0.25 * s**4 - (1.0 + a) / 3.0 * s**3 + 0.5 * a * s * s,
+        slopes=(-a, a - 1.0),
+        g1=-(1.0 - 2.0 * a) / 12.0,  # G(1) = -int_0^1 f
         kind="bistable",
-        f=f,
-        f_prime=f_prime,
         delta=float(delta),
         beta=float(beta),
         alpha=a,
-        extension_slopes=(slope0, slope1),
-        G=G,
         label=f"cubic(alpha={a:g})",
         params={"kind": "bistable_cubic", "alpha": a},
     )
@@ -115,17 +123,6 @@ def make_combustion(beta: float, amplitude: float) -> Nonlinearity:
         raise NonlinearityError(f"amplitude must be positive, got {amplitude}")
     b = float(beta)
     amp = float(amplitude)
-    slope1 = amp * (b - 1.0)
-
-    def f(s):
-        s = np.asarray(s, dtype=float)
-        core = np.where(s > b, amp * (s - b) * (1.0 - s), 0.0)
-        return np.where(s > 1.0, slope1 * (s - 1.0), core)
-
-    def f_prime(s):
-        s = np.asarray(s, dtype=float)
-        core = np.where(s > b, amp * (1.0 + b - 2.0 * s), 0.0)
-        return np.where(s > 1.0, slope1, core)
 
     def _g_core(s):
         # -int_beta^s amp*(t-beta)*(1-t) dt for s in [beta, 1]
@@ -133,27 +130,17 @@ def make_combustion(beta: float, amplitude: float) -> Nonlinearity:
             -(s**3 - b**3) / 3.0 + (1.0 + b) * (s * s - b * b) / 2.0 - b * (s - b)
         )
 
-    g1 = float(_g_core(1.0))  # equals -amp*(1-beta)^3/6
-
-    def G(s):
-        s = np.asarray(s, dtype=float)
-        # an array: np.minimum makes a 0-d s a numpy scalar, whose ** is libm pow
-        core = np.where(s > b, _g_core(np.asarray(np.minimum(s, 1.0))), 0.0)
-        high = g1 - 0.5 * slope1 * (s - 1.0) ** 2
-        return np.where(s > 1.0, high, core)
-
     delta = min(b, (1.0 - b) / 2.0)
-    if delta >= 0.5:
-        delta = 0.499
-    return Nonlinearity(
+    return _law(
+        lambda s: np.where(s > b, amp * (s - b) * (1.0 - s), 0.0),
+        lambda s: np.where(s > b, amp * (1.0 + b - 2.0 * s), 0.0),
+        lambda s: np.where(s > b, _g_core(s), 0.0),
+        slopes=(0.0, amp * (b - 1.0)),
+        g1=float(_g_core(1.0)),  # equals -amp*(1-beta)^3/6
         kind="combustion",
-        f=f,
-        f_prime=f_prime,
         delta=float(delta),
         beta=b,
         alpha=None,
-        extension_slopes=(0.0, slope1),
-        G=G,
         label=f"combustion(beta={b:g}, amp={amp:g})",
         params={"kind": "combustion", "beta": b, "amplitude": amp},
     )
@@ -166,7 +153,6 @@ def make_custom(
     beta: float,
     alpha: float | None = None,
     label: str = "custom",
-    table_points: int = 4096,
 ) -> Nonlinearity:
     """Wrap user callables (defined on [0,1]) with the linear extension.
 
@@ -174,54 +160,36 @@ def make_custom(
     `validate` to verify them by sampling.  The potential is tabulated on
     [0,1] by cell-wise Simpson and interpolated with exact derivative data.
     """
-    slope0 = float(np.asarray(f_prime(0.0), dtype=float))
-    slope1 = float(np.asarray(f_prime(1.0), dtype=float))
-
-    def fx(s):
-        s = np.asarray(s, dtype=float)
-        inner = f(np.clip(s, 0.0, 1.0))
-        return np.where(s < 0.0, slope0 * s, np.where(s > 1.0, slope1 * (s - 1.0), inner))
-
-    def fpx(s):
-        s = np.asarray(s, dtype=float)
-        inner = f_prime(np.clip(s, 0.0, 1.0))
-        return np.where(s < 0.0, slope0, np.where(s > 1.0, slope1, inner))
-
-    nodes = np.linspace(0.0, 1.0, table_points + 1)
+    nodes = np.linspace(0.0, 1.0, _TABLE_POINTS + 1)
     mids = 0.5 * (nodes[:-1] + nodes[1:])
-    h = 1.0 / table_points
+    h = 1.0 / _TABLE_POINTS
     fn = np.asarray(f(nodes), dtype=float)
     fm = np.asarray(f(mids), dtype=float)
     cell = h / 6.0 * (fn[:-1] + 4.0 * fm + fn[1:])
     g_nodes = -np.concatenate([[0.0], np.cumsum(cell)])
-    g1 = float(g_nodes[-1])
 
     def G(s):
-        s = np.asarray(s, dtype=float)
-        sc = np.clip(s, 0.0, 1.0)
-        idx = np.minimum((sc / h).astype(int), table_points - 1)
-        t = (sc - nodes[idx]) / h
+        idx = np.minimum((s / h).astype(int), _TABLE_POINTS - 1)
+        t = (s - nodes[idx]) / h
         ga, gb = g_nodes[idx], g_nodes[idx + 1]
         da, db = -fn[idx] * h, -fn[idx + 1] * h
-        # products, not **: for a 0-d s, t is a numpy scalar (see make_combustion)
+        # products, not **, so a 0-d s gives the array bits
         h00 = (1.0 + 2.0 * t) * ((1.0 - t) * (1.0 - t))
         h10 = t * ((1.0 - t) * (1.0 - t))
         h01 = t * t * (3.0 - 2.0 * t)
         h11 = t * t * (t - 1.0)
-        core = h00 * ga + h10 * da + h01 * gb + h11 * db
-        low = -0.5 * slope0 * s * s
-        high = g1 - 0.5 * slope1 * (s - 1.0) ** 2
-        return np.where(s < 0.0, low, np.where(s > 1.0, high, core))
+        return h00 * ga + h10 * da + h01 * gb + h11 * db
 
-    return Nonlinearity(
+    return _law(
+        f,
+        f_prime,
+        G,
+        slopes=tuple(float(np.asarray(f_prime(v), dtype=float)) for v in (0.0, 1.0)),
+        g1=float(g_nodes[-1]),
         kind="custom",
-        f=fx,
-        f_prime=fpx,
         delta=float(delta),
         beta=float(beta),
         alpha=None if alpha is None else float(alpha),
-        extension_slopes=(slope0, slope1),
-        G=G,
         label=label,
         params={"kind": "custom", "label": label},
     )
@@ -236,7 +204,11 @@ def potential(nl: Nonlinearity, s):
     return float(out) if np.ndim(s) == 0 else out
 
 
-def _adaptive_simpson(fun, a, b, tol: float = 1e-12, depth: int = 48):
+#: bisection levels below which `_adaptive_simpson` accepts an interval as is
+_SIMPSON_DEPTH = 48
+
+
+def _adaptive_simpson(fun, a, b, tol: float = 1e-12):
     """Adaptive composite Simpson with absolute tolerance.
 
     `fun` must accept an array.  `a` and `b` may be arrays of interval ends:
@@ -254,7 +226,7 @@ def _adaptive_simpson(fun, a, b, tol: float = 1e-12, depth: int = 48):
     whole = (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
     eps = tol
     levels = []  # per level: (accepted mask, value of each interval)
-    for d in range(depth, -1, -1):
+    for d in range(_SIMPSON_DEPTH, -1, -1):
         xm = 0.5 * (x0 + x2)
         quarter = np.concatenate([0.5 * (x0 + xm), 0.5 * (xm + x2)])
         fl, fr = np.split(np.asarray(fun(quarter), dtype=float), 2)

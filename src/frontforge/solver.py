@@ -112,9 +112,16 @@ def seed_energy_value(nl: Nonlinearity, a: float, d: float | None = None, m: flo
 
     a*E = (d/4)(1 + 1/(2m-1)) + a^2 m^2 / (4 d (2m-1)) - int_0^1 s^{-1/m} f ds.
     """
-    if d is None:
-        d = 0.5 * a
-    s_m = _adaptive_simpson(lambda s: nl.f(s) * s ** (-1.0 / m), 1e-12, 1.0)
+    return _seed_energy(_seed_integral(nl, m), a, d, m)
+
+
+def _seed_integral(nl: Nonlinearity, m: float) -> float:
+    return _adaptive_simpson(lambda s: nl.f(s) * s ** (-1.0 / m), 1e-12, 1.0)
+
+
+def _seed_energy(s_m: float, a: float, d: float | None = None, m: float = _SEED_M) -> float:
+    """E_a of the seed from s_m = int_0^1 s^{-1/m} f ds, which is free of a."""
+    d = 0.5 * a if d is None else d
     val = d / 4.0 * (1.0 + 1.0 / (2.0 * m - 1.0)) + a * a * m * m / (4.0 * d * (2.0 * m - 1.0)) - s_m
     return val / a
 
@@ -126,9 +133,10 @@ def choose_weight(nl: Nonlinearity) -> float:
     minimization is well posed.  Failure down to 1e-6 means the integral
     condition on f is (numerically) violated.
     """
+    s_m = _seed_integral(nl, _SEED_M)
     a = 0.5
     while a > 1e-6:
-        if seed_energy_value(nl, a) < 0.0:
+        if _seed_energy(s_m, a) < 0.0:
             return a
         a *= 0.5
     raise NonlinearityError(

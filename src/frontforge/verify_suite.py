@@ -38,13 +38,15 @@ from .nonlinearity import (
 from .solver import choose_weight, seed_energy_value
 from .specfun import bessel_k, k_ratio
 
+_BUMPS = 4  # bumps in each random compact field
 
-def _random_bump_field(spec: GridSpec, rng: np.random.Generator, n_bumps: int = 4) -> Field:
+
+def _random_bump_field(spec: GridSpec, rng: np.random.Generator) -> Field:
     """Smooth random field with exact compact support inside the window."""
     xs, ys = spec.xs, spec.ys
     vals = np.zeros((spec.nx + 1, spec.ny + 1))
     y_margin = 0.15 * (spec.y_max - spec.y_min)
-    for _ in range(n_bumps):
+    for _ in range(_BUMPS):
         cx = rng.uniform(0.0, 0.6 * spec.x_max)
         cy = rng.uniform(spec.y_min + 1.5 * y_margin, spec.y_max - 1.5 * y_margin)
         sx = rng.uniform(0.08, 0.25) * spec.x_max

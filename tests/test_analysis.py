@@ -59,6 +59,12 @@ class TestFitDecay:
         with pytest.raises(ValueError):
             fit_decay(tr, tdy, 2.0, "minus", "one_minus_u", window=(-59.0, -10.0))
 
+    @pytest.mark.parametrize("c", [-1.0, 0.0, math.nan, math.inf])
+    def test_nonpositive_or_nonfinite_speed_rejected(self, c):
+        tr, tdy = synthetic_traces()
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_decay(tr, tdy, c, "plus", "minus_u_y")
+
     def test_unsupported_law_combination(self):
         tr, tdy = synthetic_traces()
         with pytest.raises(ValueError):

@@ -89,7 +89,7 @@ class TestPanelQuadrature:
         if name == "evolution":
             return 0.5 * P12.c * evolution_grid(P12.c, 64).ys
         if name == "law":
-            return ef._law_eta_grid(P12.t, 0.05)
+            return ef._law_eta_grid(P12.t)
         if name == "kernel_mass":
             return ef._edges(-((0.8 * P12.t * 1.0e17) ** 2), 380.0)
         # a coarse profile grid from y = 0, where lo + nsub*step misses hi
@@ -168,7 +168,7 @@ class TestBatchedSampling:
     def test_profile_law_table_and_mass_match_columns(self):
         ys = np.linspace(-12.0, 4.0, 97)
         assert np.array_equal(front_profile(P12, 0.3, ys), sample_front_by_columns(P12, [0.3], ys)[0])
-        eta = ef._law_eta_grid(P12.t, 0.05)
+        eta = ef._law_eta_grid(P12.t)
         # speed 2 and x = 0: the sampled column is the law's speed-2 sweep
         want = sample_front_by_columns(ExplicitFrontParams(P12.t, 2.0), [0.0], eta)[0]
         assert np.array_equal(ef._sweep(np.array([P12.t]), eta)[0], want)
@@ -291,6 +291,13 @@ class TestImplicitNonlinearity:
         for s in (0.05, 0.4, 0.85):
             y = invert_trace(P12, s)
             assert explicit_front(P12, 0.0, y) == pytest.approx(s, rel=1e-9)
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-6])
+    def test_inversion_near_one_pins_the_mass_below(self, gap):
+        # u rounds to s over a wide range of y there, while 1 - u does not
+        s = 1.0 - gap
+        eta = 0.5 * P12.c * invert_trace(P12, s)
+        assert abs(kernel_mass(P12.t, hi=eta) - (1.0 - s)) <= 1e-12 * (1.0 - s)
 
 
 class TestPackagedNonlinearity:

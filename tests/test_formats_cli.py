@@ -185,6 +185,14 @@ class TestCli:
         rep = formats.read_kv(os.path.join(out, "decay_plus_minus_u_y.txt"))
         assert float(rep["fitted_constant"]) == pytest.approx(1 / np.sqrt(2 * np.pi), rel=0.08)
 
+    @pytest.mark.parametrize("c", ["-1", "0", "nan", "inf"])
+    def test_asymptotics_rejects_bad_speed_before_reading(self, tmp_path, monkeypatch, c):
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        monkeypatch.setattr(formats, "read_trace_csv", lambda *a, **k: pytest.fail("trace read"))
+        out = tmp_path / "o"
+        assert main(["asymptotics", "--input", str(tmp_path / "trace.csv"), "--c", c, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_invalid_config_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
         bad = tmp_path / "bad.cfg"

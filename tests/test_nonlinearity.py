@@ -187,17 +187,32 @@ class TestIgnitionPoint:
             ignition_point(bad)
 
 
-def test_custom_wrapper_extends_linearly():
-    nl = make_custom(
-        lambda s: np.sin(np.pi * np.asarray(s, dtype=float)) * 0.1,
-        lambda s: 0.1 * np.pi * np.cos(np.pi * np.asarray(s, dtype=float)),
-        delta=0.2,
-        beta=0.5,
-    )
-    slope0, slope1 = nl.extension_slopes
-    for tau in (0.25, 1.0, 2.0):
-        assert float(nl.f(-tau)) == pytest.approx(-tau * slope0, abs=1e-12)
-        assert float(nl.f(1.0 + tau)) == pytest.approx(tau * slope1, abs=1e-12)
+@pytest.mark.parametrize("law", ["cubic_nl", "combustion", "custom", "oracle_nl"])
+def test_every_law_continues_by_one_rule(law, request):
+    if law == "combustion":
+        nl = make_combustion(0.3, 1.0)
+    elif law == "custom":
+        nl = make_custom(
+            lambda s: np.sin(np.pi * np.asarray(s, dtype=float)) * 0.1,
+            lambda s: 0.1 * np.pi * np.cos(np.pi * np.asarray(s, dtype=float)),
+            delta=0.2,
+            beta=0.5,
+        )
+    else:
+        nl = request.getfixturevalue(law)
+    lo, hi = nl.extension_slopes
+    below = np.linspace(-2.0, 0.0, 401)[:-1]
+    above = np.linspace(1.0, 3.0, 401)[1:]
+    np.testing.assert_array_equal(nl.f(below), lo * below)
+    np.testing.assert_array_equal(nl.f(above), hi * (above - 1.0))
+    np.testing.assert_array_equal(nl.f_prime(below), np.full_like(below, lo))
+    np.testing.assert_array_equal(nl.f_prime(above), np.full_like(above, hi))
+    # G is continuous at 0 and 1, and G' = -f there and on both extensions
+    for end in (0.0, 1.0):
+        assert np.ptp(nl.G(np.array([end - 1e-9, end, end + 1e-9]))) <= 1e-12
+    s = np.concatenate([below, [0.0, 1.0], above])
+    h = 1e-6
+    np.testing.assert_allclose((nl.G(s + h) - nl.G(s - h)) / (2.0 * h), -nl.f(s), rtol=0.0, atol=1e-6)
 
 
 def test_adaptive_simpson_tolerance():

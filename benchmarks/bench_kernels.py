@@ -31,9 +31,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 import time
 
 import numpy as np
+
+# the checkout's sources, so the script runs without an installed package
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
 
 def bench(fn, *args, repeat: int = 7) -> float:

@@ -365,7 +365,26 @@ def invert_trace(params: ExplicitFrontParams, s: float) -> float:
         hi *= 2.0
     while gap(lo) < 0.0 and lo > -1.0e18:
         lo *= 2.0
+    if s > 0.5:
+        gap = _mass_gap(t, 1.0 - s, lo)
     return 2.0 * _bisect(gap, lo, hi, 1e-13) / params.c
+
+
+def _mass_gap(t: float, target: float, lo: float):
+    """eta -> target - (mass below eta) for a bisection whose bracket starts
+    at `lo`: the mass is integrated once up to lo, and each eta adds only
+    the cells from the bracket's low end to eta.  `_bisect` moves its low
+    end to every eta with a positive gap, so the sum moves up with it."""
+    low, mass = lo, _mass_below(t, lo)
+
+    def gap(eta):
+        nonlocal low, mass
+        m = mass + _integral_p(t, low, eta)
+        if target - m > 0.0:
+            low, mass = eta, m
+        return target - m
+
+    return gap
 
 
 def explicit_nonlinearity(params: ExplicitFrontParams, s: float) -> float:

@@ -9,12 +9,17 @@ y-edge parts `_x_part`, `_y_part` of the bilinear form on products of the
 differences from `_diff`, and its matrix-free apply `apply_stiffness`, the
 exact linear operator of the solver's gradient.
 
-The solver's trial loop runs `rearrange_monotone`, `dirichlet`,
-`_cell_forms` and `translate` on every trial, so they work in place on as
-few field-sized temporaries as they can and free each one before the next
-is built: at the default grid a field is about 350 KB, and every extra one
-alive at a time made the C allocator return heap pages to the system and
-fault them back in on the next trial.
+Every trial of the solver rearranges in place (`rearrange_columns`) and
+projects with `_project`.  The projection takes the field's differences
+once and reduces them over x to four per-column sums (`_column_sums`):
+Gamma_a of the field (`_sums_gamma`) and the cell quadratic of every shift
+the walk tries (`_cell_forms`) are then O(ny) dot products of those sums
+with the weights of `_x_part` and `_y_part`, and only the final `translate`
+builds a field.  The grid functions of a trial work on as few field-sized
+temporaries as they can and free each one before the next is built: at the
+default grid a field is about 350 KB, and every extra one alive at a time
+made the C allocator return heap pages to the system and fault them back in
+on the next trial.
 """
 
 from __future__ import annotations
@@ -255,27 +260,71 @@ def translate(w: Field, t: float) -> Field:
     return Field(vals, g)
 
 
-def _cell_forms(w: Field, k: int) -> tuple[float, float, float]:
-    """(Q(A,A), Q(A,B), Q(B,B)) for A, B = w translated by k*hy and (k+1)*hy.
+def _column_sums(spec: GridSpec, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Gamma_a's differences of `v`, reduced over x to four per-column sums.
 
-    Integer translates are column gathers with constant extension, so both
-    are windows of one extended field and share its differences.  For
-    theta in [0, 1], translate(w, (k+theta)*hy) = (1-theta) A + theta B,
-    so Gamma there is (1-theta)^2 Q(A,A) + 2 theta (1-theta) Q(A,B) +
-    theta^2 Q(B,B).
+    With ux, uy the x and y differences: x2[j] = sum_i ux[i,j]^2 and
+    xx[j] = sum_i ux[i,j] ux[i,j+1] over the columns, y2[j] = sum_i sigma_i
+    uy[i,j]^2 and yy[j] = sum_i sigma_i uy[i,j] uy[i,j+1] over the y-edges.
+    xx, y2 and yy are padded with zeros to ny + 1 entries, so that a clipped
+    column index never leaves them.  `_cell_forms` and Gamma_a itself are
+    dot products of these with the weights of `_x_part` and `_y_part`.
     """
-    g = w.spec
-    cols = np.clip(np.arange(g.ny + 2) + k, 0, g.ny)
-    qx = _window_parts(_x_part, g, _diff(w.values, 0, g.hx)[:, cols])
-    qy = _window_parts(_y_part, g, _diff(w.values[:, cols], 1, g.hy))
-    return qx[0] + qy[0], qx[1] + qy[1], qx[2] + qy[2]
+    ny = spec.ny
+    ux = _diff(v, 0, spec.hx)
+    x2 = np.einsum("ij,ij->j", ux, ux)
+    xx = np.zeros(ny + 1)
+    xx[:-1] = np.einsum("ij,ij->j", ux[:, :-1], ux[:, 1:])
+    del ux
+    uy = _diff(v, 1, spec.hy)
+    y2 = np.zeros(ny + 1)
+    y2[:-1] = spec.sigma @ (uy * uy)
+    yy = np.zeros(ny + 1)
+    yy[:-2] = spec.sigma @ (uy[:, :-1] * uy[:, 1:])
+    return x2, xx, y2, yy
 
 
-def _window_parts(part, spec: GridSpec, d: np.ndarray) -> tuple[float, float, float]:
-    """part(A*A), part(A*B), part(B*B) for the windows A = d[:, :-1] and
-    B = d[:, 1:] of the differences of an extended field."""
-    a, b = d[:, :-1], d[:, 1:]
-    return part(spec, a * a), part(spec, a * b), part(spec, b * b)
+def _sums_gamma(spec: GridSpec, sums: tuple[np.ndarray, ...]) -> float:
+    """Gamma_a of the field whose `_column_sums` are `sums`."""
+    x2, _, y2, _ = sums
+    return float((spec.tau * spec.wy) @ x2 + spec.wy_edge @ y2[:-1]) * spec.hx * spec.hy
+
+
+def _end_part(spec: GridSpec, v: np.ndarray) -> float:
+    """The terms of Gamma_a(v) that hold the end columns j = 0 and j = ny:
+    their x-edges and the y-edges 0 and ny - 1, the only terms that a change
+    of those two columns moves."""
+    x = _diff(v[:, [0, -1]], 0, spec.hx)
+    y = _diff(v[:, [0, 1, -2, -1]], 1, spec.hy)[:, ::2]
+    xs = (x * x).sum(axis=0) @ (spec.tau * spec.wy)[[0, -1]]
+    ys = (spec.sigma @ (y * y)) @ spec.wy_edge[[0, -1]]
+    return float(xs + ys) * spec.hx * spec.hy
+
+
+def _cell_forms(spec: GridSpec, sums: tuple[np.ndarray, ...], k: int) -> tuple[float, float, float]:
+    """(Q(A,A), Q(A,B), Q(B,B)) for A, B = the field of `sums` translated by
+    k*hy and (k+1)*hy.
+
+    Integer translates are column gathers with constant extension: A and B
+    are the windows [:-1] and [1:] of the extended field whose column j is
+    column c_j = clip(j + k, 0, ny).  Where c_{j+1} = c_j + 1 the extended
+    field's edge j is the field's own, with the field's sums; where the
+    column repeats at a clipped end, the x cross sum is the column's square
+    sum and the y-difference is zero.  For theta in [0, 1],
+    translate(w, (k+theta)*hy) = (1-theta) A + theta B, so Gamma there is
+    (1-theta)^2 Q(A,A) + 2 theta (1-theta) Q(A,B) + theta^2 Q(B,B).
+    """
+    x2, xx, y2, yy = sums
+    cols = np.clip(np.arange(spec.ny + 2) + k, 0, spec.ny)
+    step = np.diff(cols) == 1
+    c = cols[:-1]
+    ey2 = y2[c] * step  # y square sums of the extended field's edges
+    xw, yw = spec.tau * spec.wy, spec.wy_edge
+    p = xw @ x2[c] + yw @ ey2[:-1]
+    q = xw @ np.where(step, xx[c], x2[c]) + yw @ (yy[c[:-1]] * (step[:-1] & step[1:]))
+    r = xw @ x2[cols[1:]] + yw @ ey2[1:]
+    h2 = spec.hx * spec.hy
+    return float(p) * h2, float(q) * h2, float(r) * h2
 
 
 def _unit_root(p: float, q: float, r: float) -> float:
@@ -298,32 +347,47 @@ def _unit_root(p: float, q: float, r: float) -> float:
 def project_constraint(w: Field, tol: float = 1e-8) -> Field:
     """Translate in y so that the constraint Gamma_a = 1 holds.
 
-    A field already within `tol` of the constraint is returned unchanged.
+    A field already within `tol` of the constraint is returned as a copy.
     Otherwise Gamma of the translate is an exact quadratic in the shift on
     each grid cell (see `_cell_forms`).  Starting from the cell of the
     continuum shift log(Gamma)/a, the search walks one cell at a time to the
     cell whose ends bracket Gamma = 1 and solves the quadratic there, so the
-    result meets the constraint to round-off.  A field with zero Dirichlet
-    energy, or one that needs a shift beyond a quarter of the y-window (the
-    limit of `translate`), raises NumericalError.
+    result meets the constraint to round-off.  A field with zero or
+    non-finite Dirichlet energy, or one that needs a shift beyond a quarter
+    of the y-window (the limit of `translate`), raises NumericalError.
     """
+    out, _ = _project(w, tol)
+    return out.copy() if out is w else out
+
+
+def _project(w: Field, tol: float) -> tuple[Field, float]:
+    """`project_constraint` without the copy: (the projected field, its
+    Gamma_a).  A field within `tol` comes back as itself with its own
+    Gamma; otherwise Gamma is the cell quadratic at the root, 1 to
+    round-off.  Every Gamma and cell form is a dot product of the field's
+    `_column_sums`, which are taken once."""
     g = w.spec
-    gamma = dirichlet(w)
+    sums = _column_sums(g, w.values)
+    gamma = _sums_gamma(g, sums)
+    if not math.isfinite(gamma):
+        raise NumericalError(f"cannot project a field with Dirichlet energy {gamma}")
     if gamma <= 0.0:
         raise NumericalError("cannot project a field with zero Dirichlet energy")
     if abs(gamma - 1.0) <= tol:
-        return w.copy()
+        return w, gamma
 
     limit = 0.25 * (g.y_max - g.y_min)
     reach = limit / g.hy
     k = math.floor(math.log(gamma) / (g.a * g.hy))
     while -reach - 1.0 <= k <= reach:
-        p, q, r = _cell_forms(w, k)
+        p, q, r = _cell_forms(g, sums, k)
         if (p - 1.0) * (r - 1.0) <= 0.0:
-            t = (k + _unit_root(p, q, r)) * g.hy
+            theta = _unit_root(p, q, r)
+            t = (k + theta) * g.hy
             if abs(t) > limit:
                 break
-            return translate(w, t)
+            gamma = (1.0 - theta) ** 2 * p + 2.0 * theta * (1.0 - theta) * q + theta**2 * r
+            return translate(w, t), gamma
         # Gamma falls with the shift; the cell ends are shared, so the walk
         # never turns back
         k += 1 if r > 1.0 else -1

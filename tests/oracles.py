@@ -267,6 +267,27 @@ def translate_expression(spec, v, t: float):
     return (1.0 - frac)[None, :] * v[:, j0] + frac[None, :] * v[:, j1]
 
 
+def cell_forms_gathered(w, k: int) -> tuple[float, float, float]:
+    """(Q(A,A), Q(A,B), Q(B,B)) for A, B = w translated by k*hy and
+    (k+1)*hy, with both translates gathered as the windows [:-1] and [1:] of
+    one extended field (column j is column clip(j + k, 0, ny)) and every
+    product formed on the whole field: the reference for
+    `grid._cell_forms`, which reduces the differences to per-column sums."""
+    spec = w.spec
+    cols = np.clip(np.arange(spec.ny + 2) + k, 0, spec.ny)
+    dx = ((w.values[1:, :] - w.values[:-1, :]) / spec.hx)[:, cols]
+    ext = w.values[:, cols]
+    dy = (ext[:, 1:] - ext[:, :-1]) / spec.hy
+
+    def form(pair_x, pair_y):
+        kx = np.sum(pair_x @ (spec.tau * spec.wy))
+        ky = np.sum(spec.sigma @ (pair_y * spec.wy_edge[None, :]))
+        return float(kx + ky) * spec.hx * spec.hy
+
+    ax, bx, ay, by = dx[:, :-1], dx[:, 1:], dy[:, :-1], dy[:, 1:]
+    return form(ax * ax, ay * ay), form(ax * bx, ay * by), form(bx * bx, by * by)
+
+
 def _reaction_source(vals: np.ndarray, spec, nl) -> np.ndarray:
     """Ghost-row flux term: -v_x(0,y) = f(v(0,y)) folded into the x-stencil."""
     src = np.zeros_like(vals)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,9 @@ from frontforge.grid import (
     NumericalError,
     TraceProfile,
     _cell_forms,
+    _column_sums,
+    _project,
+    _sums_gamma,
     apply_stiffness,
     boundary_integral,
     dirichlet,
@@ -20,7 +25,7 @@ from frontforge.grid import (
 )
 from frontforge.nonlinearity import make_bistable_cubic
 from frontforge.solver import SolverOptions, choose_weight, default_grid, seed_energy_value
-from oracles import dirichlet_expression, sparse_stiffness, translate_expression
+from oracles import cell_forms_gathered, dirichlet_expression, sparse_stiffness, translate_expression
 
 
 def small_spec(a=0.25, ny=256):
@@ -31,6 +36,20 @@ def bump_field(spec, cx=6.0, cy=-10.0, sx=4.0, sy=6.0, amp=0.8):
     r2 = ((spec.xs[:, None] - cx) / sx) ** 2 + ((spec.ys[None, :] - cy) / sy) ** 2
     vals = np.where(r2 < 1.0, amp * np.exp(1.0 - 1.0 / np.maximum(1.0 - r2, 1e-300)), 0.0)
     return Field(vals, spec)
+
+
+def wide_bump_field(spec):
+    """A bump over the whole window: it varies in x and in y at both ends."""
+    height = spec.y_max - spec.y_min
+    return bump_field(spec, cx=0.0, cy=spec.y_min + 0.5 * height, sx=2.0 * spec.x_max, sy=0.6 * height)
+
+
+def end_spec(size):
+    """16x64 with the seed's y-tail still above round-off at y_max, or the
+    solver's default 96x448 grid for the cubic law."""
+    if size == 16:
+        return GridSpec(x_max=24.0, y_min=-30.0, y_max=4.0, nx=16, ny=64, a=0.25)
+    return default_grid(choose_weight(make_bistable_cubic(0.25)), SolverOptions())
 
 
 class TestGridSpec:
@@ -199,9 +218,22 @@ class TestProjection:
         for t in shifts:
             k = int(np.floor(t / spec.hy))
             theta = t / spec.hy - k
-            p, q, r = _cell_forms(w, k)
+            p, q, r = _cell_forms(spec, _column_sums(spec, w.values), k)
             quad = (1 - theta) ** 2 * p + 2 * theta * (1 - theta) * q + theta**2 * r
             assert quad == pytest.approx(dirichlet(translate(w, t)), rel=1e-12)
+
+    @pytest.mark.parametrize("size", [16, 96])
+    @pytest.mark.parametrize("make", [seed_function, wide_bump_field])
+    def test_column_sums_match_the_gathered_forms(self, size, make):
+        # every cell the walk may visit, from one clipped end to the other
+        spec = end_spec(size)
+        w = make(spec)
+        sums = _column_sums(spec, w.values)
+        assert _sums_gamma(spec, sums) == pytest.approx(dirichlet(w), rel=1e-13, abs=0.0)
+        reach = 0.25 * (spec.y_max - spec.y_min) / spec.hy
+        for k in range(math.ceil(-reach - 1.0), math.floor(reach) + 1):
+            got, ref = _cell_forms(spec, sums, k), cell_forms_gathered(w, k)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0), k
 
     @pytest.mark.parametrize("factor, shift", [(3.0, 0.0), (1.0, -6.0), (0.5, 4.5), (1.0, 13.0)])
     def test_meets_constraint_to_roundoff(self, factor, shift):
@@ -209,6 +241,16 @@ class TestProjection:
         w = translate(bump_field(spec, amp=0.8 * factor), shift)
         assert abs(dirichlet(w) - 1.0) > 1e-3
         assert abs(dirichlet(project_constraint(w)) - 1.0) <= 1e-12
+        # the Gamma the projection hands to the solver's trial is the output's
+        out, gamma = _project(w, 1e-8)
+        assert abs(gamma - dirichlet(out)) <= 1e-13
+
+    def test_field_within_tolerance_is_kept(self):
+        spec = small_spec(ny=512)
+        w = project_constraint(bump_field(spec))
+        out, gamma = _project(w, 1e-8)
+        assert out is w and abs(gamma - dirichlet(w)) <= 1e-13
+        assert project_constraint(w) is not w
 
     def test_shift_past_quarter_window_rejected(self):
         spec = small_spec()
@@ -221,6 +263,13 @@ class TestProjection:
             scaled = Field(w.values * np.exp(0.5 * spec.a * t) / np.sqrt(gamma), spec)
             with pytest.raises(NumericalError):
                 project_constraint(scaled)
+
+    def test_non_finite_energy_rejected(self):
+        # Gamma_a overflows; refused before the walk takes log(Gamma)
+        spec = end_spec(16)
+        huge = Field(seed_function(spec).values * 1e160, spec)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            project_constraint(huge)
 
     def test_zero_energy_rejected(self):
         spec = small_spec()

@@ -13,7 +13,10 @@ solver's layers on the seed at the default grid (`workspace_build_96x448` and
 `precond_solve_96x448` for the preconditioner, `apply_stiffness_96x448` for
 the matrix-free stiffness apply, `project_constraint_96x448` for the
 constraint projection, `trial_96x448` for one whole trial: clamp, rearrange,
-project and energy of an admissible field scaled by 1.01), and the parabolic
+project and energy of an admissible field scaled by 1.01,
+`capacitance_build_96x448` for the closed-form boundary capacitance and
+`newton_step_96x448` for one exact Newton step, LU included, from the
+iterate of the 20-step hand-off burst), and the parabolic
 evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
 (`evolution_step_129x1153` for one step of a run on its sweep matrices,
 `evolution_leg_129x1153` for one `evolve` leg of 0.125 time units), and the
@@ -87,12 +90,19 @@ def run_suite() -> dict:
     results["apply_stiffness_96x448"] = bench(grid.apply_stiffness, spec, seed.values)
     results["project_constraint_96x448"] = bench(grid.project_constraint, seed)
 
-    w, _ = solver._trial(seed.copy(), nl)
+    w, e_w = solver._trial(seed.copy(), nl)
     rippled = w.values.copy()
     rippled[: (spec.nx + 1) // 4, 180:260] += 0.01 * np.sin(np.arange(80.0))
     results["rearrange_solver_96x448"] = bench(_kernels.rearrange_columns, rippled, spec.ymeasure)
     # _trial changes its input in place, so each call gets a fresh field
     results["trial_96x448"] = bench(lambda: solver._trial(grid.Field(w.values * 1.01, spec), nl))
+
+    # Newton's pieces from the iterate the 20-step burst hands over
+    results["capacitance_build_96x448"] = bench(solver._capacitance, spec)
+    w, _ = solver._warm_start(ws, w, nl, [e_w], solver._HANDOFF_ITERS)
+    _, gamma, lam, sw = solver._stationarity(ws, w, nl)
+    newton = solver._Newton(ws, spec)
+    results["newton_step_96x448"] = bench(newton.step, w, nl, lam, sw, gamma)
 
     # the evolution on the oracle front, as one frontbench `evolution` leg
     from frontforge import evolution

@@ -246,6 +246,10 @@ def front_meta(sol) -> dict:
         "interior_residual": sol.interior_residual,
         "boundary_residual": sol.boundary_residual,
         "c_variational": sol.speed_variational,
+        "stop": sol.record.stop,
+        "burst_steps": sol.record.burst_steps,
+        "newton_steps": sol.record.newton_steps,
+        "rho_history": " ".join(_fmt(r) for r in sol.record.rho_history),
     }
 
 

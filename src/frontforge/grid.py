@@ -144,13 +144,19 @@ def _y_part(spec: GridSpec, p: np.ndarray) -> float:
 def apply_stiffness(spec: GridSpec, v: np.ndarray) -> np.ndarray:
     """S v, where Gamma_a(v) = v . S v: the adjoint of `_diff` applied to
     the differences weighted as in `_x_part` and `_y_part`, each edge's flux
-    scattered back onto its two end nodes."""
-    ux, uy = _diff(v, 0, spec.hx), _diff(v, 1, spec.hy)
-    fx = ux * (spec.tau * spec.wy) * spec.hy
-    fy = uy * spec.wy_edge * spec.sigma[:, None] * spec.hx
+    scattered back onto its two end nodes.  Each direction's fluxes are
+    weighted in place and scattered before the other direction's are built."""
     out = np.zeros(v.shape)
+    fx = _diff(v, 0, spec.hx)
+    fx *= spec.tau * spec.wy
+    fx *= spec.hy
     out[:-1, :] -= fx
     out[1:, :] += fx
+    del fx
+    fy = _diff(v, 1, spec.hy)
+    fy *= spec.wy_edge
+    fy *= spec.sigma[:, None]
+    fy *= spec.hx
     out[:, :-1] -= fy
     out[:, 1:] += fy
     return out

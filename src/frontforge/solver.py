@@ -5,26 +5,39 @@ manifold Gamma_a(w) = 1, then converts the minimizer to a traveling front:
 with multiplier lambda_a the rescaling u(x,y) = w(mu x, mu y), mu = 1 -
 2*lambda_a, travels at speed c = a*(1 - 2*lambda_a) = a*(1 - 2*I_a).
 
-Minimization is one loop.  Each iteration runs a burst of the damped flux
-fixed point, which can transport the front across the window, and then the
-stationarity test; only when the burst is stuck does it try one
-preconditioned Sobolev-gradient step (the stiffness operator of Gamma_a,
-inverted through its Kronecker-sum structure: one small generalized
-eigenproblem in x and one tridiagonal factor per x mode, built once per
-grid).  Both kinds of step go through one acceptance rule (`_step`): halve
-the step until E_a falls.  Every trial field goes through one pipeline
-(`_trial`): range clamping to [0,1], monotone rearrangement in place, and
-the closed-form y-translation onto the constraint, whose Gamma_a gives the
-trial's E_a.  The stiffness itself is applied matrix-free by
-`grid.apply_stiffness`, from the same definition of Gamma_a as
-`grid.dirichlet`.  The grid pins w = 1 at y_min and w = 0 at y_max, so the
-free nodes are the block [:, 1:-1]; x-boundaries are natural (Neumann).
+Minimization runs a short burst of the damped flux fixed point, which can
+transport the front across the window, and then exact Newton steps on
+(w, lambda_a) (`_Newton`).  The reaction acts on the row x = 0 only, so the
+Jacobian is (1 - 2 lambda_a) S_ff minus a boundary term, and each Newton
+step is four preconditioned stiffness solves plus one dense LU of the
+scaled boundary capacitance (the discrete Neumann-to-Dirichlet map, built
+in closed form from DST-I y-modes and an x-recurrence by `_capacitance`).
+The stiffness solves use its Kronecker-sum structure: DCT-I x-modes and one
+tridiagonal factor per x mode, built once per grid (`_Workspace`).  Newton's
+point is accepted only when it converges to an admissible field; otherwise
+the fallback loop resumes from the burst's iterate: bursts, and when a
+burst is stuck one preconditioned Sobolev-gradient step, with Newton tried
+again whenever the residual has halved.  Bursts and gradient steps go
+through one acceptance rule (`_step`): halve the step until E_a falls.
+Every trial field goes through one pipeline (`_trial`): range clamping to
+[0,1], monotone rearrangement in place, and the closed-form y-translation
+onto the constraint, whose Gamma_a gives the trial's E_a.  The stiffness
+itself is applied matrix-free by `grid.apply_stiffness`, from the same
+definition of Gamma_a as `grid.dirichlet`.  The grid pins w = 1 at y_min
+and w = 0 at y_max, so the free nodes are the block [:, 1:-1];
+x-boundaries are natural (Neumann).
 
 The speed c = a*(1 - 2*lambda_a) means something only at a stationary point
 of E_a on Gamma_a = 1, so "converged" has one meaning: the stationarity
-residual passed (see `minimize`).  Any other stop is reported unconverged,
-and `extract_speed` then raises SolverError (exit code 1 on the CLI), as it
-does when c and a*(1 - 2*I_a) disagree by more than 5 %.
+residual rho/|g| is at most `SolverOptions.tol`, 1e-10 by default (see
+`minimize`).  Any other stop is reported unconverged, and `extract_speed`
+then raises SolverError (exit code 1 on the CLI), as it does when c and
+a*(1 - 2*I_a) disagree by more than 5 %.  `MinimizerResult.record` says
+why and how the solve stopped.
+
+The module keeps the name `spla` (scipy.sparse.linalg) although no solve
+uses it: the benchmark's tracer (frontbench/tracer.py) patches
+`solver.spla.splu`.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla  # noqa: F401  (frontbench/tracer.py patches solver.spla)
-from scipy.linalg import eigh, lapack
+from scipy.linalg import lapack
 
 from . import grid as gridmod
 from .explicit_front import ExplicitFrontParams, sample_front
@@ -57,7 +70,7 @@ class SolverOptions:
     x_span: float = 8.0  # domain sizes in units of 1/a
     y_span_down: float = 40.0
     y_span_up: float = 12.0
-    tol: float = 0.03  # stationarity residual relative to the gradient norm
+    tol: float = 1e-10  # stationarity residual relative to the gradient norm
     max_iter: int = 300
     a: float | None = None  # weight; None = choose_weight policy
     seed: str = "exponential"  # "exponential" | "kernel"
@@ -65,7 +78,9 @@ class SolverOptions:
 
 
 # Iteration constants of `minimize`.
-_WARM_ITERS = 60  # flux fixed-point steps per burst
+_HANDOFF_ITERS = 20  # flux fixed-point steps before the first Newton attempt
+_WARM_ITERS = 60  # flux fixed-point steps per burst of the fallback loop
+_NEWTON_STEPS = 12  # Newton steps per attempt
 _BURST_TRIES = 6  # step lengths 1, 1/2, ..., 1/32 of a fixed-point step
 _GRADIENT_TRIES = 45  # step lengths 1, 1/2, ..., 2^-44 of a gradient step
 _STALL_REL = 1e-9  # relative decrease of E_a at or below which a step is refused
@@ -73,6 +88,23 @@ _CONSTRAINT_TOL = 1e-8  # |Gamma_a - 1| that the projection leaves alone
 # largest |c - c_var| / c_var that `extract_speed` reports: the two speed
 # estimates coincide at the continuum minimizer
 _SPEED_AGREEMENT = 0.05
+
+
+@dataclass
+class SolveRecord:
+    """Why and how `minimize` stopped.
+
+    `stop` is "residual" (the stationarity test passed), "no-descent"
+    (neither a burst nor a gradient step lowered E_a) or "max-iter".
+    `burst_steps` counts the accepted flux fixed-point steps, `newton_steps`
+    every Newton step taken (accepted attempts or not), and `rho_history`
+    holds rho/|g| at every stationarity test in order.
+    """
+
+    stop: str = ""
+    burst_steps: int = 0
+    newton_steps: int = 0
+    rho_history: list = field(default_factory=list)
 
 
 @dataclass
@@ -86,6 +118,7 @@ class MinimizerResult:
     constraint: float
     residual_norm: float
     energy_history: list = field(default_factory=list, repr=False)
+    record: SolveRecord = field(default_factory=SolveRecord, repr=False)
 
 
 @dataclass
@@ -100,6 +133,7 @@ class FrontSolution:
     multiplier: float
     infimum: float
     a: float
+    record: SolveRecord = field(default_factory=SolveRecord, repr=False)
 
 
 # -- weight selection ---------------------------------------------------------
@@ -156,16 +190,22 @@ class _Workspace:
     diag(sigma), C = diag(tau wy hy/hx) and T the path Laplacian in y with
     edge weights wy_edge hx/hy.
     The generalized eigenpairs Kx Phi = Sigma Phi Lambda (Phi^T Sigma Phi =
-    I) turn S_ff X = G into one SPD tridiagonal system (lambda_k C + T) per
-    x mode k; they are factored once, as one block-diagonal LDL^T.
+    I) are the DCT-I cosines phi_k(i) = cos(pi i k/nx), lambda_k =
+    4 sin^2(pi k/(2 nx)); they turn S_ff X = G into one SPD tridiagonal
+    system (lambda_k C + T) per x mode k, factored once, as one
+    block-diagonal LDL^T.
     """
 
     def __init__(self, spec: GridSpec):
         nx, ny = spec.nx, spec.ny
-        kx = 2.0 * np.eye(nx + 1) - np.eye(nx + 1, k=1) - np.eye(nx + 1, k=-1)
-        kx[0, 0] = kx[-1, -1] = 1.0
-        lam, self.phi = eigh(kx, np.diag(spec.sigma))
+        k = np.arange(nx + 1)
+        lam = 4.0 * np.sin(0.5 * np.pi * k / nx) ** 2
+        # i*k reduced mod 2 nx keeps the cosine's argument exact
+        self.phi = np.cos((np.pi / nx) * (np.outer(k, k) % (2 * nx)))
+        self.phi *= math.sqrt(2.0 / nx)
+        self.phi[:, [0, -1]] *= math.sqrt(0.5)
         c = (spec.tau * spec.wy)[1:-1] * spec.hy / spec.hx
+        self.root_c = np.sqrt(c)
         t = spec.wy_edge * spec.hx / spec.hy
         diag = (lam[:, None] * c[None, :] + (t[:-1] + t[1:])[None, :]).ravel()
         # zero couplings between consecutive blocks keep the modes apart
@@ -182,6 +222,40 @@ class _Workspace:
         modes = self.phi.T @ g_free
         y, _ = lapack.dpttrs(*self.ldl, modes.reshape(-1, 1), overwrite_b=True)
         return self.phi @ y.reshape(modes.shape)
+
+
+def _capacitance(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Views (T, H) with T - H = C^{1/2} N C^{1/2}, the scaled
+    Neumann-to-Dirichlet map of the free nodes of row 0: N = U^T S_ff^{-1} U
+    with U the injection of row 0 (see `_Workspace` for C and S_ff).
+
+    C^{-1/2} T_y C^{-1/2}, the symmetrised y-operator, is Toeplitz (diagonal
+    r^2 (1 + cosh(a hy)), off-diagonal -r^2 cosh(a hy/2), r = hx/hy), so its
+    eigenvectors are the DST-I sines sin(pi j m/ny) with eigenvalues mu_m.
+    Per mode, the Schur complement of Kx + mu_m Sigma onto x = 0 is d_m,
+    from the backward recurrence s_nx = 1 + mu sigma_nx, s_i = k_i + mu
+    sigma_i - 1/s_{i+1} (k_i = 2 inside, 1 at the ends).  Then, with 1-based
+    nodes, the map is g(|j-k|) - g(j+k) for g(r) = (1/ny) sum_m
+    cos(pi m r/ny)/d_m, one real FFT: T is the Toeplitz and H the Hankel
+    part, both windows onto one array of g.
+    """
+    nx, ny = spec.nx, spec.ny
+    r2 = (spec.hx / spec.hy) ** 2
+    ahy = spec.a * spec.hy
+    mu = r2 * (1.0 + math.cosh(ahy) - 2.0 * math.cosh(0.5 * ahy) * np.cos(np.pi / ny * np.arange(1, ny)))
+    s = 1.0 + mu * spec.sigma[nx]
+    for i in range(nx - 1, -1, -1):
+        s = (2.0 if i else 1.0) + mu * spec.sigma[i] - 1.0 / s
+    ext = np.zeros(2 * ny)  # the even extension whose FFT is the DCT-I
+    ext[1:ny] = 1.0 / s
+    ext[ny + 1 :] = ext[ny - 1 : 0 : -1]
+    g = np.fft.rfft(ext).real / (2 * ny)  # g(r), r = 0..ny
+    g = np.concatenate([g, g[ny - 1 : 1 : -1]])  # g(2 ny - r) = g(r), up to r = 2 ny - 2
+    n = ny - 1
+    windows = np.lib.stride_tricks.sliding_window_view
+    toeplitz = windows(np.concatenate([g[n - 1 : 0 : -1], g[:n]]), n)[::-1]
+    hankel = windows(g[2 : 2 * n + 1], n)
+    return toeplitz, hankel
 
 
 def _pin(values: np.ndarray) -> None:
@@ -261,7 +335,9 @@ def _step(w: Field, nl: Nonlinearity, delta: np.ndarray, tries: int, history: li
     return None
 
 
-def _warm_start(ws: _Workspace, w: Field, nl: Nonlinearity, history: list) -> tuple[Field, bool]:
+def _warm_start(
+    ws: _Workspace, w: Field, nl: Nonlinearity, history: list, steps: int
+) -> tuple[Field, int]:
     """Flux fixed-point burst: solve the linear problem with frozen boundary
     flux f(w(0,y))/B, then take a `_step` towards the solution.
 
@@ -269,14 +345,15 @@ def _warm_start(ws: _Workspace, w: Field, nl: Nonlinearity, history: list) -> tu
     Euler-Lagrange equation), and far from it a single step can transport
     the front across the window, which gradient descent cannot do quickly.
     The map is damped by `_step`'s halving of the mixing weight.  Returns
-    the last accepted field and whether any step was accepted.
+    the last accepted field and the number of accepted steps (at most
+    `steps`).
     """
     spec = w.spec
     pin = np.zeros_like(w.values)
     _pin(pin)
     s_pin_free = gridmod.apply_stiffness(spec, pin)[:, 1:-1]
-    moved = False
-    for _ in range(_WARM_ITERS):
+    moved = 0
+    for _ in range(steps):
         b_over = _boundary_fu(w, nl)
         if not np.isfinite(b_over):
             break
@@ -292,8 +369,126 @@ def _warm_start(ws: _Workspace, w: Field, nl: Nonlinearity, history: list) -> tu
         trial = _step(w, nl, delta, _BURST_TRIES, history)
         if trial is None:
             break
-        w, moved = trial, True
+        w = trial
+        moved += 1
     return w, moved
+
+
+def _stationarity(ws: _Workspace, w: Field, nl: Nonlinearity):
+    """The stationarity test's quantities at w: (rho/|g|, Gamma_a, lambda_a,
+    S w).
+
+    rho is the residual g - lambda_a D(Gamma_a) = g - 2 lambda_a S w on the
+    free nodes, with lambda_a from `_multiplier`, and |g| the gradient, both
+    in the inverse-stiffness metric.  As g = S w - b with the boundary flux
+    b on row 0 only, the residual is (1 - 2 lambda_a) g - 2 lambda_a b,
+    formed in place on g.
+    """
+    gamma = gridmod.dirichlet(w)
+    lam = _multiplier(w, nl, gamma)
+    sw = gridmod.apply_stiffness(w.spec, w.values)
+    flux = _boundary_flux(w, nl)[1:-1]
+    g_free = sw[:, 1:-1].copy()
+    g_free[0] -= flux
+    slope = float(np.vdot(g_free, ws.precond_solve(g_free)))
+    g_free *= 1.0 - 2.0 * lam
+    g_free[0] -= 2.0 * lam * flux
+    rho = math.sqrt(abs(float(np.vdot(g_free, ws.precond_solve(g_free)))))
+    return rho / max(math.sqrt(abs(slope)), 1e-300), gamma, lam, sw
+
+
+class _Newton:
+    """Exact Newton steps on (w_free, lambda) for F1 = (1 - 2 lambda)(S w)_free
+    - b(w)_free = 0 and F2 = Gamma_a(w) - 1 = 0, b the boundary flux on row 0.
+
+    The reaction acts on row 0 only, so the field block of the Jacobian is
+    H = A - U D U^T, with A = (1 - 2 lambda) S_ff, U the injection of row 0
+    and D = diag(ymeasure f'(w(0, y))).  By Woodbury, H^{-1} r = A^{-1} r +
+    A^{-1} U K^{-1} D U^T A^{-1} r with K = I - D N/(1 - 2 lambda) and N the
+    Neumann-to-Dirichlet map of `_capacitance`.  As D = hx C f', K is
+    similar to K' = I - hx diag(f') C^{1/2} N C^{1/2}/(1 - 2 lambda), which
+    is well scaled although C spans e^{a (y_max - y_min)}; K' is written
+    into one preallocated array per step and LU-factored in place.  The
+    border gives dlambda = (-F2 - 2 s.x1)/(2 s.x2) with s = (S w)_free,
+    x1 = H^{-1}(-F1), x2 = H^{-1}(2 s), and dw = x1 + dlambda x2.
+    """
+
+    def __init__(self, ws: _Workspace, spec: GridSpec):
+        self.ws = ws
+        self.toeplitz, self.hankel = _capacitance(spec)
+        self.kp = np.empty(self.toeplitz.shape)
+
+    def step(self, w: Field, nl: Nonlinearity, lam: float, sw: np.ndarray, gamma: float):
+        """(dw on the free nodes, dlambda) from (w, lambda), with S w and
+        Gamma_a(w) given; None when K' is singular."""
+        spec, ws, kp = w.spec, self.ws, self.kp
+        mu = 1.0 - 2.0 * lam
+        s = sw[:, 1:-1]
+        rhs = np.multiply(s, -mu)  # -F1
+        rhs[0] += _boundary_flux(w, nl)[1:-1]
+        fp = np.asarray(nl.f_prime(w.values[0, 1:-1]))
+        np.subtract(self.toeplitz, self.hankel, out=kp)
+        kp *= (-spec.hx / mu) * fp[:, None]
+        kp.flat[:: kp.shape[0] + 1] += 1.0
+        # kp.T is Fortran-ordered: LAPACK factors it in place, and the
+        # transposed solve applies K'^{-1}
+        lu, piv, info = lapack.dgetrf(kp.T, overwrite_a=True)
+        if info != 0:
+            return None
+        scale = spec.hx * fp * ws.root_c
+
+        def h_inv(r):
+            """H^{-1} r; r is used as scratch."""
+            z = ws.precond_solve(r)
+            z /= mu
+            v, _ = lapack.dgetrs(lu, piv, scale * z[0], trans=1)
+            r.fill(0.0)
+            r[0] = ws.root_c * v / mu
+            z += ws.precond_solve(r)
+            return z
+
+        x1 = h_inv(rhs)
+        x2 = h_inv(np.multiply(s, 2.0, out=rhs))
+        dlam = (1.0 - gamma - 2.0 * float(np.vdot(s, x1))) / (2.0 * float(np.vdot(s, x2)))
+        x1 += dlam * x2
+        return x1, dlam
+
+    def solve(
+        self,
+        w: Field,
+        nl: Nonlinearity,
+        lam: float,
+        sw: np.ndarray,
+        gamma: float,
+        tol: float,
+        record: SolveRecord,
+    ) -> Field | None:
+        """Newton from w (not changed) until rho/|g| <= tol with |Gamma_a - 1|
+        <= `_CONSTRAINT_TOL`: the field reached, or None when K' is
+        singular, an iterate is not finite or has 1 - 2 lambda <= 0, or
+        `_NEWTON_STEPS` steps do not converge.  Steps and residuals go into
+        `record`."""
+        cur = w.copy()
+        for _ in range(_NEWTON_STEPS):
+            step = self.step(cur, nl, lam, sw, gamma)
+            record.newton_steps += 1
+            if step is None:
+                return None
+            dw, dlam = step
+            cur.values[:, 1:-1] += dw
+            lam += dlam
+            if not (lam < 0.5 and np.all(np.isfinite(cur.values))):
+                return None
+            rho, gamma, _, sw = _stationarity(self.ws, cur, nl)
+            record.rho_history.append(rho)
+            if rho <= tol and abs(gamma - 1.0) <= _CONSTRAINT_TOL:
+                return cur
+        return None
+
+
+def _admissible(v: np.ndarray) -> bool:
+    """Inside [0, 1] and nonincreasing in y: a field the trial pipeline keeps."""
+    return bool(v.min() >= 0.0 and v.max() <= 1.0 and not (v[:, 1:] > v[:, :-1]).any())
 
 
 def minimize(
@@ -304,53 +499,67 @@ def minimize(
 ) -> MinimizerResult:
     """Constrained minimization of the discrete E_a on Gamma_a = 1.
 
-    Each iteration runs one flux fixed-point burst (`_warm_start`) and then
-    the stationarity test.  Only when the burst accepted no step is one
-    preconditioned Sobolev-gradient step tried: delta = -S_ff^{-1} g on the
-    free nodes (`_Workspace`), taken by `_step` under the same acceptance
-    rule as the burst's steps.
+    A `_HANDOFF_ITERS`-step flux fixed-point burst (`_warm_start`) brings
+    the seed near the minimizer, and exact Newton steps (`_Newton`) on
+    (w_free, lambda_a) then converge.  Newton's point is accepted only when
+    it converges with 1 - 2 lambda_a > 0 to a field that is inside [0, 1],
+    nonincreasing in y, on Gamma_a = 1 and below the burst's E_a.
+    Otherwise the loop resumes from the burst's iterate: each iteration
+    runs a `_WARM_ITERS`-step burst and the stationarity test, and only
+    when the burst accepted no step is one preconditioned Sobolev-gradient
+    step tried: delta = -S_ff^{-1} g on the free nodes (`_Workspace`), taken
+    by `_step` under the same acceptance rule as the burst's steps.  Newton
+    is tried again from the loop's iterate whenever rho/|g| has halved
+    since the last attempt.
 
     Converged means only that the stationarity residual g - lambda_a
     D(Gamma_a) is at most `opts.tol` relative to the gradient norm (both in
     the inverse-stiffness metric), with |Gamma_a - 1| <= 1e-7.  When neither
     the burst nor the gradient step lowers E_a, or after `opts.max_iter`
     iterations, the result is returned unconverged and `extract_speed`
-    refuses it.
+    refuses it; `record.stop` says which.
     """
     opts = opts or SolverOptions()
     ws = _Workspace(spec)
+    newton = None  # built at the first attempt, after the burst
 
     if seed is None:
         seed = gridmod.seed_function(spec)
     w, e_seed = _trial(seed.copy(), nl)
     history = [e_seed]
+    record = SolveRecord(stop="max-iter")
     rho_ratio = math.inf
-    converged = False
+    newton_gate = math.inf  # rho/|g| below which Newton is tried again
     it = 0
 
     for it in range(1, opts.max_iter + 1):
-        w, moved = _warm_start(ws, w, nl, history)
-        sw = gridmod.apply_stiffness(spec, w.values)
-        g = _gradient(w, nl, sw)
-        gamma = gridmod.dirichlet(w)
-        lam = _multiplier(w, nl, gamma)
-        r_free = (g - 2.0 * lam * sw)[:, 1:-1]
-        g_free = g[:, 1:-1]
-        d_free = ws.precond_solve(g_free)
-        slope = float(np.vdot(g_free, d_free))
-        rho = math.sqrt(abs(float(np.vdot(r_free, ws.precond_solve(r_free)))))
-        rho_ratio = rho / max(math.sqrt(abs(slope)), 1e-300)
+        w, moved = _warm_start(ws, w, nl, history, _HANDOFF_ITERS if it == 1 else _WARM_ITERS)
+        record.burst_steps += moved
+        rho_ratio, gamma, lam, sw = _stationarity(ws, w, nl)
+        record.rho_history.append(rho_ratio)
         if rho_ratio <= opts.tol and abs(gamma - 1.0) <= 10.0 * _CONSTRAINT_TOL:
-            converged = True
+            record.stop = "residual"
             break
+        if rho_ratio <= newton_gate:
+            newton_gate = 0.5 * rho_ratio
+            newton = newton or _Newton(ws, spec)
+            found = newton.solve(w, nl, lam, sw, gamma, opts.tol, record)
+            if found is not None and _admissible(found.values):
+                found, e_new = _trial(found, nl)
+                if e_new <= history[-1]:
+                    history.append(e_new)
+                    w, rho_ratio = found, record.rho_history[-1]
+                    record.stop = "residual"
+                    break
         if moved:
             continue
         # the fixed point is stuck away from a stationary point: one
         # gradient step, and if that cannot lower E_a either, stop
         delta = np.zeros_like(w.values)
-        np.negative(d_free, out=delta[:, 1:-1])
+        np.negative(ws.precond_solve(_gradient(w, nl, sw)[:, 1:-1]), out=delta[:, 1:-1])
         trial = _step(w, nl, delta, _GRADIENT_TRIES, history)
         if trial is None:
+            record.stop = "no-descent"
             break
         w = trial
 
@@ -367,10 +576,11 @@ def minimize(
         multiplier=lam,
         a=spec.a,
         iterations=it,
-        converged=converged,
+        converged=record.stop == "residual",
         constraint=gamma,
         residual_norm=rho_ratio,
         energy_history=history,
+        record=record,
     )
 
 
@@ -429,6 +639,7 @@ def extract_speed(result: MinimizerResult, nl: Nonlinearity | None = None) -> Fr
         multiplier=result.multiplier,
         infimum=result.infimum,
         a=result.a,
+        record=result.record,
     )
 
 

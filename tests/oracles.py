@@ -215,15 +215,60 @@ def sparse_stiffness(spec) -> sp.csr_matrix:
     return S.tocsr()
 
 
+def _free_mask(spec) -> np.ndarray:
+    free = np.zeros((spec.nx + 1, spec.ny + 1), dtype=bool)
+    free[:, 1:-1] = True
+    return free.ravel()
+
+
 def free_stiffness_solve(spec, g):
     """S_ff^{-1} G on an (nx+1, ny-1) free-node block by a sparse direct
     solve on the free rows and columns of `sparse_stiffness`: the reference
     for `solver._Workspace.precond_solve`."""
-    free = np.zeros((spec.nx + 1, spec.ny + 1), dtype=bool)
-    free[:, 1:-1] = True
-    free = free.ravel()
+    free = _free_mask(spec)
     S_ff = sparse_stiffness(spec)[free][:, free].tocsc()
     return spsolve(S_ff, np.ravel(g)).reshape(g.shape)
+
+
+def boundary_ntd_dense(spec) -> np.ndarray:
+    """N = U^T S_ff^{-1} U, U the injection of the free nodes of row 0, as the
+    inverse of the dense Schur complement of the free stiffness onto those
+    nodes (the discrete Dirichlet-to-Neumann map): the reference for
+    `solver._capacitance`."""
+    s_ff = sparse_stiffness(spec)[_free_mask(spec)][:, _free_mask(spec)].toarray()
+    nb = spec.ny - 1  # row 0 comes first in the free ordering
+    s_bb, s_bi, s_ii = s_ff[:nb, :nb], s_ff[:nb, nb:], s_ff[nb:, nb:]
+    return np.linalg.inv(s_bb - s_bi @ np.linalg.solve(s_ii, s_bi.T))
+
+
+def newton_step_sparse(w, nl, lam: float):
+    """(dw, dlambda) of one Newton step on F1 = (1 - 2 lambda)(S w)_free -
+    b(w)_free, F2 = w.S w - 1, by `spsolve` of the sparse bordered Jacobian
+    [[(1 - 2 lambda) S_ff - U D U^T, -2 s], [2 s^T, 0]] with s = (S w)_free
+    and D = diag(ymeasure f'(w(0, y))): the reference for
+    `solver._Newton.step`."""
+    spec = w.spec
+    free = _free_mask(spec)
+    S = sparse_stiffness(spec)
+    s_ff = S[free][:, free]
+    sw = S @ w.values.ravel()
+    s = sw[free]
+    nb = spec.ny - 1
+    row0 = w.values[0, 1:-1]
+    b = np.zeros(s.size)
+    b[:nb] = spec.ymeasure[1:-1] * np.asarray(nl.f(row0))
+    d = np.zeros(s.size)
+    d[:nb] = spec.ymeasure[1:-1] * np.asarray(nl.f_prime(row0))
+    mu = 1.0 - 2.0 * lam
+    jac = sp.bmat(
+        [
+            [mu * s_ff - sp.diags(d), sp.csr_matrix(-2.0 * s[:, None])],
+            [sp.csr_matrix(2.0 * s[None, :]), None],
+        ]
+    ).tocsc()
+    rhs = np.concatenate([-(mu * s - b), [1.0 - float(w.values.ravel() @ sw)]])
+    x = spsolve(jac, rhs)
+    return x[:-1].reshape(spec.nx + 1, spec.ny - 1), float(x[-1])
 
 
 def rearrange_rows_sorted(vals, meas):

@@ -312,6 +312,11 @@ class TestCli:
         c = float(meta["c"])
         assert c > 0.0
         assert float(meta["mu"]) > 1.0
+        # the run record: why the solve stopped and how it got there
+        assert meta["stop"] == "residual"
+        assert int(meta["burst_steps"]) >= 1 and int(meta["newton_steps"]) >= 1
+        rho = [float(r) for r in meta["rho_history"].split()]
+        assert rho[-1] <= 1e-10 < rho[0]
         # emitted trace is consumable by asymptotics
         code = main(["asymptotics", "--input", os.path.join(out, "trace.csv"), "--c", repr(c), "--out", out])
         assert code == 0

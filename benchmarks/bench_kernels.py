@@ -3,20 +3,19 @@
 
 Runs each kernel in-process (the scipy Bessel pair and, as
 `bessel_scipy_k1e_400k`, K_1 alone for the Poisson kernel, the LAPACK
-tridiagonal solve, the numpy rearrangement on uniform random rows and, as
-`rearrange_solver_96x448`, on a field shaped like the solver's: mostly
-nonincreasing rows, with a rippled band in a quarter of them), the two law
-checks every `solve_front` runs before minimizing (`choose_weight_cubic` for
-the weight policy on the cubic law, alpha = 0.25, and `validate_oracle_law`
-for the structural validation of the oracle law, t = 1, c = 2), plus the
-solver's layers on the seed at the default grid (`workspace_build_96x448` and
-`precond_solve_96x448` for the preconditioner, `apply_stiffness_96x448` for
-the matrix-free stiffness apply, `project_constraint_96x448` for the
-constraint projection, `trial_96x448` for one whole trial: clamp, rearrange,
-project and energy of an admissible field scaled by 1.01,
-`capacitance_build_96x448` for the closed-form boundary capacitance and
-`newton_step_96x448` for one exact Newton step, LU included, from the
-iterate of the 20-step hand-off burst), and the parabolic
+tridiagonal solve, the numpy rearrangement on uniform random rows), the two
+law checks every `solve_front` runs before minimizing (`choose_weight_cubic`
+for the weight policy on the cubic law, alpha = 0.25, and
+`validate_oracle_law` for the structural validation of the oracle law, t =
+1, c = 2), plus the solver's layers at the default grid
+(`trace_build_96x448` for the trace problem: preconditioner, boundary modes
+and the pins' extension; `precond_solve_96x448` and `apply_stiffness_96x448`
+on the seed; `project_constraint_96x448` for the two-dimensional
+constraint projection; and, from the trace the 20-step hand-off burst
+leaves, `lambda_apply_96x448` for one apply of the boundary operator with
+Gamma, `trace_trial_96x448` for one trace trial of that trace scaled by
+1.01, `trace_newton_step_96x448` for one dense bordered Newton step and
+`extension_96x448` for the extension into the front), and the parabolic
 evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
 (`evolution_step_129x1153` for one step of a run on its sweep matrices,
 `evolution_leg_129x1153` for one `evolve` leg of 0.125 time units), and the
@@ -83,26 +82,23 @@ def run_suite() -> dict:
     results["choose_weight_cubic"] = bench(solver.choose_weight, nl)
     spec = solver.default_grid(solver.choose_weight(nl), solver.SolverOptions())
     seed = grid.seed_function(spec)
-    ws = solver._Workspace(spec)
-    g_free = solver._gradient(seed, nl)[:, 1:-1]
-    results["workspace_build_96x448"] = bench(solver._Workspace, spec)
-    results["precond_solve_96x448"] = bench(ws.precond_solve, g_free)
+    results["trace_build_96x448"] = bench(solver._Trace, spec)
+    problem = solver._Trace(spec)
+    stiff = grid.apply_stiffness(spec, seed.values)[:, 1:-1]
+    results["precond_solve_96x448"] = bench(problem.ws.precond_solve, stiff)
     results["apply_stiffness_96x448"] = bench(grid.apply_stiffness, spec, seed.values)
     results["project_constraint_96x448"] = bench(grid.project_constraint, seed)
 
-    w, e_w = solver._trial(seed.copy(), nl)
-    rippled = w.values.copy()
-    rippled[: (spec.nx + 1) // 4, 180:260] += 0.01 * np.sin(np.arange(80.0))
-    results["rearrange_solver_96x448"] = bench(_kernels.rearrange_columns, rippled, spec.ymeasure)
-    # _trial changes its input in place, so each call gets a fresh field
-    results["trial_96x448"] = bench(lambda: solver._trial(grid.Field(w.values * 1.01, spec), nl))
-
-    # Newton's pieces from the iterate the 20-step burst hands over
-    results["capacitance_build_96x448"] = bench(solver._capacitance, spec)
-    w, _ = solver._warm_start(ws, w, nl, [e_w], solver._HANDOFF_ITERS)
-    _, gamma, lam, sw = solver._stationarity(ws, w, nl)
-    newton = solver._Newton(ws, spec)
-    results["newton_step_96x448"] = bench(newton.step, w, nl, lam, sw, gamma)
+    # the trace pieces, from the trace the 20-step hand-off burst leaves
+    u, e_seed = problem.trial(seed.values[0].copy(), nl)
+    u, _ = problem.burst(u, nl, [e_seed], solver._HANDOFF_ITERS, solver.SolveRecord())
+    lam = problem.stationarity(u, nl)[2]
+    results["lambda_apply_96x448"] = bench(problem.scaled, u)
+    # trial changes its input in place, so each call gets a fresh trace
+    results["trace_trial_96x448"] = bench(lambda: problem.trial(u * 1.01, nl))
+    big = np.empty((spec.ny, spec.ny))
+    results["trace_newton_step_96x448"] = bench(problem.newton_step, u, nl, lam, big)
+    results["extension_96x448"] = bench(problem.extend, u)
 
     # the evolution on the oracle front, as one frontbench `evolution` leg
     from frontforge import evolution

@@ -3,7 +3,8 @@
 Config files are flat `key = value` lines with `#` comments; unknown keys
 are rejected.  All floating-point output is written with shortest
 round-trip formatting (repr) and LF line endings, so identical runs produce
-byte-identical files.
+byte-identical files, apart from the wall-clock phase seconds of a solve's
+run record in its metadata.
 """
 
 from __future__ import annotations
@@ -250,6 +251,12 @@ def front_meta(sol) -> dict:
         "burst_steps": sol.record.burst_steps,
         "newton_steps": sol.record.newton_steps,
         "rho_history": " ".join(_fmt(r) for r in sol.record.rho_history),
+        "trials": sol.record.trials,
+        "factorizations": sol.record.factorizations,
+        "build_s": sol.record.build_s,
+        "burst_s": sol.record.burst_s,
+        "newton_s": sol.record.newton_s,
+        "extension_s": sol.record.extension_s,
     }
 
 

@@ -9,17 +9,12 @@ y-edge parts `_x_part`, `_y_part` of the bilinear form on products of the
 differences from `_diff`, and its matrix-free apply `apply_stiffness`, the
 exact linear operator of the solver's gradient.
 
-Every trial of the solver rearranges in place (`rearrange_columns`) and
-projects with `_project`.  The projection takes the field's differences
-once and reduces them over x to four per-column sums (`_column_sums`):
-Gamma_a of the field (`_sums_gamma`) and the cell quadratic of every shift
-the walk tries (`_cell_forms`) are then O(ny) dot products of those sums
-with the weights of `_x_part` and `_y_part`, and only the final `translate`
-builds a field.  The grid functions of a trial work on as few field-sized
-temporaries as they can and free each one before the next is built: at the
-default grid a field is about 350 KB, and every extra one alive at a time
-made the C allocator return heap pages to the system and fault them back in
-on the next trial.
+`project_constraint` takes the field's differences once and reduces them
+over x to four per-column sums (`_column_sums`): Gamma_a of the field and
+the cell quadratic of every shift its walk tries (`_cell_forms`) are then
+O(ny) dot products of those sums with the weights of `_x_part` and
+`_y_part`, and only the final `translate` builds a field.  The walk itself
+(`_unit_shift`) is shared with the solver's trace trials.
 """
 
 from __future__ import annotations
@@ -273,8 +268,9 @@ def _column_sums(spec: GridSpec, v: np.ndarray) -> tuple[np.ndarray, ...]:
     xx[j] = sum_i ux[i,j] ux[i,j+1] over the columns, y2[j] = sum_i sigma_i
     uy[i,j]^2 and yy[j] = sum_i sigma_i uy[i,j] uy[i,j+1] over the y-edges.
     xx, y2 and yy are padded with zeros to ny + 1 entries, so that a clipped
-    column index never leaves them.  `_cell_forms` and Gamma_a itself are
-    dot products of these with the weights of `_x_part` and `_y_part`.
+    column index never leaves them.  `_cell_forms`, Gamma_a itself among
+    them (k = 0), are dot products of these with the weights of `_x_part`
+    and `_y_part`.
     """
     ny = spec.ny
     ux = _diff(v, 0, spec.hx)
@@ -288,23 +284,6 @@ def _column_sums(spec: GridSpec, v: np.ndarray) -> tuple[np.ndarray, ...]:
     yy = np.zeros(ny + 1)
     yy[:-2] = spec.sigma @ (uy[:, :-1] * uy[:, 1:])
     return x2, xx, y2, yy
-
-
-def _sums_gamma(spec: GridSpec, sums: tuple[np.ndarray, ...]) -> float:
-    """Gamma_a of the field whose `_column_sums` are `sums`."""
-    x2, _, y2, _ = sums
-    return float((spec.tau * spec.wy) @ x2 + spec.wy_edge @ y2[:-1]) * spec.hx * spec.hy
-
-
-def _end_part(spec: GridSpec, v: np.ndarray) -> float:
-    """The terms of Gamma_a(v) that hold the end columns j = 0 and j = ny:
-    their x-edges and the y-edges 0 and ny - 1, the only terms that a change
-    of those two columns moves."""
-    x = _diff(v[:, [0, -1]], 0, spec.hx)
-    y = _diff(v[:, [0, 1, -2, -1]], 1, spec.hy)[:, ::2]
-    xs = (x * x).sum(axis=0) @ (spec.tau * spec.wy)[[0, -1]]
-    ys = (spec.sigma @ (y * y)) @ spec.wy_edge[[0, -1]]
-    return float(xs + ys) * spec.hx * spec.hy
 
 
 def _cell_forms(spec: GridSpec, sums: tuple[np.ndarray, ...], k: int) -> tuple[float, float, float]:
@@ -355,12 +334,8 @@ def project_constraint(w: Field, tol: float = 1e-8) -> Field:
 
     A field already within `tol` of the constraint is returned as a copy.
     Otherwise Gamma of the translate is an exact quadratic in the shift on
-    each grid cell (see `_cell_forms`).  Starting from the cell of the
-    continuum shift log(Gamma)/a, the search walks one cell at a time to the
-    cell whose ends bracket Gamma = 1 and solves the quadratic there, so the
-    result meets the constraint to round-off.  A field with zero or
-    non-finite Dirichlet energy, or one that needs a shift beyond a quarter
-    of the y-window (the limit of `translate`), raises NumericalError.
+    each grid cell (`_cell_forms`), and `_unit_shift` finds the shift, so
+    the result meets the constraint to round-off.
     """
     out, _ = _project(w, tol)
     return out.copy() if out is w else out
@@ -368,32 +343,42 @@ def project_constraint(w: Field, tol: float = 1e-8) -> Field:
 
 def _project(w: Field, tol: float) -> tuple[Field, float]:
     """`project_constraint` without the copy: (the projected field, its
-    Gamma_a).  A field within `tol` comes back as itself with its own
-    Gamma; otherwise Gamma is the cell quadratic at the root, 1 to
-    round-off.  Every Gamma and cell form is a dot product of the field's
-    `_column_sums`, which are taken once."""
+    Gamma_a), from one `_column_sums` of the field; Gamma_a is the field's
+    own within `tol`, else the cell quadratic at the root."""
     g = w.spec
     sums = _column_sums(g, w.values)
-    gamma = _sums_gamma(g, sums)
+    gamma = _cell_forms(g, sums, 0)[0]
+    if abs(gamma - 1.0) <= tol:
+        return w, gamma
+    k, theta, gamma = _unit_shift(g, gamma, lambda k: _cell_forms(g, sums, k))
+    return translate(w, (k + theta) * g.hy), gamma
+
+
+def _unit_shift(spec: GridSpec, gamma: float, forms) -> tuple[int, float, float]:
+    """(k, theta, Gamma) of the y-shift t = (k + theta) hy that brings
+    Gamma, now `gamma`, to 1, where forms(k) is the cell quadratic
+    (Q(A,A), Q(A,B), Q(B,B)) of the translates A, B by k hy and (k+1) hy.
+
+    Starting from the cell of the continuum shift log(Gamma)/a, the walk
+    moves one cell at a time to the cell whose ends bracket Gamma = 1 and
+    solves the quadratic there (`_unit_root`).  Zero or non-finite Gamma, or
+    a shift beyond a quarter of the y-window (the limit of `translate`),
+    raises NumericalError.
+    """
     if not math.isfinite(gamma):
         raise NumericalError(f"cannot project a field with Dirichlet energy {gamma}")
     if gamma <= 0.0:
         raise NumericalError("cannot project a field with zero Dirichlet energy")
-    if abs(gamma - 1.0) <= tol:
-        return w, gamma
-
-    limit = 0.25 * (g.y_max - g.y_min)
-    reach = limit / g.hy
-    k = math.floor(math.log(gamma) / (g.a * g.hy))
+    limit = 0.25 * (spec.y_max - spec.y_min)
+    reach = limit / spec.hy
+    k = math.floor(math.log(gamma) / (spec.a * spec.hy))
     while -reach - 1.0 <= k <= reach:
-        p, q, r = _cell_forms(g, sums, k)
+        p, q, r = forms(k)
         if (p - 1.0) * (r - 1.0) <= 0.0:
             theta = _unit_root(p, q, r)
-            t = (k + theta) * g.hy
-            if abs(t) > limit:
+            if abs((k + theta) * spec.hy) > limit:
                 break
-            gamma = (1.0 - theta) ** 2 * p + 2.0 * theta * (1.0 - theta) * q + theta**2 * r
-            return translate(w, t), gamma
+            return k, theta, (1.0 - theta) ** 2 * p + 2.0 * theta * (1.0 - theta) * q + theta**2 * r
         # Gamma falls with the shift; the cell ends are shared, so the walk
         # never turns back
         k += 1 if r > 1.0 else -1

@@ -233,8 +233,8 @@ def free_stiffness_solve(spec, g):
 def boundary_ntd_dense(spec) -> np.ndarray:
     """N = U^T S_ff^{-1} U, U the injection of the free nodes of row 0, as the
     inverse of the dense Schur complement of the free stiffness onto those
-    nodes (the discrete Dirichlet-to-Neumann map): the reference for
-    `solver._capacitance`."""
+    nodes (the discrete Dirichlet-to-Neumann map): the reference for the
+    inverse of `solver._boundary_modes`' operator."""
     s_ff = sparse_stiffness(spec)[_free_mask(spec)][:, _free_mask(spec)].toarray()
     nb = spec.ny - 1  # row 0 comes first in the free ordering
     s_bb, s_bi, s_ii = s_ff[:nb, :nb], s_ff[:nb, nb:], s_ff[nb:, nb:]
@@ -245,8 +245,9 @@ def newton_step_sparse(w, nl, lam: float):
     """(dw, dlambda) of one Newton step on F1 = (1 - 2 lambda)(S w)_free -
     b(w)_free, F2 = w.S w - 1, by `spsolve` of the sparse bordered Jacobian
     [[(1 - 2 lambda) S_ff - U D U^T, -2 s], [2 s^T, 0]] with s = (S w)_free
-    and D = diag(ymeasure f'(w(0, y))): the reference for
-    `solver._Newton.step`."""
+    and D = diag(ymeasure f'(w(0, y))).  From the harmonic extension of a
+    trace, row 0 of dw and dlambda are the trace Newton step of
+    `solver._Trace.newton_step`."""
     spec = w.spec
     free = _free_mask(spec)
     S = sparse_stiffness(spec)
@@ -269,6 +270,68 @@ def newton_step_sparse(w, nl, lam: float):
     rhs = np.concatenate([-(mu * s - b), [1.0 - float(w.values.ravel() @ sw)]])
     x = spsolve(jac, rhs)
     return x[:-1].reshape(spec.nx + 1, spec.ny - 1), float(x[-1])
+
+
+def trace_extension_sparse(spec, u) -> np.ndarray:
+    """The field with row 0 held at the trace u (ny + 1 values, pins
+    included) and the pins held at 1 and 0 whose other free nodes minimize
+    Gamma_a, by `spsolve` of S restricted to those nodes: the reference for
+    `solver._Trace.extend`."""
+    S = sparse_stiffness(spec)
+    inner = _free_mask(spec).reshape(spec.nx + 1, spec.ny + 1)
+    inner[0] = False
+    inner = inner.ravel()
+    fixed = np.zeros((spec.nx + 1, spec.ny + 1))
+    fixed[:, 0] = 1.0
+    fixed[0] = u
+    values = fixed.ravel().copy()
+    rhs = -(S[inner][:, ~inner] @ values[~inner])
+    values[inner] = spsolve(S[inner][:, inner].tocsc(), rhs)
+    return values.reshape(fixed.shape)
+
+
+def reduced_problem_dense(spec):
+    """(Lambda, u0, kappa0) of the reduced form Gamma(u) = kappa0 + (u -
+    u0)^T Lambda (u - u0) on the free trace nodes: Lambda is the dense Schur
+    complement of the free stiffness onto row 0 (the inverse of
+    `boundary_ntd_dense`), and u0, kappa0 are the trace and Gamma_a of the
+    pins' extension by `spsolve`.  The reference for `solver._Trace`."""
+    s_ff = sparse_stiffness(spec)[_free_mask(spec)][:, _free_mask(spec)].toarray()
+    nb = spec.ny - 1
+    s_bb, s_bi, s_ii = s_ff[:nb, :nb], s_ff[:nb, nb:], s_ff[nb:, nb:]
+    dtn = s_bb - s_bi @ np.linalg.solve(s_ii, s_bi.T)
+    S = sparse_stiffness(spec)
+    free = _free_mask(spec)
+    pins = np.zeros((spec.nx + 1, spec.ny + 1))
+    pins[:, 0] = 1.0
+    values = pins.ravel()
+    values[free] = spsolve(S[free][:, free].tocsc(), -(S[free][:, ~free] @ values[~free]))
+    pins = values.reshape(pins.shape)
+    return dtn, pins[0, 1:-1].copy(), float(values @ (S @ values))
+
+
+def newton_step_finite_difference(spec, u, nl, lam: float, h: float = 1e-2):
+    """(du, dlambda) of one Newton step on the reduced problem, F1 =
+    (1 - 2 lambda) Lambda (u - u0) - ymeasure f(u), F2 = Gamma(u) - 1, from
+    `reduced_problem_dense` and a dense bordered Jacobian of Richardson
+    extrapolated central differences (`central_derivative`), exact to
+    round-off for a law polynomial of degree <= 4 while u +- h stays in
+    (0, 1): the reference for `solver._Trace.newton_step`."""
+    dtn, u0, kappa0 = reduced_problem_dense(spec)
+    m = spec.ymeasure[1:-1]
+
+    def residual(z):
+        x, mu = z[:-1] - u0, 1.0 - 2.0 * z[-1]
+        return np.append(mu * (dtn @ x) - m * np.asarray(nl.f(z[:-1])), kappa0 + x @ dtn @ x - 1.0)
+
+    z = np.append(u[1:-1], lam)
+    jac = np.empty((z.size, z.size))
+    for j in range(z.size):
+        e = np.zeros(z.size)
+        e[j] = 1.0
+        jac[:, j] = central_derivative(lambda t: residual(z + t * e), 0.0, h)
+    x = np.linalg.solve(jac, -residual(z))
+    return x[:-1], float(x[-1])
 
 
 def rearrange_rows_sorted(vals, meas):

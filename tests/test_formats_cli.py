@@ -317,6 +317,10 @@ class TestCli:
         assert int(meta["burst_steps"]) >= 1 and int(meta["newton_steps"]) >= 1
         rho = [float(r) for r in meta["rho_history"].split()]
         assert rho[-1] <= 1e-10 < rho[0]
+        # ... and where its time went
+        assert int(meta["trials"]) >= int(meta["burst_steps"])
+        assert int(meta["factorizations"]) == int(meta["newton_steps"])
+        assert all(float(meta[phase]) > 0.0 for phase in ("build_s", "burst_s", "newton_s", "extension_s"))
         # emitted trace is consumable by asymptotics
         code = main(["asymptotics", "--input", os.path.join(out, "trace.csv"), "--c", repr(c), "--out", out])
         assert code == 0

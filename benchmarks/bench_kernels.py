@@ -19,9 +19,12 @@ Gamma, `trace_trial_96x448` for one trace trial of that trace scaled by
 evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
 (`evolution_step_129x1153` for one step of a run on its sweep matrices,
 `evolution_leg_129x1153` for one `evolve` leg of 0.125 time units), and the
-closed-form oracle at t = 1, c = 2 (`sample_front_129x897` for the sampled
-field on the fine residual grid h = 1/64, `front_nonlinearity_t1c2` for the
-law table, `invert_trace_tail_t1c2` for the trace inversion at s = 1e-180 that
+closed-form oracle at t = 1, c = 2 (`sample_front_65x449` and
+`sample_front_129x897` for the sampled field on the residual grids h = 1/32
+and 1/64, `sample_front_129x1153` for the evolution's initial field on
+`evolution_grid(2, 64)`, `front_nonlinearity_t1c2` for the law table,
+`ignition_beta_t1c2` for its beta from the table's exact integral,
+`invert_trace_tail_t1c2` for the trace inversion at s = 1e-180 that
 the endpoint slope needs, `invert_trace_one_side_t1c2` for the inversion at
 s = 1 - 1e-6, which runs on the complement integral below eta = -34), and
 prints the best of several repeats:
@@ -102,7 +105,14 @@ def run_suite() -> dict:
 
     # the evolution on the oracle front, as one frontbench `evolution` leg
     from frontforge import evolution
-    from frontforge.explicit_front import ExplicitFrontParams, front_nonlinearity, invert_trace, sample_front
+    from frontforge.explicit_front import (
+        ExplicitFrontParams,
+        _law_table,
+        _table_beta,
+        front_nonlinearity,
+        invert_trace,
+        sample_front,
+    )
     from frontforge.front_suite import evolution_grid, oracle_residual_grid
 
     params = ExplicitFrontParams(1.0, 2.0)
@@ -110,6 +120,7 @@ def run_suite() -> dict:
     results["validate_oracle_law"] = bench(validate, law)
     spec = evolution_grid(params.c, 64)
     front = grid.Field(sample_front(params, spec.xs, spec.ys), spec)
+    results["sample_front_129x1153"] = bench(sample_front, params, spec.xs, spec.ys)
     dt = 0.5 * evolution.stability_limit(spec, law)
     sweeps = evolution._sweep_matrices(spec, dt)
     state = evolution.EvolutionState(front, 0.0)
@@ -117,9 +128,12 @@ def run_suite() -> dict:
     results["evolution_leg_129x1153"] = bench(evolution.evolve, front, law, 0.125)
 
     # the closed-form oracle, as in a frontbench `oracle-field` round
+    spec = oracle_residual_grid(params, 1.0 / 32.0)
+    results["sample_front_65x449"] = bench(sample_front, params, spec.xs, spec.ys)
     spec = oracle_residual_grid(params, 1.0 / 64.0)
     results["sample_front_129x897"] = bench(sample_front, params, spec.xs, spec.ys)
     results["front_nonlinearity_t1c2"] = bench(front_nonlinearity, params)
+    results["ignition_beta_t1c2"] = bench(_table_beta, *_law_table(params.t), -1.0 / params.t)
     results["invert_trace_tail_t1c2"] = bench(invert_trace, params, 1e-180)
     results["invert_trace_one_side_t1c2"] = bench(invert_trace, params, 1.0 - 1e-6)
 

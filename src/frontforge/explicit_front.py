@@ -17,14 +17,28 @@ value, profile and sampled field, evaluates e^r K_1(r) alone
 (`_kernels.k1_scaled`); the Green kernel needs e^r K_0(r) and the implicit law
 f^t both functions, and they take the pair from `_kernels.k01_scaled`.
 
-Every front value goes through the one checked quadrature `_cells`; below
-_Y_COMPLEMENT as 1 minus the mass below, from `kernel_mass`'s limit `_far`.
+Every front value goes through one checked quadrature, `_cells`, in three
+tiers:
+
+- shared panels: a run of two or more cells narrower than _SHARED_WIDTH (the
+  cells of a sampled grid) is cut into panels at most that wide.  The kernel
+  is evaluated once per panel at _SHARED_POINTS Chebyshev-Lobatto points,
+  each cell takes the exact integral of the panel's interpolant over it, and
+  the interpolant through every other point is the check;
+- Gauss sub-panels, with nested 6/12-point rules, for every other cell;
+- the fallback: a row whose shared panels fail their check takes the Gauss
+  sub-panels on every cell, halved to 12/24 points where 6/12 fails.
+
+An `_edges` table has no run of narrow cells, so `_integral_p` (with it
+`kernel_mass`, point values and the `invert_trace` bisections) takes the
+Gauss tier alone.  Below _Y_COMPLEMENT a value is 1 minus the mass below,
+from `kernel_mass`'s limit `_far`.
 
 A sampled field is one batched quadrature pass over all its columns: one
-shared panel table, one kernel evaluation per block of columns and one
-cumulative sum per column.  A block holds as many columns as fit in
-_BLOCK_POINTS kernel points of the 12-point rule, so the temporaries stay the
-same size whatever the number of columns.
+panel table, one kernel evaluation per block of columns and one cumulative
+sum per column.  A block holds as many columns as fit in _BLOCK_POINTS kernel
+points of the tier (and, for shared panels, cells), so the temporaries stay
+the same size whatever the number of columns.
 """
 
 from __future__ import annotations
@@ -36,18 +50,22 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import k01_scaled, k1_scaled
-from .nonlinearity import Nonlinearity, _bisect, ignition_point, make_custom
+from .nonlinearity import Nonlinearity, _bisect, make_custom
 from .specfun import k_ratio
 
 #: uniform quadrature panels this wide resolve the kernel to machine precision
 _PANEL = 0.4
+#: runs of cells narrower than this share Chebyshev panels at most this wide
+_SHARED_WIDTH = 0.5 * _PANEL
+#: Chebyshev-Lobatto points of a shared panel; every other one is its check rule
+_SHARED_POINTS = 25
 #: switch to geometric panels below this z (power-law regime)
 _Z_GEO = -32.0
 #: beyond this z the integrand underflows to exact 0
 _Z_DEAD = 400.0
 #: use the complement integral for trace values this far down
 _Y_COMPLEMENT = -34.0
-#: kernel points of the 12-point rule in one block of columns of `_cells`
+#: kernel points (or shared-panel cells) in one block of columns of `_cells`
 _BLOCK_POINTS = 65536
 #: smallest kernel offset t whose law table `front_nonlinearity` resolves
 LAW_T_MIN = 0.125
@@ -157,30 +175,148 @@ def _rule(x_offs: np.ndarray, mid: np.ndarray, hw: np.ndarray, n: int) -> np.nda
     return (vals * wi[None, :]).sum(axis=1).reshape(len(x_offs), -1) * hw
 
 
-def _cells(x_offs: np.ndarray, edges: np.ndarray, tol: float = 1e-11) -> np.ndarray:
-    """Integrals of the kernel over each cell [edges[i], edges[i+1]], one row
-    per offset in the 1-D array `x_offs`.
+@lru_cache(maxsize=2)
+def _lobatto(n: int):
+    """The n Chebyshev-Lobatto points cos(pi k/(n-1)) and the matrix that maps
+    values there to the antiderivative of their interpolant, written in
+    T_0 .. T_n (up to a constant, which cancels in differences)."""
+    m = n - 1
+    x = np.cos(np.pi * np.arange(n) / m)
+    to_coef = 2.0 / m * np.cos(np.pi * np.outer(np.arange(n), np.arange(n)) / m)
+    to_coef[:, [0, m]] *= 0.5
+    to_coef[[0, m], :] *= 0.5
+    # int T_0 = T_1, int T_1 = T_2/4, int T_j = T_{j+1}/(2(j+1)) - T_{j-1}/(2(j-1))
+    anti = np.zeros((n + 1, n))
+    anti[1, 0] = 1.0
+    anti[2, 1] = 0.25
+    j = np.arange(2, n)
+    anti[j + 1, j] = 1.0 / (2.0 * (j + 1))
+    anti[j - 1, j] = -1.0 / (2.0 * (j - 1))
+    return x, anti @ to_coef
 
-    Cells wider than a panel are subdivided internally.  Every row is checked
-    with nested 6/12-point Gauss rules; a row that fails is redone on halved
-    sub-panels with 12/24 points, and disagreement beyond `tol` there raises.
-    Rows go in blocks of at most _BLOCK_POINTS kernel points of the 12-point
-    rule (at least one row).
+
+def _chebyshev(xi: np.ndarray, n: int) -> np.ndarray:
+    """T_0 .. T_n at the points xi of [-1, 1] by their recurrence, one row per
+    point."""
+    cheb = np.empty((len(xi), n + 1))
+    cheb[:, 0] = 1.0
+    cheb[:, 1] = xi
+    for k in range(2, n + 1):
+        cheb[:, k] = 2.0 * xi * cheb[:, k - 1] - cheb[:, k - 2]
+    return cheb
+
+
+@dataclass(frozen=True)
+class _SharedPanels:
+    """The shared-panel tier of an edge table: the grouped cells, the panel
+    each belongs to, the kernel nodes of every panel and the weights that give
+    each cell the integral of its panel's interpolant through all nodes
+    (`fine`) or through every other node (`coarse`)."""
+
+    cells: np.ndarray
+    panel: np.ndarray
+    nodes: np.ndarray
+    fine: np.ndarray
+    coarse: np.ndarray
+
+
+def _shared_panels(edges: np.ndarray) -> _SharedPanels | None:
+    """The shared-panel tier of `edges`, or None when it groups no cell.
+
+    Each run of two or more consecutive cells narrower than _SHARED_WIDTH
+    between _Z_GEO and _Z_DEAD is cut greedily into panels at most
+    _SHARED_WIDTH wide.  An `_edges` table has two narrow cells side by side
+    only across _Z_GEO or _Z_DEAD, so none of its cells is grouped.
     """
-    x_offs = np.asarray(x_offs, dtype=float)
-    starts, stops, owner = _subpanels(edges)
+    lo, hi = edges[:-1], edges[1:]
+    narrow = (hi - lo < _SHARED_WIDTH) & (lo >= _Z_GEO) & (hi <= _Z_DEAD)
+    if np.count_nonzero(narrow) < 2:
+        return None
+    change = np.flatnonzero(np.diff(narrow, prepend=False, append=False)).tolist()
+    reach = (np.searchsorted(edges, edges + _SHARED_WIDTH, side="right") - 1).tolist()
+    bounds = []  # (first edge, last edge) of each panel
+    for first, stop in zip(change[0::2], change[1::2]):
+        if stop - first < 2:
+            continue
+        k = first
+        while k < stop:
+            j = min(max(reach[k], k + 1), stop)
+            bounds.append((k, j))
+            k = j
+    if not bounds:
+        return None
+    first, last = np.array(bounds).T
+    panel = np.repeat(np.arange(len(first)), last - first)
+    cells = np.concatenate([np.arange(k, j) for k, j in bounds])
+    mid = 0.5 * (edges[first] + edges[last])
+    hw = 0.5 * (edges[last] - edges[first])
+    # panel-local cell edges; a panel's own ends are -1 and 1 exactly
+    a = np.where(cells == first[panel], -1.0, (edges[cells] - mid[panel]) / hw[panel])
+    b = np.where(cells + 1 == last[panel], 1.0, (edges[cells + 1] - mid[panel]) / hw[panel])
+
+    def weights(n):
+        # each cell's integral of the interpolant through n Lobatto points
+        return hw[panel, None] * ((_chebyshev(b, n) - _chebyshev(a, n)) @ _lobatto(n)[1])
+
+    return _SharedPanels(
+        cells=cells,
+        panel=panel,
+        nodes=mid[:, None] + hw[:, None] * _lobatto(_SHARED_POINTS)[0][None, :],
+        fine=weights(_SHARED_POINTS),
+        coarse=weights(_SHARED_POINTS // 2 + 1),
+    )
+
+
+def _shared_cells(out: np.ndarray, x_offs: np.ndarray, shared: _SharedPanels, tol: float) -> np.ndarray:
+    """Write into `out` the grouped cells of every row that passes its check,
+    and return the mask of those rows.
+
+    The kernel is evaluated once per panel node.  A cell's integral is the
+    weighted sum of its panel's node values, accumulated node by node, and
+    the check compares it with the sum over every other node under the
+    6/12 rule's per-row test.
+    """
+    nodes = shared.nodes.ravel()
+    n = _SHARED_POINTS
+    ok = np.zeros(len(x_offs), dtype=bool)
+    block = max(1, _BLOCK_POINTS // max(len(nodes), len(shared.cells)))
+    for first in range(0, len(x_offs), block):
+        rows = np.arange(first, min(first + block, len(x_offs)))
+        vals = _p_kernel(x_offs[rows, None], nodes).reshape(len(rows), -1, n)
+        fine = np.zeros((len(rows), len(shared.cells)))
+        coarse = np.zeros_like(fine)
+        for k in range(n):
+            at = vals[:, shared.panel, k]
+            fine += at * shared.fine[:, k]
+            if k % 2 == 0:
+                coarse += at * shared.coarse[:, k // 2]
+        err = np.abs(fine - coarse).sum(axis=1)
+        good = err <= np.maximum(tol, 1e-13 * np.abs(fine).sum(axis=1))
+        out[rows[good, None], shared.cells] = fine[good]
+        ok[rows] = good
+        del vals, fine, coarse, at  # so the next block's kernel pass does not hold them
+    return ok
+
+
+def _gauss_cells(out, x_offs, rows, starts, stops, owner, tol):
+    """Add into out[rows] the Gauss sums of the sub-panels (starts, stops),
+    each onto its owner cell.  Every row is checked with nested 6/12-point
+    rules; a row that fails is redone on halved sub-panels with 12/24 points,
+    and disagreement beyond `tol` there raises.  Rows go in blocks of at most
+    _BLOCK_POINTS kernel points of the 12-point rule (at least one row)."""
+    if not len(starts):
+        return
     mid = 0.5 * (starts + stops)
     hw = 0.5 * (stops - starts)
     halved = None
-    out = np.zeros((len(x_offs), len(edges) - 1))
     block = max(1, _BLOCK_POINTS // (12 * len(mid)))
-    for first in range(0, len(x_offs), block):
-        rows = np.arange(first, min(first + block, len(x_offs)))
-        coarse = _rule(x_offs[rows], mid, hw, 6)
-        fine = _rule(x_offs[rows], mid, hw, 12)
+    for first in range(0, len(rows), block):
+        part = rows[first : first + block]
+        coarse = _rule(x_offs[part], mid, hw, 6)
+        fine = _rule(x_offs[part], mid, hw, 12)
         err = np.abs(fine - coarse).sum(axis=1)
         bad = err > np.maximum(tol, 1e-13 * np.abs(fine).sum(axis=1))
-        np.add.at(out, (rows[~bad, None], owner), fine[~bad])
+        np.add.at(out, (part[~bad, None], owner), fine[~bad])
         if not bad.any():
             continue
         if halved is None:
@@ -189,13 +325,37 @@ def _cells(x_offs: np.ndarray, edges: np.ndarray, tol: float = 1e-11) -> np.ndar
             stops2 = np.column_stack([mid, stops]).ravel()
             halved = 0.5 * (starts2 + stops2), 0.5 * (stops2 - starts2), np.repeat(owner, 2)
         mid2, hw2, owner2 = halved
-        coarse = _rule(x_offs[rows[bad]], mid2, hw2, 12)
-        fine = _rule(x_offs[rows[bad]], mid2, hw2, 24)
+        coarse = _rule(x_offs[part[bad]], mid2, hw2, 12)
+        fine = _rule(x_offs[part[bad]], mid2, hw2, 24)
         err = np.abs(fine - coarse).sum(axis=1)
         worse = err > np.maximum(tol, 1e-12 * np.abs(fine).sum(axis=1))
         if worse.any():
             raise QuadratureError("kernel quadrature did not converge", float(err[worse][0]))
-        np.add.at(out, (rows[bad, None], owner2), fine)
+        np.add.at(out, (part[bad, None], owner2), fine)
+
+
+def _cells(x_offs: np.ndarray, edges: np.ndarray, tol: float = 1e-11) -> np.ndarray:
+    """Integrals of the kernel over each cell [edges[i], edges[i+1]], one row
+    per offset in the 1-D array `x_offs`.
+
+    Runs of narrow cells share Chebyshev panels (`_shared_panels`,
+    `_shared_cells`).  The other cells, and every cell of a row whose shared
+    panels fail their check, take the Gauss sub-panels of `_subpanels`
+    (`_gauss_cells`), as every cell of a table without such runs does.
+    """
+    x_offs = np.asarray(x_offs, dtype=float)
+    out = np.zeros((len(x_offs), len(edges) - 1))
+    table = _subpanels(edges)
+    rows = np.arange(len(x_offs))
+    shared = _shared_panels(edges)
+    if shared is not None:
+        ok = _shared_cells(out, x_offs, shared, tol)
+        wide = np.ones(len(edges) - 1, dtype=bool)
+        wide[shared.cells] = False
+        keep = wide[table[2]]
+        _gauss_cells(out, x_offs, rows[ok], *(a[keep] for a in table), tol)
+        rows = rows[~ok]
+    _gauss_cells(out, x_offs, rows, *table, tol)
     return out
 
 
@@ -363,19 +523,27 @@ def invert_trace(params: ExplicitFrontParams, s: float) -> float:
     lo, hi = -4.0, 4.0  # eta bracket; the gap decreases from 1 - s to -s
     while gap(hi) > 0.0 and hi < 1.0e6:
         hi *= 2.0
-    while gap(lo) < 0.0 and lo > -1.0e18:
-        lo *= 2.0
     if s > 0.5:
-        gap = _mass_gap(t, 1.0 - s, lo)
+        lo, gap = _mass_gap(t, 1.0 - s)
+    else:
+        while gap(lo) < 0.0 and lo > -1.0e18:
+            lo *= 2.0
     return 2.0 * _bisect(gap, lo, hi, 1e-13) / params.c
 
 
-def _mass_gap(t: float, target: float, lo: float):
-    """eta -> target - (mass below eta) for a bisection whose bracket starts
-    at `lo`: the mass is integrated once up to lo, and each eta adds only
-    the cells from the bracket's low end to eta.  `_bisect` moves its low
-    end to every eta with a positive gap, so the sum moves up with it."""
-    low, mass = lo, _mass_below(t, lo)
+def _mass_gap(t: float, target: float):
+    """(lo, gap) for the bisection of eta -> target - (mass below eta).
+
+    One cumulative pass over the cells of _edges(_far(t), -4) gives the mass
+    below each of their edges, and lo is the highest edge whose mass is at
+    most `target`.  Each gap(eta) then adds only the cells from the bracket's
+    low end to eta: `_bisect` moves its low end to every eta with a positive
+    gap, so the sum moves up with it.
+    """
+    edges = _edges(_far(t), -4.0)
+    below = np.concatenate([[0.0], np.cumsum(_cells(np.array([t]), edges)[0])])
+    k = int(np.searchsorted(below, target, side="right")) - 1
+    low, mass = float(edges[k]), float(below[k])
 
     def gap(eta):
         nonlocal low, mass
@@ -384,7 +552,7 @@ def _mass_gap(t: float, target: float, lo: float):
             low, mass = eta, m
         return target - m
 
-    return gap
+    return low, gap
 
 
 def explicit_nonlinearity(params: ExplicitFrontParams, s: float) -> float:
@@ -434,6 +602,19 @@ def _law_eta_grid(t: float) -> np.ndarray:
     return np.concatenate([neg_tail, core, pos_tail])
 
 
+def _law_table(t: float):
+    """The speed-2 law table (s, f^t, f^t') ascending in s: the trace swept
+    once over `_law_eta_grid(t)`, with non-monotone round-off ties dropped."""
+    eta_grid = _law_eta_grid(t)
+    u = _sweep(np.array([t]), eta_grid)[0]
+    # ascending in s = reversed eta order
+    s_tab = u[::-1]
+    f_tab = _f_speed2(t, eta_grid)[::-1]
+    fp_tab = _fprime_speed2(t, eta_grid)[::-1]
+    keep = np.concatenate([[True], np.diff(s_tab) > 0.0])
+    return s_tab[keep], f_tab[keep], fp_tab[keep]
+
+
 def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
     """The reaction law f^{t,c} packaged as a table-backed Nonlinearity.
 
@@ -441,28 +622,16 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
     uniform core with geometric tails, giving the parametric table
     (s, f, f') with exact derivative data; inside the table f is cubic
     Hermite in s and f' is that cubic's derivative, outside both continue
-    with the exact endpoint slopes -c/(2t).  Structural constants delta,
-    alpha, beta are located from the closed forms.  Interpolation error is
+    with the exact endpoint slopes -c/(2t).  The structural constants delta
+    and alpha are located from the closed forms, and beta is the zero of the
+    table's own exact integral (`_table_beta`).  Interpolation error is
     below ~1e-9, far inside what the variational solver resolves.
     """
     t, c = params.t, params.c
     if t < LAW_T_MIN:
         raise ValueError(f"the law table needs t >= {LAW_T_MIN:g}, got t = {t:g}")
     y_star = _hphase_root(t)
-
-    eta_grid = _law_eta_grid(t)
-    u = _sweep(np.array([t]), eta_grid)[0]
-
-    f_tab = _f_speed2(t, eta_grid)
-    fp_tab = _fprime_speed2(t, eta_grid)
-
-    # ascending in s = reversed eta order; drop non-monotone roundoff ties
-    s_tab = u[::-1]
-    f_tab = f_tab[::-1]
-    fp_tab = fp_tab[::-1]
-    keep = np.concatenate([[True], np.diff(s_tab) > 0.0])
-    s_tab, f_tab, fp_tab = s_tab[keep], f_tab[keep], fp_tab[keep]
-
+    s_tab, f_tab, fp_tab = _law_table(t)
     slope = -1.0 / t  # speed-2 endpoint slope; scaled by c/2 below
     s_lo, s_hi = float(s_tab[0]), float(s_tab[-1])
     h_tab = np.diff(s_tab)
@@ -515,12 +684,38 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
         f=lambda s: scale * f_core(s),
         f_prime=lambda s: scale * fp_core(s),
         delta=delta,
-        beta=0.5,  # placeholder, replaced by the antiderivative root below
+        beta=_table_beta(s_tab, f_tab, fp_tab, slope),
         alpha=alpha,
         label=f"explicit(t={t:g}, c={c:g})",
     )
-    return replace(
-        nl,
-        beta=float(ignition_point(nl)),
-        params={"kind": "explicit", "t": t, "c": c},
-    )
+    return replace(nl, params={"kind": "explicit", "t": t, "c": c})
+
+
+def _table_beta(s_tab: np.ndarray, f_tab: np.ndarray, fp_tab: np.ndarray, slope: float) -> float:
+    """The zero beta of int_0^s f for the law table (s_tab, f_tab, fp_tab),
+    cubic Hermite inside and slope*s below s_tab[0].
+
+    The integral at the nodes is exact: the linear piece plus the cumulative
+    cell integrals h/2 (f_i + f_{i+1}) + h^2/12 (f'_i - f'_{i+1}).  It is
+    negative up to beta, so the first positive node closes the cell, where
+    the cubic's own antiderivative is bisected in the cell coordinate.
+    """
+    h = np.diff(s_tab)
+    cell = 0.5 * h * (f_tab[:-1] + f_tab[1:]) + h * h / 12.0 * (fp_tab[:-1] - fp_tab[1:])
+    at_nodes = 0.5 * slope * s_tab[0] * s_tab[0] + np.concatenate([[0.0], np.cumsum(cell)])
+    i = int(np.argmax(at_nodes > 0.0)) - 1
+    s0, hi, base = float(s_tab[i]), float(h[i]), float(at_nodes[i])
+    f0, f1 = float(f_tab[i]), float(f_tab[i + 1])
+    d0, d1 = hi * float(fp_tab[i]), hi * float(fp_tab[i + 1])
+
+    def minus_integral(w):
+        w2, w3, w4 = w * w, w * w * w, w * w * w * w
+        part = (
+            f0 * (w - w3 + 0.5 * w4)
+            + d0 * (0.5 * w2 - 2.0 * w3 / 3.0 + 0.25 * w4)
+            + f1 * (w3 - 0.5 * w4)
+            + d1 * (0.25 * w4 - w3 / 3.0)
+        )
+        return -(base + hi * part)
+
+    return s0 + hi * _bisect(minus_integral, 0.0, 1.0, 1e-13)

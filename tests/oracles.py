@@ -120,12 +120,20 @@ def _poisson_kernel_pair(x_off, z):
     return x_off / (math.pi * r) * k1h * np.exp(ef._expo_down(x_off, z, r))
 
 
-def panel_cells_by_column(x_off: float, edges, tol: float = 1e-11):
-    """Kernel integrals over the cells of `edges` for one scalar offset: the
-    reference for one row of the batched `explicit_front._cells`."""
+def gauss_cells_by_column(x_off: float, edges, tol: float = 1e-11, keep=None):
+    """Kernel integrals over the cells of `edges` for one scalar offset, each
+    from its Gauss sub-panels with the 6/12 -> halved 12/24 check: the
+    accuracy reference for `explicit_front._cells`, and the reference for its
+    Gauss tier on the cells the boolean mask `keep` selects (0 elsewhere)."""
     from frontforge import explicit_front as ef
 
     starts, stops, owner = ef._subpanels(edges)
+    out = np.zeros(len(edges) - 1)
+    if keep is not None:
+        sel = keep[owner]
+        starts, stops, owner = starts[sel], stops[sel], owner[sel]
+        if not len(owner):
+            return out
     mid = 0.5 * (starts + stops)
     hw = 0.5 * (stops - starts)
 
@@ -149,31 +157,60 @@ def panel_cells_by_column(x_off: float, edges, tol: float = 1e-11):
         err = float(np.abs(fine - coarse).sum())
         if err > max(tol, 1e-12 * float(np.abs(fine).sum())):
             raise ef.QuadratureError("kernel quadrature did not converge", err)
-    out = np.zeros(len(edges) - 1)
     np.add.at(out, owner, fine)
     return out
 
 
-def sample_front_by_columns(params, xs, ys):
+def panel_cells_by_column(x_off: float, edges, tol: float = 1e-11):
+    """Kernel integrals over the cells of `edges` for one scalar offset: the
+    reference for one row of the batched `explicit_front._cells`.  The shared
+    panels (grouping, nodes and interpolant weights) come from
+    `explicit_front._shared_panels`; a column whose shared panels fail their
+    13/25-point check takes the Gauss path on every cell."""
+    from frontforge import explicit_front as ef
+
+    shared = ef._shared_panels(edges)
+    if shared is None:
+        return gauss_cells_by_column(x_off, edges, tol)
+    vals = _poisson_kernel_pair(x_off, shared.nodes.ravel()).reshape(shared.nodes.shape)
+    fine = np.zeros(len(shared.cells))
+    coarse = np.zeros(len(shared.cells))
+    for k in range(shared.nodes.shape[1]):
+        at = vals[shared.panel, k]
+        fine += at * shared.fine[:, k]
+        if k % 2 == 0:
+            coarse += at * shared.coarse[:, k // 2]
+    err = float(np.abs(fine - coarse).sum())
+    if err > max(tol, 1e-13 * float(np.abs(fine).sum())):
+        return gauss_cells_by_column(x_off, edges, tol)
+    wide = np.ones(len(edges) - 1, dtype=bool)
+    wide[shared.cells] = False
+    out = gauss_cells_by_column(x_off, edges, tol, keep=wide)
+    out[shared.cells] = fine
+    return out
+
+
+def sample_front_by_columns(params, xs, ys, cells=panel_cells_by_column):
     """u^{t,c} on xs x ys one column at a time, each column its own scalar
-    panel quadrature: the reference for the batched
-    `explicit_front.sample_front`, which must give the same bits.  The panel
-    table, the Gauss nodes and the far limit of the complement integral come
-    from explicit_front itself."""
+    quadrature `cells`: with the default, the reference for the batched
+    `explicit_front.sample_front`, which must give the same bits; with
+    `gauss_cells_by_column`, the Gauss accuracy reference.  The panel table,
+    the Gauss nodes and the far limit of the complement integral come from
+    explicit_front itself."""
     from frontforge import explicit_front as ef
 
     def top_value(x_off, eta):
         if eta >= ef._Z_DEAD:
             return 0.0
         if eta >= ef._Y_COMPLEMENT:
-            return float(panel_cells_by_column(x_off, ef._edges(eta, max(eta, 0.0) + 30.0)).sum())
-        return 1.0 - float(panel_cells_by_column(x_off, ef._edges(min(2.0 * eta, ef._far(x_off)), eta)).sum())
+            return float(cells(x_off, ef._edges(eta, max(eta, 0.0) + 30.0)).sum())
+        return 1.0 - float(cells(x_off, ef._edges(min(2.0 * eta, ef._far(x_off)), eta)).sum())
 
     def sweep(x_off, etas):
         top = top_value(x_off, float(etas[-1]))
         u = np.empty(len(etas))
         u[-1] = top
-        u[:-1] = top + np.cumsum(panel_cells_by_column(x_off, etas)[::-1])[::-1]
+        u[:-1] = top + np.cumsum(cells(x_off, etas)[::-1])[::-1]
         return u
 
     ys = np.asarray(ys, dtype=float)

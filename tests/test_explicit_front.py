@@ -21,11 +21,16 @@ from frontforge.explicit_front import (
     kernel_mass,
     poisson_kernel,
 )
-from frontforge.front_suite import evolution_grid
+from frontforge.front_suite import evolution_grid, oracle_residual_grid
 from frontforge.grid import TraceProfile
-from frontforge.nonlinearity import antiderivative, validate
+from frontforge.nonlinearity import antiderivative, ignition_point, validate
 from frontforge.specfun import bessel_k, k_ratio
-from oracles import panel_cells_by_column, sample_front_by_columns, subpanels_linspace
+from oracles import (
+    gauss_cells_by_column,
+    panel_cells_by_column,
+    sample_front_by_columns,
+    subpanels_linspace,
+)
 
 P12 = ExplicitFrontParams(t=1.0, c=2.0)
 
@@ -132,11 +137,72 @@ class TestPanelQuadrature:
             ref, _ = quad(lambda z: poisson_kernel(0.3, 0.0, z), lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200)
             assert cells[k] == pytest.approx(ref, abs=1e-12)
 
+    def test_shared_panels_group_runs_of_narrow_cells(self):
+        # narrow cells below _Z_GEO, a run of cells too wide to share a panel,
+        # a lone narrow cell and a fine run that spans several panels
+        edges = np.concatenate(
+            [
+                [-33.0, -32.95, -32.9],
+                np.linspace(-32.0, -31.0, 8),
+                [-30.0, -29.9, -29.0],
+                np.linspace(-28.0, -27.0, 65),
+            ]
+        )
+        shared = ef._shared_panels(edges)
+        lo, hi = edges[:-1], edges[1:]
+        grouped = np.zeros(len(lo), dtype=bool)
+        grouped[shared.cells] = True
+        want = (hi - lo < ef._SHARED_WIDTH) & (lo >= ef._Z_GEO)
+        want[np.flatnonzero(np.isclose(lo, -30.0))] = False  # alone between wide cells
+        np.testing.assert_array_equal(grouped, want)
+        assert np.all(np.diff(shared.cells) > 0) and np.all(np.diff(shared.panel) >= 0)
+        for p in range(shared.nodes.shape[0]):
+            mine = shared.cells[shared.panel == p]
+            assert np.all(np.diff(mine) == 1)  # a panel holds consecutive cells
+            a, b = edges[mine[0]], edges[mine[-1] + 1]
+            assert b - a <= ef._SHARED_WIDTH * (1.0 + 1e-15)
+            assert shared.nodes[p].max() == pytest.approx(b, rel=1e-15)
+            assert shared.nodes[p].min() == pytest.approx(a, rel=1e-15)
+        assert ef._shared_panels(ef._edges(-50.0, 10.0)) is None
+
+    @pytest.mark.parametrize("degree,rule", [(24, "fine"), (12, "coarse")])
+    def test_shared_weights_integrate_polynomials_exactly(self, degree, rule):
+        widths = np.random.default_rng(3).uniform(0.01, 0.05, 60)
+        edges = np.concatenate([np.linspace(-3.0, -1.0, 40), -1.0 + np.cumsum(widths)])
+        shared = ef._shared_panels(edges)
+        weights = getattr(shared, rule)
+        step = 2 if rule == "coarse" else 1
+        coef = np.random.default_rng(4).standard_normal(degree + 1)
+        for p in range(shared.nodes.shape[0]):
+            mine = np.flatnonzero(shared.panel == p)
+            nodes = shared.nodes[p, ::step]
+            poly = np.polynomial.Chebyshev(coef, domain=[nodes.min(), nodes.max()])
+            anti = poly.integ()
+            lo, hi = edges[shared.cells[mine]], edges[shared.cells[mine] + 1]
+            np.testing.assert_allclose(weights[mine] @ poly(nodes), anti(hi) - anti(lo), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("x_off", [0.3, 1.0, 5.0])
+    def test_shared_cells_match_direct_integral(self, x_off, monkeypatch):
+        orders = []
+        gl = ef._gl
+        monkeypatch.setattr(ef, "_gl", lambda n: orders.append(n) or gl(n))
+        edges = np.linspace(-2.0, 2.0, 129)
+        assert len(ef._shared_panels(edges).cells) == len(edges) - 1
+        cells = ef._cells(np.array([x_off]), edges)[0]
+        assert orders == []  # every cell came from the shared panels
+        for k in range(len(cells)):
+            lo, hi = edges[k], edges[k + 1]
+            ref, _ = quad(
+                lambda z: poisson_kernel(x_off, 0.0, z), lo, hi, epsabs=1e-15, epsrel=1e-13, limit=200
+            )
+            assert cells[k] == pytest.approx(ref, abs=1e-13)
+
 
 class TestBatchedSampling:
     """The batched pass gives the bits of the column-by-column pipeline."""
 
-    # (0.05, 2): the x = 0 column fails the 6/12 check and is halved
+    # (0.05, 2): the x = 0 column fails the shared panels' check and the 6/12
+    # check, and is halved
     COARSE_XS = np.linspace(0.0, 2.0, 9)
     COARSE_YS = np.linspace(-10.0, 4.0, 141)
 
@@ -144,8 +210,9 @@ class TestBatchedSampling:
     def test_evolution_grid_matches_columns(self, t, c):
         params = ExplicitFrontParams(t, c)
         spec = evolution_grid(2.0, 64)
-        eta_cells = 12 * len(ef._subpanels(0.5 * c * spec.ys)[0])
-        assert len(spec.xs) > ef._BLOCK_POINTS // eta_cells  # more than one block
+        shared = ef._shared_panels(0.5 * c * spec.ys)
+        assert len(shared.cells) == len(spec.ys) - 1
+        assert len(spec.xs) > ef._BLOCK_POINTS // max(shared.nodes.size, len(shared.cells))  # several blocks
         got = ef.sample_front(params, spec.xs, spec.ys)
         assert np.array_equal(got, sample_front_by_columns(params, spec.xs, spec.ys))
 
@@ -158,6 +225,23 @@ class TestBatchedSampling:
         assert 24 in orders
         monkeypatch.undo()
         assert np.array_equal(got, sample_front_by_columns(params, self.COARSE_XS, self.COARSE_YS))
+        # the failing column is the Gauss path's, cell for cell
+        gauss = sample_front_by_columns(params, self.COARSE_XS[:1], self.COARSE_YS, gauss_cells_by_column)
+        assert np.array_equal(got[:1], gauss)
+
+    @pytest.mark.parametrize("t,c", [(1.0, 2.0), (2.5, 0.7), (0.3, 2.0), (0.125, 2.0)])
+    def test_fields_match_the_gauss_reference(self, t, c):
+        params = ExplicitFrontParams(t, c)
+        grids = [(self.COARSE_XS, self.COARSE_YS), (self.COARSE_XS, np.linspace(-60.0, -35.0, 51))]
+        specs = [oracle_residual_grid(params, h) for h in (1 / 32, 1 / 64)] + [evolution_grid(2.0, 64)]
+        grids += [(spec.xs, spec.ys) for spec in specs]
+        for xs, ys in grids:
+            got = ef.sample_front(params, xs, ys)
+            want = sample_front_by_columns(params, xs, ys, gauss_cells_by_column)
+            assert np.max(np.abs(got - want)) <= 1e-14
+        eta = ef._law_eta_grid(t)
+        want = sample_front_by_columns(ExplicitFrontParams(t, 2.0), [0.0], eta, gauss_cells_by_column)[0]
+        assert np.max(np.abs(ef._sweep(np.array([t]), eta)[0] - want)) <= 1e-14
 
     def test_complement_top_matches_columns(self):
         ys = np.linspace(-60.0, -35.0, 51)  # top node at eta = -35
@@ -292,7 +376,7 @@ class TestImplicitNonlinearity:
             y = invert_trace(P12, s)
             assert explicit_front(P12, 0.0, y) == pytest.approx(s, rel=1e-9)
 
-    @pytest.mark.parametrize("gap", [1e-4, 1e-6])
+    @pytest.mark.parametrize("gap", [0.4, 0.15, 0.01, 1e-4, 1e-6])
     def test_inversion_near_one_pins_the_mass_below(self, gap):
         # u rounds to s over a wide range of y there, while 1 - u does not
         s = 1.0 - gap
@@ -327,6 +411,12 @@ class TestPackagedNonlinearity:
         monkeypatch.setattr(ef, "_cells", lambda *a, **k: pytest.fail("quadrature ran"))
         with pytest.raises(ValueError, match="t >= 0.125"):
             front_nonlinearity(ExplicitFrontParams(0.12, 2.0))
+
+    @pytest.mark.parametrize("t", [0.125, 1.0, 2.5])
+    def test_beta_is_the_root_of_the_table_integral(self, t, oracle_nl):
+        law = oracle_nl if t == 1.0 else front_nonlinearity(ExplicitFrontParams(t, 2.0))
+        assert abs(law.beta - ignition_point(law)) <= 1e-9
+        assert validate(law).passed
 
     def test_structural_constants(self, oracle_nl):
         assert 0.0 < oracle_nl.delta < 0.5

@@ -11,7 +11,8 @@ for the weight policy on the cubic law, alpha = 0.25, and
 (`trace_build_96x448` for the trace problem: preconditioner, boundary modes
 and the pins' extension; `precond_solve_96x448` and `apply_stiffness_96x448`
 on the seed; `project_constraint_96x448` for the two-dimensional
-constraint projection; and, from the trace the 20-step hand-off burst
+constraint projection, off every solve's path, whose cell quadratics take
+two stiffness applies each; and, from the trace the 20-step hand-off burst
 leaves, `lambda_apply_96x448` for one apply of the boundary operator with
 Gamma, `trace_trial_96x448` for one trace trial of that trace scaled by
 1.01, `trace_newton_step_96x448` for one dense bordered Newton step and

@@ -22,12 +22,12 @@ class ConfigError(ValueError):
 
 _NL_KEYS = {"nonlinearity.kind", "nonlinearity.alpha", "nonlinearity.beta", "nonlinearity.amplitude", "nonlinearity.t", "nonlinearity.c"}
 _GRID_KEYS = {"grid.nx", "grid.ny", "grid.x_span", "grid.y_span_down", "grid.y_span_up"}
-_SOLVER_KEYS = {"solver.tol", "solver.max_iter", "solver.a", "solver.seed", "solver.refine"}
+_SOLVER_KEYS = {"solver.tol", "solver.a", "solver.seed", "solver.refine"}
 _EVOLVE_KEYS = {"evolve.T", "evolve.dt", "evolve.out_every", "evolve.initial"}
 _MISC_KEYS = {"output.dir"}
 _ALL_KEYS = _NL_KEYS | _GRID_KEYS | _SOLVER_KEYS | _EVOLVE_KEYS | _MISC_KEYS
 
-_INT_KEYS = {"grid.nx", "grid.ny", "solver.max_iter", "solver.refine"}
+_INT_KEYS = {"grid.nx", "grid.ny", "solver.refine"}
 _STR_KEYS = {"nonlinearity.kind", "solver.seed", "evolve.initial", "output.dir"}
 # checked to be positive and finite at parse time
 _POSITIVE_KEYS = ("grid.x_span", "grid.y_span_down", "grid.y_span_up", "solver.tol", "solver.a", "evolve.T", "evolve.dt", "evolve.out_every")
@@ -107,8 +107,6 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
         value = getattr(cfg, section).get(name)
         if value is not None and not 0.0 < value < math.inf:
             raise ConfigError(f"{key} must be positive and finite")
-    if cfg.solver.get("max_iter", 1) < 1:
-        raise ConfigError("solver.max_iter must be at least 1")
     refine = cfg.solver.get("refine", 0)
     if not 0 <= refine <= 3:
         raise ConfigError("solver.refine must lie in 0..3")

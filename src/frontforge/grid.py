@@ -9,12 +9,11 @@ y-edge parts `_x_part`, `_y_part` of the bilinear form on products of the
 differences from `_diff`, and its matrix-free apply `apply_stiffness`, the
 exact linear operator of the solver's gradient.
 
-`project_constraint` takes the field's differences once and reduces them
-over x to four per-column sums (`_column_sums`): Gamma_a of the field and
-the cell quadratic of every shift its walk tries (`_cell_forms`) are then
-O(ny) dot products of those sums with the weights of `_x_part` and
-`_y_part`, and only the final `translate` builds a field.  The walk itself
-(`_unit_shift`) is shared with the solver's trace trials.
+`translate_onto_unit` moves a nodal array in y onto Gamma = 1: Gamma of a
+translate is an exact quadratic in the shift on each grid cell, with
+coefficients from the caller's form of Gamma, and `_unit_shift` walks the
+cells to the root.  `project_constraint` gives it the stiffness form of a
+whole field, the solver's trace trials the boundary form of a trace.
 """
 
 from __future__ import annotations
@@ -261,57 +260,6 @@ def translate(w: Field, t: float) -> Field:
     return Field(vals, g)
 
 
-def _column_sums(spec: GridSpec, v: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Gamma_a's differences of `v`, reduced over x to four per-column sums.
-
-    With ux, uy the x and y differences: x2[j] = sum_i ux[i,j]^2 and
-    xx[j] = sum_i ux[i,j] ux[i,j+1] over the columns, y2[j] = sum_i sigma_i
-    uy[i,j]^2 and yy[j] = sum_i sigma_i uy[i,j] uy[i,j+1] over the y-edges.
-    xx, y2 and yy are padded with zeros to ny + 1 entries, so that a clipped
-    column index never leaves them.  `_cell_forms`, Gamma_a itself among
-    them (k = 0), are dot products of these with the weights of `_x_part`
-    and `_y_part`.
-    """
-    ny = spec.ny
-    ux = _diff(v, 0, spec.hx)
-    x2 = np.einsum("ij,ij->j", ux, ux)
-    xx = np.zeros(ny + 1)
-    xx[:-1] = np.einsum("ij,ij->j", ux[:, :-1], ux[:, 1:])
-    del ux
-    uy = _diff(v, 1, spec.hy)
-    y2 = np.zeros(ny + 1)
-    y2[:-1] = spec.sigma @ (uy * uy)
-    yy = np.zeros(ny + 1)
-    yy[:-2] = spec.sigma @ (uy[:, :-1] * uy[:, 1:])
-    return x2, xx, y2, yy
-
-
-def _cell_forms(spec: GridSpec, sums: tuple[np.ndarray, ...], k: int) -> tuple[float, float, float]:
-    """(Q(A,A), Q(A,B), Q(B,B)) for A, B = the field of `sums` translated by
-    k*hy and (k+1)*hy.
-
-    Integer translates are column gathers with constant extension: A and B
-    are the windows [:-1] and [1:] of the extended field whose column j is
-    column c_j = clip(j + k, 0, ny).  Where c_{j+1} = c_j + 1 the extended
-    field's edge j is the field's own, with the field's sums; where the
-    column repeats at a clipped end, the x cross sum is the column's square
-    sum and the y-difference is zero.  For theta in [0, 1],
-    translate(w, (k+theta)*hy) = (1-theta) A + theta B, so Gamma there is
-    (1-theta)^2 Q(A,A) + 2 theta (1-theta) Q(A,B) + theta^2 Q(B,B).
-    """
-    x2, xx, y2, yy = sums
-    cols = np.clip(np.arange(spec.ny + 2) + k, 0, spec.ny)
-    step = np.diff(cols) == 1
-    c = cols[:-1]
-    ey2 = y2[c] * step  # y square sums of the extended field's edges
-    xw, yw = spec.tau * spec.wy, spec.wy_edge
-    p = xw @ x2[c] + yw @ ey2[:-1]
-    q = xw @ np.where(step, xx[c], x2[c]) + yw @ (yy[c[:-1]] * (step[:-1] & step[1:]))
-    r = xw @ x2[cols[1:]] + yw @ ey2[1:]
-    h2 = spec.hx * spec.hy
-    return float(p) * h2, float(q) * h2, float(r) * h2
-
-
 def _unit_root(p: float, q: float, r: float) -> float:
     """The theta in [0, 1] with (1-theta)^2 p + 2 theta (1-theta) q + theta^2 r = 1.
 
@@ -334,24 +282,40 @@ def project_constraint(w: Field, tol: float = 1e-8) -> Field:
 
     A field already within `tol` of the constraint is returned as a copy.
     Otherwise Gamma of the translate is an exact quadratic in the shift on
-    each grid cell (`_cell_forms`), and `_unit_shift` finds the shift, so
-    the result meets the constraint to round-off.
+    each grid cell, with the coefficients A.SA, A.SB and B.SB of the cell's
+    integer translates A, B (`_stiffness_cell`), and `translate_onto_unit`
+    finds the shift, so the result meets the constraint to round-off.
     """
-    out, _ = _project(w, tol)
-    return out.copy() if out is w else out
-
-
-def _project(w: Field, tol: float) -> tuple[Field, float]:
-    """`project_constraint` without the copy: (the projected field, its
-    Gamma_a), from one `_column_sums` of the field; Gamma_a is the field's
-    own within `tol`, else the cell quadratic at the root."""
-    g = w.spec
-    sums = _column_sums(g, w.values)
-    gamma = _cell_forms(g, sums, 0)[0]
+    gamma = dirichlet(w)
     if abs(gamma - 1.0) <= tol:
-        return w, gamma
-    k, theta, gamma = _unit_shift(g, gamma, lambda k: _cell_forms(g, sums, k))
-    return translate(w, (k + theta) * g.hy), gamma
+        return w.copy()
+    g = w.spec
+    return Field(translate_onto_unit(g, w.values, gamma, lambda a, b: _stiffness_cell(g, a, b))[0], g)
+
+
+def _stiffness_cell(spec: GridSpec, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """(A.SA, A.SB, B.SB), the cell quadratic of Gamma_a for fields A, B."""
+    sb = apply_stiffness(spec, b)
+    return float(np.vdot(a, apply_stiffness(spec, a))), float(np.vdot(a, sb)), float(np.vdot(b, sb))
+
+
+def translate_onto_unit(spec: GridSpec, values: np.ndarray, gamma: float, cell) -> tuple[np.ndarray, float]:
+    """Translate nodal `values` along their last (y) axis onto Gamma = 1:
+    ((1-theta) A + theta B, Gamma there), where Gamma is now `gamma`.
+
+    A and B are the translates by k hy and (k+1) hy, column gathers with
+    constant extension, and cell(A, B) is the quadratic's coefficients
+    (Gamma(A), the bilinear form of A and B, Gamma(B)) for the caller's
+    form of Gamma; `_unit_shift` finds k and theta.  For theta in [0, 1]
+    this is `translate` by (k + theta) hy.
+    """
+    cols = np.arange(spec.ny + 1)
+
+    def shifted(k):
+        return values[..., np.clip(cols + k, 0, spec.ny)]
+
+    k, theta, gamma = _unit_shift(spec, gamma, lambda k: cell(shifted(k), shifted(k + 1)))
+    return (1.0 - theta) * shifted(k) + theta * shifted(k + 1), gamma
 
 
 def _unit_shift(spec: GridSpec, gamma: float, forms) -> tuple[int, float, float]:

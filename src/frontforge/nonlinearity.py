@@ -355,8 +355,8 @@ def ignition_point(nl: Nonlinearity, tol: float = 1e-10) -> float:
     """The unique beta with int_0^beta f = 0 (stored value for combustion).
 
     For bistable laws the root is bracketed in (alpha, 1) and located by
-    bisection on the antiderivative; bracket failure means the law violates
-    the structural conditions.
+    bisection on the antiderivative to `tol` relative to beta; bracket
+    failure means the law violates the structural conditions.
     """
     if nl.kind == "combustion":
         return nl.beta
@@ -368,8 +368,9 @@ def ignition_point(nl: Nonlinearity, tol: float = 1e-10) -> float:
         raise NonlinearityError(
             f"antiderivative does not change sign on [{lo:g}, 1]: {flo:g} .. {fhi:g}"
         )
-    # the bracket lies in [0, 1], where _bisect's relative stop is absolute
-    return _bisect(lambda s: -antiderivative(nl, s), lo, hi, tol)
+    # in x = s/lo >= 1 _bisect's stop is relative to x, so to beta however
+    # small it is
+    return lo * _bisect(lambda x: -antiderivative(nl, lo * x), 1.0, hi / lo, tol)
 
 
 def _bisect(fun, lo: float, hi: float, rel: float) -> float:

@@ -11,16 +11,16 @@ solved on the trace (`_Trace`): E_a(u) = Gamma(u)/2 + sum ymeasure G(u)
 with Gamma(u) = kappa0 + (u - u0)^T Lambda (u - u0), the discrete form of
 the half-plane to boundary reduction (Cabre and Sola-Morales, CPAM 58,
 2005).  Lambda, the boundary Dirichlet-to-Neumann map, is diagonal in DST-I
-y-modes with closed-form mode values (`_boundary_modes`).  A short burst of
-the damped flux fixed point, which can transport the front across the
-window, is followed by exact Newton steps on (u, lambda_a), each one dense
-bordered solve of ny unknowns.  Every burst trial pins, clamps, rearranges
-and translates the trace onto Gamma = 1 in closed form.  The front is
-built once, as the extension of the final trace: one solve with the
-separable preconditioner of the stiffness (`_Workspace`: DCT-I x-modes and
-one tridiagonal factor per mode).  The grid pins w = 1 at y_min and w = 0 at
-y_max, so the free nodes are the block [:, 1:-1]; x-boundaries are natural
-(Neumann).
+y-modes with closed-form mode values (`_boundary_modes`).  A solve is one
+pass: a short burst of the damped flux fixed point, which can transport
+the front across the window, then one attempt of exact Newton steps on
+(u, lambda_a), each one dense bordered solve of ny unknowns.  Every burst
+trial pins, clamps, rearranges and translates the trace onto Gamma = 1 in
+closed form.  The front is built once, as the extension of the final
+trace: one solve with the separable preconditioner of the stiffness
+(`_Workspace`: DCT-I x-modes and one tridiagonal factor per mode).  The
+grid pins w = 1 at y_min and w = 0 at y_max, so the free nodes are the
+block [:, 1:-1]; x-boundaries are natural (Neumann).
 
 The speed c = a*(1 - 2*lambda_a) means something only at a stationary point
 of E_a on Gamma_a = 1, so "converged" has one meaning: the extended front's
@@ -64,16 +64,14 @@ class SolverOptions:
     y_span_down: float = 40.0
     y_span_up: float = 12.0
     tol: float = 1e-10  # stationarity residual relative to the gradient norm
-    max_iter: int = 300
     a: float | None = None  # weight; None = choose_weight policy
     seed: str = "exponential"  # "exponential" | "kernel"
     refine: int = 0  # halvings of the mesh width
 
 
 # Iteration constants of `minimize`.
-_HANDOFF_ITERS = 20  # flux fixed-point steps before the first Newton attempt
-_WARM_ITERS = 60  # flux fixed-point steps per burst after the first Newton attempt
-_NEWTON_STEPS = 12  # Newton steps per attempt
+_HANDOFF_ITERS = 20  # flux fixed-point steps before the Newton attempt
+_NEWTON_STEPS = 12  # steps of the Newton attempt
 _BURST_TRIES = 6  # step lengths 1, 1/2, ..., 1/32 of a fixed-point step
 _STALL_REL = 1e-9  # relative decrease of E_a at or below which a step is refused
 _CONSTRAINT_TOL = 1e-8  # |Gamma_a - 1| that the projection leaves alone
@@ -86,13 +84,15 @@ _SPEED_AGREEMENT = 0.05
 class SolveRecord:
     """Why and how `minimize` stopped, and where its time went.
 
-    `stop` is "residual" (the stationarity test passed), "no-descent" (a
-    burst accepted no step and Newton's trace was refused) or "max-iter".
+    `stop` is "residual" (the stationarity test passed), "newton" (Newton
+    broke down or used up its `_NEWTON_STEPS` steps) or "refused" (Newton's
+    trace had a higher E_a than the burst's, or the extension of the trace
+    to report failed `_admissible` or the two-dimensional test).
     `burst_steps` counts the accepted flux fixed-point steps, `trials` all
     trace trials, `newton_steps` every Newton step and `factorizations` its
     dense factorizations; `rho_history` holds rho/|g| at every stationarity
     test in order.  The `_s` fields are each phase's seconds: the build,
-    bursts, Newton, and extensions with their two-dimensional tests.
+    the burst, Newton, and extensions with their two-dimensional tests.
     """
 
     stop: str = ""
@@ -119,7 +119,7 @@ class MinimizerResult:
     infimum: float
     multiplier: float
     a: float
-    iterations: int
+    iterations: int  # passes, always 1; the benchmark's tracer sums it
     converged: bool
     constraint: float
     residual_norm: float
@@ -369,32 +369,25 @@ class _Trace:
         """The admissible trace made from `u` (changed in place), and its E_a.
 
         Pin the ends, clamp to [0,1], rearrange monotone in y in place and
-        translate onto Gamma = 1 (`grid._unit_shift`): for the integer
-        shifts A, B by k hy and (k+1) hy (constant extension) the cell
-        quadratic is p = Gamma(A), q = kappa0 + (A - u0)^T Lambda (B - u0),
-        r = Gamma(B), and the translate is (1-theta) A + theta B, pinned
-        again; the pins are no unknowns of Gamma.  Raises NumericalError
-        when Gamma = 1 is out of reach.
+        translate onto Gamma = 1 (`grid.translate_onto_unit`): for the
+        integer shifts A, B the cell quadratic is p = Gamma(A), q = kappa0 +
+        (A - u0)^T Lambda (B - u0), r = Gamma(B), and the translate is
+        pinned again; the pins are no unknowns of Gamma.  Raises
+        NumericalError when Gamma = 1 is out of reach.
         """
-        spec = self.spec
         _pin(u)
         np.clip(u, 0.0, 1.0, out=u)
         # through grid's name, which the benchmark's tracer patches
-        gridmod.rearrange_columns(u[None, :], spec.ymeasure, out=u[None, :])
+        gridmod.rearrange_columns(u[None, :], self.spec.ymeasure, out=u[None, :])
         gamma = self.scaled(u)[2]
         if not abs(gamma - 1.0) <= _CONSTRAINT_TOL:
-            cols = np.arange(spec.ny + 1)
 
-            def shifted(k):
-                return u[np.clip(cols + k, 0, spec.ny)]
-
-            def forms(k):
-                va, _, p = self.scaled(shifted(k))
-                _, mb, r = self.scaled(shifted(k + 1))
+            def cell(a, b):
+                va, _, p = self.scaled(a)
+                _, mb, r = self.scaled(b)
                 return p, self.kappa0 + float(va @ mb), r
 
-            k, theta, gamma = gridmod._unit_shift(spec, gamma, forms)
-            u = (1.0 - theta) * shifted(k) + theta * shifted(k + 1)
+            u, gamma = gridmod.translate_onto_unit(self.spec, u, gamma, cell)
             _pin(u)
         return u, self.energy(u, gamma, nl)
 
@@ -518,64 +511,53 @@ def minimize(
 ) -> MinimizerResult:
     """Constrained minimization of the discrete E_a on Gamma_a = 1.
 
-    The problem is solved on the boundary trace (`_Trace`), from the seed's
-    row 0: a `_HANDOFF_ITERS`-step flux fixed-point burst, then exact Newton
+    The problem is solved on the boundary trace (`_Trace`) in one pass
+    from the seed's row 0: a `_HANDOFF_ITERS`-step flux fixed-point burst,
+    then, unless the burst's trace already passes, one exact Newton attempt
     on (u, lambda_a).  Newton's trace is accepted only when it converges
-    with 1 - 2 lambda_a > 0 and E_a at most the burst's, and its extension
-    is `_admissible` (checked, never enforced) and passes `_stationarity`.
-    Otherwise each further iteration runs a `_WARM_ITERS`-step burst, and
-    Newton is tried again whenever rho/|g| has halved since its last try.
+    with 1 - 2 lambda_a > 0 and E_a at most the burst's, and the accepted
+    trace's extension must be `_admissible` (checked, never enforced) and
+    pass `_stationarity`.
 
     Converged means only that the extension's stationarity residual g -
     lambda_a D(Gamma_a) is at most `opts.tol` relative to the gradient norm
     (both in the inverse-stiffness metric), with |Gamma_a - 1| <= 1e-8.
-    When a burst accepts no step and Newton's trace is refused, or after
-    `opts.max_iter` iterations, the extension of the burst's trace is
-    returned unconverged, and `extract_speed` refuses it; `record.stop`
-    says which.
+    Otherwise the extension of the burst's trace is returned unconverged,
+    `extract_speed` refuses it, and `record.stop` says why.
     """
     opts = opts or SolverOptions()
-    record = SolveRecord(stop="max-iter", trials=1)  # the seed's trial
+    record = SolveRecord(stop="residual", trials=1)  # the seed's trial
     clock = time.perf_counter()
     problem = _Trace(spec)
     u, e_seed = problem.trial((seed or gridmod.seed_function(spec)).values[0].copy(), nl)
     history = [e_seed]
-    front = None
-    newton_gate = math.inf  # rho/|g| below which Newton is tried again
-    it = 0
     clock = record.lap("build_s", clock)
 
-    for it in range(1, opts.max_iter + 1):
-        u, moved = problem.burst(u, nl, history, _HANDOFF_ITERS if it == 1 else _WARM_ITERS, record)
-        record.burst_steps += moved
-        rho, gamma, lam = problem.stationarity(u, nl)
+    u, record.burst_steps = problem.burst(u, nl, history, _HANDOFF_ITERS, record)
+    rho, gamma, lam = problem.stationarity(u, nl)
+    record.rho_history.append(rho)
+    clock = record.lap("burst_s", clock)
+    found = u
+    if not (rho <= opts.tol and abs(gamma - 1.0) <= _CONSTRAINT_TOL):
+        found = problem.newton(u, nl, lam, opts.tol, record)
+        if found is None:
+            record.stop = "newton"
+        else:
+            e_new = problem.energy(found, problem.scaled(found)[2], nl)
+            if e_new > history[-1]:
+                found, record.stop = None, "refused"
+        clock = record.lap("newton_s", clock)
+    if found is not None:
+        front = problem.extend(found)
+        rho, gamma, lam = _stationarity(problem.ws, front, nl)
         record.rho_history.append(rho)
-        clock = record.lap("burst_s", clock)
-        found, e_new = None, history[-1]
-        if rho <= opts.tol and abs(gamma - 1.0) <= _CONSTRAINT_TOL:
-            found = u
-        elif rho <= newton_gate:
-            newton_gate = 0.5 * rho
-            found = problem.newton(u, nl, lam, opts.tol, record)
-            if found is not None:
-                e_new = problem.energy(found, problem.scaled(found)[2], nl)
-            clock = record.lap("newton_s", clock)
-        if found is not None and e_new <= history[-1]:
-            front = problem.extend(found)
-            rho, gamma, lam = _stationarity(problem.ws, front, nl)
-            record.rho_history.append(rho)
-            clock = record.lap("extension_s", clock)
-            if rho <= opts.tol and abs(gamma - 1.0) <= _CONSTRAINT_TOL and _admissible(front.values):
-                if found is not u:
-                    history.append(e_new)
-                record.stop = "residual"
-                break
-            front = None
-        if not moved:
-            record.stop = "no-descent"
-            break
-
-    if front is None:
+        clock = record.lap("extension_s", clock)
+        if rho <= opts.tol and abs(gamma - 1.0) <= _CONSTRAINT_TOL and _admissible(front.values):
+            if found is not u:
+                history.append(e_new)
+        else:
+            found, record.stop = None, "refused"
+    if found is None:
         front = problem.extend(u)
         rho, gamma, lam = _stationarity(problem.ws, front, nl)
         record.rho_history.append(rho)
@@ -589,7 +571,7 @@ def minimize(
         infimum=history[-1],
         multiplier=lam,
         a=spec.a,
-        iterations=it,
+        iterations=1,
         converged=record.stop == "residual",
         constraint=gamma,
         residual_norm=rho,

@@ -417,7 +417,8 @@ def cell_forms_gathered(w, k: int) -> tuple[float, float, float]:
     (k+1)*hy, with both translates gathered as the windows [:-1] and [1:] of
     one extended field (column j is column clip(j + k, 0, ny)) and every
     product formed on the whole field: the reference for
-    `grid._cell_forms`, which reduces the differences to per-column sums."""
+    `grid._stiffness_cell`, which forms A.SA, A.SB and B.SB from the
+    matrix-free stiffness apply."""
     spec = w.spec
     cols = np.clip(np.arange(spec.ny + 2) + k, 0, spec.ny)
     dx = ((w.values[1:, :] - w.values[:-1, :]) / spec.hx)[:, cols]

@@ -35,7 +35,7 @@ class TestConfig:
             parse_config_text("nonlinearity.kind = combustion\nwhatever = 3\n")
         with pytest.raises(ConfigError):
             parse_config_text("nonlinearity.kind = combustion\nseed = 42\n")
-        for line in ("solver.warm_iters = 0", "solver.rearrange_every = 10"):
+        for line in ("solver.warm_iters = 0", "solver.rearrange_every = 10", "solver.max_iter = 300"):
             with pytest.raises(ConfigError):
                 parse_config_text(f"nonlinearity.kind = combustion\n{line}\n")
 
@@ -47,7 +47,6 @@ class TestConfig:
             "grid.y_span_down": 30.0,
             "grid.y_span_up": 10.0,
             "solver.tol": 1e-3,
-            "solver.max_iter": 7,
             "solver.a": 0.25,
             "solver.seed": "kernel",
             "solver.refine": 2,
@@ -86,7 +85,7 @@ class TestConfig:
         assert parse_config_text("nonlinearity.t = 0.125\n").nonlinearity["t"] == 0.125
 
     def test_solver_range_limits_accepted(self):
-        cfg = parse_config_text("grid.nx = 256\ngrid.ny = 1024\nsolver.refine = 3\nsolver.max_iter = 1\n")
+        cfg = parse_config_text("grid.nx = 256\ngrid.ny = 1024\nsolver.refine = 3\n")
         assert (cfg.grid["nx"], cfg.grid["ny"], cfg.solver["refine"]) == (256, 1024, 3)
         assert parse_config_text("solver.refine = 0\nsolver.tol = 1e-12\n").solver["refine"] == 0
 
@@ -198,6 +197,10 @@ class TestCli:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nonsense = 1\n")
         assert main(["solve", "--config", str(bad)]) == 2
+        # a solve is one pass, so the old iteration cap is an unknown key
+        monkeypatch.setattr(cli, "solve_front", lambda *a, **k: pytest.fail("solve_front ran"))
+        bad.write_text("nonlinearity.kind = combustion\nsolver.max_iter = 300\n")
+        assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert main(["solve", "--config", str(tmp_path / "missing.cfg")]) == 2
 
     @pytest.mark.parametrize("key", ["evolve.nx", "evolve.ny"])
@@ -272,7 +275,6 @@ class TestCli:
     @pytest.mark.parametrize(
         "lines",
         [
-            "solver.max_iter = 0",
             "solver.tol = 0",
             "solver.tol = -1e-3",
             "solver.a = 0",

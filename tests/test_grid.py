@@ -8,9 +8,7 @@ from frontforge.grid import (
     GridSpec,
     NumericalError,
     TraceProfile,
-    _cell_forms,
-    _column_sums,
-    _project,
+    _stiffness_cell,
     apply_stiffness,
     boundary_integral,
     dirichlet,
@@ -21,6 +19,7 @@ from frontforge.grid import (
     trace,
     trace_crossing,
     translate,
+    translate_onto_unit,
 )
 from frontforge.nonlinearity import make_bistable_cubic
 from frontforge.solver import SolverOptions, choose_weight, default_grid, seed_energy_value
@@ -188,6 +187,13 @@ class TestTranslate:
         assert g1 == pytest.approx(np.exp(-spec.a * 3.0) * g0, rel=5e-3)
 
 
+def _cell_translates(w, k):
+    """The integer translates of w by k*hy and (k+1)*hy, column gathers with
+    constant extension: the pair whose cell quadratic the projection solves."""
+    cols = np.arange(w.spec.ny + 1)
+    return w.values[:, np.clip(cols + k, 0, w.spec.ny)], w.values[:, np.clip(cols + k + 1, 0, w.spec.ny)]
+
+
 class TestProjection:
     def test_unit_field_unchanged(self):
         spec = small_spec(ny=512)
@@ -217,21 +223,20 @@ class TestProjection:
         for t in shifts:
             k = int(np.floor(t / spec.hy))
             theta = t / spec.hy - k
-            p, q, r = _cell_forms(spec, _column_sums(spec, w.values), k)
+            p, q, r = _stiffness_cell(spec, *_cell_translates(w, k))
             quad = (1 - theta) ** 2 * p + 2 * theta * (1 - theta) * q + theta**2 * r
             assert quad == pytest.approx(dirichlet(translate(w, t)), rel=1e-12)
 
     @pytest.mark.parametrize("size", [16, 96])
     @pytest.mark.parametrize("make", [seed_function, wide_bump_field])
-    def test_column_sums_match_the_gathered_forms(self, size, make):
+    def test_stiffness_cells_match_the_gathered_forms(self, size, make):
         # every cell the walk may visit, from one clipped end to the other
         spec = end_spec(size)
         w = make(spec)
-        sums = _column_sums(spec, w.values)
-        assert _cell_forms(spec, sums, 0)[0] == pytest.approx(dirichlet(w), rel=1e-13, abs=0.0)
+        assert _stiffness_cell(spec, w.values, w.values)[0] == pytest.approx(dirichlet(w), rel=1e-13, abs=0.0)
         reach = 0.25 * (spec.y_max - spec.y_min) / spec.hy
         for k in range(math.ceil(-reach - 1.0), math.floor(reach) + 1):
-            got, ref = _cell_forms(spec, sums, k), cell_forms_gathered(w, k)
+            got, ref = _stiffness_cell(spec, *_cell_translates(w, k)), cell_forms_gathered(w, k)
             assert got == pytest.approx(ref, rel=1e-13, abs=0.0), k
 
     @pytest.mark.parametrize("factor, shift", [(3.0, 0.0), (1.0, -6.0), (0.5, 4.5), (1.0, 13.0)])
@@ -240,16 +245,15 @@ class TestProjection:
         w = translate(bump_field(spec, amp=0.8 * factor), shift)
         assert abs(dirichlet(w) - 1.0) > 1e-3
         assert abs(dirichlet(project_constraint(w)) - 1.0) <= 1e-12
-        # the Gamma the projection hands to the solver's trial is the output's
-        out, gamma = _project(w, 1e-8)
-        assert abs(gamma - dirichlet(out)) <= 1e-13
+        # the Gamma that the shift returns is the output's
+        vals, gamma = translate_onto_unit(spec, w.values, dirichlet(w), lambda a, b: _stiffness_cell(spec, a, b))
+        assert abs(gamma - dirichlet(Field(vals, spec))) <= 1e-13
 
     def test_field_within_tolerance_is_kept(self):
         spec = small_spec(ny=512)
         w = project_constraint(bump_field(spec))
-        out, gamma = _project(w, 1e-8)
-        assert out is w and abs(gamma - dirichlet(w)) <= 1e-13
-        assert project_constraint(w) is not w
+        out = project_constraint(w)
+        assert out is not w and np.array_equal(out.values, w.values)
 
     def test_shift_past_quarter_window_rejected(self):
         spec = small_spec()

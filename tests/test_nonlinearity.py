@@ -170,6 +170,12 @@ class TestIgnitionPoint:
             CUBIC_BETA_CLOSED, abs=1e-9
         )
 
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
+    def test_small_beta_to_relative_tolerance(self, alpha):
+        # beta is about 1.5 alpha here; the bisection stops relative to it
+        nl = make_bistable_cubic(alpha)
+        assert abs(ignition_point(nl) - nl.beta) <= 1e-9 * nl.beta
+
     def test_balanced_limit_pushes_beta_up(self):
         betas = [ignition_point(make_bistable_cubic(al)) for al in (0.25, 0.4, 0.49)]
         assert betas[0] < betas[1] < betas[2]

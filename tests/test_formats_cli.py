@@ -288,6 +288,8 @@ class TestCli:
             "grid.nx = 1024\nsolver.refine = 2",
             "grid.ny = 8448",
             "solver.refine = 3\ngrid.ny = 1088",
+            # the old iteration cap: no longer a key, so rejected as unknown
+            "solver.max_iter = 0",
         ],
     )
     def test_solver_ranges_rejected_before_solving(self, tmp_path, monkeypatch, lines):

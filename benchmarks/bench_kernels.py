@@ -22,12 +22,15 @@ evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
 `evolution_leg_129x1153` for one `evolve` leg of 0.125 time units), and the
 closed-form oracle at t = 1, c = 2 (`sample_front_65x449` and
 `sample_front_129x897` for the sampled field on the residual grids h = 1/32
-and 1/64, `sample_front_129x1153` for the evolution's initial field on
+and 1/64, `top_values_129x897` for the value at the top node of each of
+the finer grid's columns that the sampled field starts from,
+`sample_front_129x1153` for the evolution's initial field on
 `evolution_grid(2, 64)`, `front_nonlinearity_t1c2` for the law table,
 `ignition_beta_t1c2` for its beta from the table's exact integral,
 `invert_trace_tail_t1c2` for the trace inversion at s = 1e-180 that
 the endpoint slope needs, `invert_trace_one_side_t1c2` for the inversion at
-s = 1 - 1e-6, which runs on the complement integral below eta = -34), and
+s = 1 - 1e-6, which runs on the complement integral below eta = -34,
+`kernel_mass_t1` for the kernel's mass on the full line at t = 1), and
 prints the best of several repeats:
 
     python3 benchmarks/bench_kernels.py [--json]
@@ -110,8 +113,10 @@ def run_suite() -> dict:
         ExplicitFrontParams,
         _law_table,
         _table_beta,
+        _u_speed2,
         front_nonlinearity,
         invert_trace,
+        kernel_mass,
         sample_front,
     )
     from frontforge.front_suite import evolution_grid, oracle_residual_grid
@@ -133,10 +138,13 @@ def run_suite() -> dict:
     results["sample_front_65x449"] = bench(sample_front, params, spec.xs, spec.ys)
     spec = oracle_residual_grid(params, 1.0 / 64.0)
     results["sample_front_129x897"] = bench(sample_front, params, spec.xs, spec.ys)
+    x_offs = 0.5 * params.c * spec.xs + params.t
+    results["top_values_129x897"] = bench(_u_speed2, x_offs, 0.5 * params.c * float(spec.ys[-1]))
     results["front_nonlinearity_t1c2"] = bench(front_nonlinearity, params)
     results["ignition_beta_t1c2"] = bench(_table_beta, *_law_table(params.t), -1.0 / params.t)
     results["invert_trace_tail_t1c2"] = bench(invert_trace, params, 1e-180)
     results["invert_trace_one_side_t1c2"] = bench(invert_trace, params, 1.0 - 1e-6)
+    results["kernel_mass_t1"] = bench(kernel_mass, params.t)
 
     return results
 

@@ -26,6 +26,11 @@ TAIL_LAWS = (
 )
 
 
+class FitWindowError(ValueError):
+    """The trace admits no tail fit on a window: the window is empty or holds
+    too few samples, or the fitted quantity is not positive on it."""
+
+
 @dataclass(frozen=True)
 class DecayReport:
     side: str
@@ -56,7 +61,7 @@ def standard_window(trace: TraceProfile, side: str, margin: float = 0.15) -> tup
     else:
         lo, hi = y0 + pad, -1.0
     if not lo < hi:
-        raise ValueError(f"trace window too small for a {side}-side tail fit")
+        raise FitWindowError(f"trace window too small for a {side}-side tail fit")
     return lo, hi
 
 
@@ -73,7 +78,9 @@ def fit_decay(
     fitted_constant is the geometric mean of the compensated values (the
     minimax center on the log scale), sandwich_b the smallest b >= 1 with
     1/b <= q/model <= b on the window.  Windows reaching into |y| < 1 or
-    the outer 15% of the trace domain are rejected as contaminated.
+    the outer 15% of the trace domain are rejected as contaminated.  A
+    window too short for a fit, or one where the quantity is not positive,
+    raises FitWindowError.
     """
     if not (c > 0.0 and np.isfinite(c)):
         raise ValueError(f"c must be positive and finite, got {c}")
@@ -99,11 +106,11 @@ def fit_decay(
         raise ValueError(f"unknown quantity {quantity!r}")
     mask = (y >= lo) & (y <= hi)
     if int(mask.sum()) < 8:
-        raise ValueError("window contains fewer than 8 samples")
+        raise FitWindowError("window contains fewer than 8 samples")
     y = y[mask]
     q = q[mask]
     if np.any(q <= 0.0):
-        raise ValueError(f"{quantity} is not strictly positive on the window")
+        raise FitWindowError(f"{quantity} is not strictly positive on the window")
     ratio = q / _model(side, quantity, c, y)
     fitted = float(np.exp(np.mean(np.log(ratio))))
     rmin, rmax = float(ratio.min()), float(ratio.max())

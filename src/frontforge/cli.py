@@ -110,7 +110,7 @@ def _cmd_evolve(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    from .analysis import TAIL_LAWS, fit_decay
+    from .analysis import TAIL_LAWS, FitWindowError, fit_decay
 
     if not (args.c > 0.0 and np.isfinite(args.c)):
         raise ValueError(f"--c must be positive and finite, got {args.c}")
@@ -122,7 +122,7 @@ def _cmd_asymptotics(args) -> int:
     for side, quantity in TAIL_LAWS:
         try:
             rep = fit_decay(tr, tdy, args.c, side, quantity)
-        except ValueError as exc:
+        except FitWindowError as exc:
             print(f"{side}/{quantity}: skipped ({exc})")
             continue
         name = f"decay_{side}_{quantity}.txt"

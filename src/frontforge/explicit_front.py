@@ -25,14 +25,20 @@ tiers:
   is evaluated once per panel at _SHARED_POINTS Chebyshev-Lobatto points,
   each cell takes the exact integral of the panel's interpolant over it, and
   the interpolant through every other point is the check;
-- Gauss sub-panels, with nested 6/12-point rules, for every other cell;
+- Gauss sub-panels, with nested 6/12-point rules, for every other cell.
+  They are graded to the kernel's decay (`_subpanels`): a quarter of the
+  distance from 0 below _Z_GEO, where it decays like a power; at most
+  _PANEL wide up to _Z_EXP; above _Z_EXP, where it decays like e^{-2z},
+  doubling in width from the cell's own lower edge;
 - the fallback: a row whose shared panels fail their check takes the Gauss
   sub-panels on every cell, halved to 12/24 points where 6/12 fails.
 
-An `_edges` table has no run of narrow cells, so `_integral_p` (with it
-`kernel_mass`, point values and the `invert_trace` bisections) takes the
-Gauss tier alone.  Below _Y_COMPLEMENT a value is 1 minus the mass below,
-from `kernel_mass`'s limit `_far`.
+An `_edges` table has no run of narrow cells unless it ends just above
+_Z_EXP, so `_integral_p` (with it `kernel_mass`, point values, the column
+tops of a sampled field and the `invert_trace` bisections) takes the Gauss
+tier alone; all of its part above _Z_EXP is one graded cell.  Below
+_Y_COMPLEMENT a value is 1 minus the mass below, from `kernel_mass`'s limit
+`_far`.
 
 A sampled field is one batched quadrature pass over all its columns: one
 panel table, one kernel evaluation per block of columns and one cumulative
@@ -61,6 +67,13 @@ _SHARED_WIDTH = 0.5 * _PANEL
 _SHARED_POINTS = 25
 #: switch to geometric panels below this z (power-law regime)
 _Z_GEO = -32.0
+#: above this z a cell's sub-panels double in width from its lower edge
+#: (exponential regime)
+_Z_EXP = 2.0
+#: offsets of the graded sub-panel edges from their cell's lower edge: 0 and
+#: _PANEL * 2^k, exact multiples of _PANEL, so each graded sub-panel is a run
+#: of whole uniform panels from that edge
+_GRADED = np.concatenate([[0.0], _PANEL * 2.0 ** np.arange(63)])
 #: beyond this z the integrand underflows to exact 0
 _Z_DEAD = 400.0
 #: use the complement integral for trace values this far down
@@ -122,7 +135,8 @@ def _gl(n: int):
 
 def _edges(a: float, b: float) -> np.ndarray:
     """Quadrature panel edges on [a, b]: geometric in the far power-law
-    region, uniform elsewhere, truncated where the integrand underflows."""
+    region below _Z_GEO, uniform up to _Z_EXP, one cell from max(a, _Z_EXP)
+    on (which `_subpanels` grades), truncated where the integrand underflows."""
     if not a < b:
         raise ValueError("empty integration interval")
     b_eff = min(b, _Z_DEAD)
@@ -133,8 +147,10 @@ def _edges(a: float, b: float) -> np.ndarray:
     while z < b_eff:
         if z < _Z_GEO:
             z = min(z / 1.3, _Z_GEO)
+        elif z < _Z_EXP:
+            z = min(z + _PANEL, _Z_EXP)
         else:
-            z = z + _PANEL
+            z = b_eff
         z = min(z, b_eff)
         out.append(z)
     if b > b_eff:
@@ -143,11 +159,17 @@ def _edges(a: float, b: float) -> np.ndarray:
 
 
 def _subpanels(edges: np.ndarray):
-    """The sub-panel table of `edges`: (starts, stops, owner cell).
+    """The sub-panel table of `edges`: (starts, stops, owner cell), all cells
+    at once.
 
-    A cell wider than its panel width is split into equal sub-panels with
-    the arithmetic of np.linspace (lo + j*step, last edge exactly hi), all
-    cells at once.
+    A cell with its lower edge lo in [_Z_EXP, _Z_DEAD) is graded from lo:
+    sub-panel j starts at lo + _GRADED[j] (widths _PANEL, _PANEL, 2 _PANEL,
+    4 _PANEL, ...), and the first edge at or past the cell's top is replaced
+    by hi.  Grading from each cell's own edge keeps the rule's relative
+    accuracy the same however deep the cell lies, where the check's absolute
+    floor cannot see an error.  Any other cell wider than its panel width is
+    split into equal sub-panels with the arithmetic of np.linspace
+    (lo + j*step, last edge exactly hi).
     """
     lo = edges[:-1]
     hi = edges[1:]
@@ -155,13 +177,20 @@ def _subpanels(edges: np.ndarray):
     center = 0.5 * (lo + hi)
     wmax = np.where(center >= _Z_GEO, _PANEL, 0.25 * np.abs(center))
     nsub = np.minimum(np.maximum(1, np.ceil(width / wmax).astype(int)), 10000)
+    graded = (lo >= _Z_EXP) & (lo < _Z_DEAD)
+    nsub = np.where(graded, np.minimum(np.searchsorted(_GRADED, width), len(_GRADED) - 1), nsub)
     nsub = np.where(lo >= _Z_DEAD, 1, nsub)  # integrand underflowed to 0 there
     owner = np.repeat(np.arange(len(lo)), nsub)
     last = np.cumsum(nsub) - 1  # index of each cell's final sub-panel
     j = np.arange(len(owner)) - (last - nsub + 1)[owner]
     step = (width / nsub)[owner]
-    starts = j * step + lo[owner]
-    stops = (j + 1) * step + lo[owner]
+    start_off = j * step
+    stop_off = (j + 1) * step
+    g = graded[owner]
+    start_off[g] = _GRADED[j[g]]
+    stop_off[g] = _GRADED[j[g] + 1]
+    starts = start_off + lo[owner]
+    stops = stop_off + lo[owner]
     stops[last] = hi
     return starts, stops, owner
 
@@ -226,7 +255,8 @@ def _shared_panels(edges: np.ndarray) -> _SharedPanels | None:
     Each run of two or more consecutive cells narrower than _SHARED_WIDTH
     between _Z_GEO and _Z_DEAD is cut greedily into panels at most
     _SHARED_WIDTH wide.  An `_edges` table has two narrow cells side by side
-    only across _Z_GEO or _Z_DEAD, so none of its cells is grouped.
+    only when it ends less than _SHARED_WIDTH above _Z_EXP, so it rarely
+    groups a cell.
     """
     lo, hi = edges[:-1], edges[1:]
     narrow = (hi - lo < _SHARED_WIDTH) & (lo >= _Z_GEO) & (hi <= _Z_DEAD)

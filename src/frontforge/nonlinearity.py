@@ -356,7 +356,11 @@ def ignition_point(nl: Nonlinearity, tol: float = 1e-10) -> float:
 
     For bistable laws the root is bracketed in (alpha, 1) and located by
     bisection on the antiderivative to `tol` relative to beta; bracket
-    failure means the law violates the structural conditions.
+    failure means the law violates the structural conditions.  At s in the
+    bracket the antiderivative is integrated to 1e-12 of |F(alpha)|
+    (s/alpha)^2, the size it grows to from the bracket's low end where f is
+    near linear, so a law with a tiny beta, whose antiderivative stays far
+    below an absolute tolerance, gets beta to `tol` as well.
     """
     if nl.kind == "combustion":
         return nl.beta
@@ -370,7 +374,9 @@ def ignition_point(nl: Nonlinearity, tol: float = 1e-10) -> float:
         )
     # in x = s/lo >= 1 _bisect's stop is relative to x, so to beta however
     # small it is
-    return lo * _bisect(lambda x: -antiderivative(nl, lo * x), 1.0, hi / lo, tol)
+    return lo * _bisect(
+        lambda x: -antiderivative(nl, lo * x, 1e-12 * min(1.0, -flo * x * x)), 1.0, hi / lo, tol
+    )
 
 
 def _bisect(fun, lo: float, hi: float, rel: float) -> float:

@@ -38,14 +38,22 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-# no solve uses spla; the benchmark's tracer patches solver.spla.splu
-import scipy.sparse.linalg as spla  # noqa: F401
 from scipy.linalg import lapack
 
 from . import grid as gridmod
 from .explicit_front import ExplicitFrontParams, sample_front
 from .grid import Field, GridSpec, TraceProfile
 from .nonlinearity import Nonlinearity, NonlinearityError, _adaptive_simpson, validate
+
+
+def __getattr__(name: str):
+    # no solve uses scipy.sparse.linalg; the benchmark's tracer patches
+    # solver.spla.splu, so the module is imported only when asked for
+    if name == "spla":
+        import scipy.sparse.linalg as spla
+
+        return spla
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SolverError(RuntimeError):

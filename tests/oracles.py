@@ -90,9 +90,11 @@ def adaptive_simpson_recursive(fun, a: float, b: float, tol: float = 1e-12, dept
     return rec(a, b, f0, f1, f2, whole, tol, depth)
 
 
-def subpanels_linspace(edges, panel: float, z_geo: float, z_dead: float):
-    """Sub-panel table (starts, stops, owner) built one cell at a time with
-    np.linspace: the reference for `explicit_front._subpanels`."""
+def subpanels_linspace(edges, panel: float, z_geo: float, z_exp: float, z_dead: float):
+    """Sub-panel table (starts, stops, owner) built one cell at a time: a cell
+    starting in [z_exp, z_dead) has its edges at lo + panel * 2^k up to its
+    top, every other cell the edges of np.linspace.  The reference for
+    `explicit_front._subpanels`."""
     lo = edges[:-1]
     hi = edges[1:]
     center = 0.5 * (lo + hi)
@@ -101,7 +103,16 @@ def subpanels_linspace(edges, panel: float, z_geo: float, z_dead: float):
     nsub = np.where(lo >= z_dead, 1, nsub)
     starts, stops, owner = [], [], []
     for i in range(len(lo)):
-        e = np.linspace(lo[i], hi[i], nsub[i] + 1)
+        if z_exp <= lo[i] < z_dead:
+            e = [lo[i]]
+            off = panel
+            while off < hi[i] - lo[i]:
+                e.append(lo[i] + off)
+                off *= 2.0
+            e = np.array(e + [hi[i]])
+            nsub[i] = len(e) - 1
+        else:
+            e = np.linspace(lo[i], hi[i], nsub[i] + 1)
         starts.append(e[:-1])
         stops.append(e[1:])
         owner.append(np.full(nsub[i], i))
@@ -159,6 +170,21 @@ def gauss_cells_by_column(x_off: float, edges, tol: float = 1e-11, keep=None):
             raise ef.QuadratureError("kernel quadrature did not converge", err)
     np.add.at(out, owner, fine)
     return out
+
+
+def u_speed2_uniform(x_off: float, eta: float) -> float:
+    """u^t at (x, eta >= _Y_COMPLEMENT) in speed-2 units on the uniform
+    _PANEL-wide cells of [eta, max(eta, 0) + 30], with their edges summed up
+    from eta one _PANEL at a time: the reference, deep in the tail where the
+    check's absolute floor passes anything, for the graded sub-panels above
+    `explicit_front._Z_EXP`."""
+    from frontforge import explicit_front as ef
+
+    top = max(eta, 0.0) + 30.0
+    edges = [eta]
+    while edges[-1] < top:
+        edges.append(min(edges[-1] + ef._PANEL, top))
+    return float(gauss_cells_by_column(x_off, np.array(edges)).sum())
 
 
 def panel_cells_by_column(x_off: float, edges, tol: float = 1e-11):

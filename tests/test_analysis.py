@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from frontforge.analysis import (
+    FitWindowError,
     align_and_compare,
     fit_decay,
     lower_bound_check,
@@ -78,6 +79,23 @@ class TestFitDecay:
         zero_dy = TraceProfile(ys, np.zeros_like(ys))
         with pytest.raises(ValueError):
             fit_decay(flat, zero_dy, 1.0, "plus", "minus_u_y")
+
+    def test_window_failures_are_typed(self):
+        ys = np.linspace(-40.0, 20.0, 801)
+        flat = TraceProfile(ys, np.clip(0.5 - 0.01 * ys, 0.0, 1.0))
+        with pytest.raises(FitWindowError, match="not strictly positive"):
+            fit_decay(flat, TraceProfile(ys, np.zeros_like(ys)), 1.0, "plus", "minus_u_y")
+        short = TraceProfile(np.linspace(-3.0, 3.0, 13), np.linspace(0.8, 0.2, 13))
+        with pytest.raises(FitWindowError, match="fewer than 8"):
+            fit_decay(short, None, 2.0, "plus", "u")
+        tiny = TraceProfile(np.linspace(-1.1, 1.1, 23), np.linspace(0.6, 0.4, 23))
+        with pytest.raises(FitWindowError, match="too small"):
+            fit_decay(tiny, None, 2.0, "minus", "one_minus_u")
+        # a window the caller chose badly is invalid input, not a failed fit
+        tr, tdy = synthetic_traces()
+        with pytest.raises(ValueError) as info:
+            fit_decay(tr, tdy, 2.0, "plus", "minus_u_y", window=(0.2, 10.0))
+        assert not isinstance(info.value, FitWindowError)
 
     def test_standard_window_geometry(self):
         tr, _ = synthetic_traces()

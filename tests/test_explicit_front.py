@@ -30,6 +30,7 @@ from oracles import (
     panel_cells_by_column,
     sample_front_by_columns,
     subpanels_linspace,
+    u_speed2_uniform,
 )
 
 P12 = ExplicitFrontParams(t=1.0, c=2.0)
@@ -106,10 +107,25 @@ class TestPanelQuadrature:
     def test_subpanel_table_matches_linspace(self, name, split):
         edges = self._edge_set(name)
         starts, stops, owner = ef._subpanels(edges)
-        ref = subpanels_linspace(edges, ef._PANEL, ef._Z_GEO, ef._Z_DEAD)
+        ref = subpanels_linspace(edges, ef._PANEL, ef._Z_GEO, ef._Z_EXP, ef._Z_DEAD)
         assert (len(owner) > len(edges) - 1) == split  # some cells hold several sub-panels
         for got, want in zip((starts, stops, owner), ref):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("x_off", [0.125, 1.0, 5.0])
+    @pytest.mark.parametrize("eta", [4.0, 38.0, 100.0, 202.0])
+    def test_graded_tail_keeps_relative_accuracy(self, x_off, eta):
+        # values down to 1e-181, which the check's absolute floor cannot judge
+        ref = u_speed2_uniform(x_off, eta)
+        assert abs(ef._u_speed2(x_off, eta) - ref) <= 1e-14 * ref
+
+    def test_graded_tail_keeps_the_endpoint_inversion(self):
+        # the trace position of s = 1e-180 on uniform panels above _Z_EXP
+        assert invert_trace(P12, 1e-180) == pytest.approx(202.44161308223886, rel=1e-13, abs=0.0)
+
+    def test_graded_tail_takes_few_subpanels(self):
+        # a column top's [eta, eta + 30] took 75 uniform sub-panels
+        assert len(ef._subpanels(ef._edges(4.0, 34.0))[2]) <= 16
 
     def test_complement_branch_is_checked(self, monkeypatch):
         orders = []
@@ -417,6 +433,12 @@ class TestPackagedNonlinearity:
         law = oracle_nl if t == 1.0 else front_nonlinearity(ExplicitFrontParams(t, 2.0))
         assert abs(law.beta - ignition_point(law)) <= 1e-9
         assert validate(law).passed
+
+    @pytest.mark.parametrize("t", [1.0, 2.5])
+    def test_ignition_point_meets_table_beta_relatively(self, t, oracle_nl):
+        # beta = 4.35e-8 at t = 2.5, where int_0^s f stays below 5e-18
+        law = oracle_nl if t == 1.0 else front_nonlinearity(ExplicitFrontParams(t, 2.0))
+        assert abs(ignition_point(law) - law.beta) <= 1e-9 * law.beta
 
     def test_structural_constants(self, oracle_nl):
         assert 0.0 < oracle_nl.delta < 0.5

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from frontforge import cli, evolution, formats, grid
+from frontforge import analysis, cli, evolution, formats, grid
 from frontforge.cli import main
 from frontforge.formats import ConfigError, parse_config_text
 from frontforge.solver import SolverOptions
@@ -183,6 +183,29 @@ class TestCli:
         assert code == 0
         rep = formats.read_kv(os.path.join(out, "decay_plus_minus_u_y.txt"))
         assert float(rep["fitted_constant"]) == pytest.approx(1 / np.sqrt(2 * np.pi), rel=0.08)
+
+    def test_asymptotics_without_any_fit_window_fails(self, tmp_path, monkeypatch, capsys):
+        # four samples in each side's standard window, eight are needed
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        y = np.linspace(-3.0, 3.0, 13)
+        formats.write_trace_csv(str(tmp_path / "trace.csv"), y, 0.5 - 0.1 * y, np.full_like(y, -0.1))
+        code = main(["asymptotics", "--input", str(tmp_path / "trace.csv"), "--c", "2", "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out.count("skipped") == 4
+        assert "no window admitted a fit" in captured.err
+
+    @pytest.mark.parametrize("error,code", [(ValueError("bad law"), 2), (RuntimeError("broken"), 1)])
+    def test_asymptotics_skips_only_window_failures(self, tmp_path, monkeypatch, error, code):
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        y = np.linspace(-60.0, 30.0, 901)
+        formats.write_trace_csv(str(tmp_path / "trace.csv"), y, 0.5 - 0.01 * y, np.full_like(y, -0.01))
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(analysis, "fit_decay", fail)
+        assert main(["asymptotics", "--input", str(tmp_path / "trace.csv"), "--c", "2", "--out", str(tmp_path / "o")]) == code
 
     @pytest.mark.parametrize("c", ["-1", "0", "nan", "inf"])
     def test_asymptotics_rejects_bad_speed_before_reading(self, tmp_path, monkeypatch, c):

@@ -131,8 +131,19 @@ def test_bessel_core_branches_join_smoothly():
         assert lo == pytest.approx(hi, rel=1e-11)
 
 
-def test_import_does_not_load_scipy_special():
-    code = "import sys, frontforge; assert 'scipy.special' not in sys.modules, 'loaded'"
+def _run_fresh(code: str) -> None:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_import_does_not_load_scipy_special():
+    _run_fresh("import sys, frontforge; assert 'scipy.special' not in sys.modules, 'loaded'")
+
+
+def test_import_does_not_load_scipy_sparse():
+    # no solve uses scipy.sparse; solver.spla imports it on first access
+    _run_fresh(
+        "import sys, frontforge; assert 'scipy.sparse' not in sys.modules, 'loaded'; "
+        "from frontforge import solver; assert solver.spla.splu and 'scipy.sparse.linalg' in sys.modules"
+    )

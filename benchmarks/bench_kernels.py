@@ -2,8 +2,9 @@
 """Time frontforge's hot kernels and the variational solver's layers.
 
 Runs each kernel in-process (the scipy Bessel pair and, as
-`bessel_scipy_k1e_400k`, K_1 alone for the Poisson kernel, the LAPACK
-tridiagonal solve, the numpy rearrangement on uniform random rows), the two
+`bessel_scipy_k1e_400k`, K_1 alone for the Poisson kernel, the factored SPD
+tridiagonal solve (LAPACK dpttrs) on 512 right-hand sides, the numpy
+rearrangement on uniform random rows), the two
 law checks every `solve_front` runs before minimizing (`choose_weight_cubic`
 for the weight policy on the cubic law, alpha = 0.25, and
 `validate_oracle_law` for the structural validation of the oracle law, t =
@@ -18,8 +19,10 @@ Gamma, `trace_trial_96x448` for one trace trial of that trace scaled by
 1.01, `trace_newton_step_96x448` for one dense bordered Newton step and
 `extension_96x448` for the extension into the front), and the parabolic
 evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
-(`evolution_step_129x1153` for one step of a run on its sweep matrices,
-`evolution_leg_129x1153` for one `evolve` leg of 0.125 time units), and the
+(`sweep_x_129x1151` and `sweep_y_1153x129` for one x- and one y-sweep on
+the field's interior columns and on its transpose, `evolution_step_129x1153`
+for one step of a run on its sweep matrices, `evolution_leg_129x1153` for
+one `evolve` leg of 0.125 time units), and the
 closed-form oracle at t = 1, c = 2 (`sample_front_65x449` and
 `sample_front_129x897` for the sampled field on the residual grids h = 1/32
 and 1/64, `top_values_129x897` for the value at the top node of each of
@@ -70,12 +73,12 @@ def run_suite() -> dict:
     results["bessel_scipy_k0e_k1e_400k"] = bench(_kernels.k01_scaled, s)
     results["bessel_scipy_k1e_400k"] = bench(_kernels.k1_scaled, s)
 
+    # the solve overwrites its F-ordered right-hand side, so each repeat
+    # solves the previous repeat's solution
     n, m = 1024, 512
-    dl = np.full(n, -1.0)
-    d = np.full(n, 4.0)
-    du = np.full(n, -1.0)
-    rhs = rng.standard_normal((n, m))
-    results["tridiag_1024x512"] = bench(_kernels.tridiag_solve_many, dl, d, du, rhs)
+    factors = _kernels.spd_tridiag_factor(np.full(n, 4.0), np.full(n - 1, -1.0))
+    rhs = np.asfortranarray(rng.standard_normal((n, m)))
+    results["tridiag_1024x512"] = bench(_kernels.tridiag_solve_many, *factors, (1.0, 1.0), rhs)
 
     vals = rng.uniform(0.0, 1.0, size=(257, 1025))
     meas = np.exp(np.linspace(-20.0, 10.0, 1025))
@@ -129,6 +132,10 @@ def run_suite() -> dict:
     results["sample_front_129x1153"] = bench(sample_front, params, spec.xs, spec.ys)
     dt = 0.5 * evolution.stability_limit(spec, law)
     sweeps = evolution._sweep_matrices(spec, dt)
+    # the two sweeps' right-hand sides in the layouts a step passes
+    rhs = np.asfortranarray(front.values[:, 1:-1])
+    results["sweep_x_129x1151"] = bench(_kernels.tridiag_solve_many, *sweeps[0], rhs)
+    results["sweep_y_1153x129"] = bench(_kernels.tridiag_solve_many, *sweeps[1], front.values.copy().T)
     state = evolution.EvolutionState(front, 0.0)
     results["evolution_step_129x1153"] = bench(evolution._advance, state, dt, law, sweeps)
     results["evolution_leg_129x1153"] = bench(evolution.evolve, front, law, 0.125)

@@ -5,10 +5,12 @@ that laws without a Bessel function never load it: `k01_scaled` evaluates
 the pair (k0e, k1e) for the callers that need both (the Green kernel G^t,
 the implicit law f^t and specfun), `k1_scaled` evaluates k1e alone for the
 Poisson kernel P^t, which is most of the closed-form front's cost.  The
-batched tridiagonal solve comes from LAPACK's dgtsv (scipy.linalg.lapack),
-and the weighted rearrangement is numpy: rows that are already
-nonincreasing are kept as they are, every other row gets a stable sort and a
-cumulative-measure search.
+batched tridiagonal solve is for a matrix that is symmetric positive
+definite once its first and last rows are scaled: LAPACK's dpttrf factors it
+once as LDL^T and dpttrs applies the factors to many right-hand sides
+(scipy.linalg.lapack).  The weighted rearrangement is numpy: rows that are
+already nonincreasing are kept as they are, every other row gets a stable
+sort and a cumulative-measure search.
 """
 
 from __future__ import annotations
@@ -37,25 +39,35 @@ def k1_scaled(s: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batched tridiagonal solve (one matrix, many right-hand sides)
+# batched SPD tridiagonal solve (one factored matrix, many right-hand sides)
 # ---------------------------------------------------------------------------
 
 
-def tridiag_solve_many(dl, d, du, rhs):
+def spd_tridiag_factor(d, e):
+    """LDL^T factors (D's diagonal, L's subdiagonal) of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e, by one LAPACK
+    dpttrf call.  Raises RuntimeError unless the matrix is positive definite."""
+    d, e, info = lapack.dpttrf(d, e)
+    if info != 0:
+        raise RuntimeError(f"tridiagonal matrix is not positive definite (LAPACK dpttrf info = {info})")
+    return d, e
+
+
+def tridiag_solve_many(d, e, end_scale, rhs):
     """Solve T x = b for each column of `rhs`.
 
-    T is tridiagonal with sub/main/super diagonals dl, d, du (dl[0] and
-    du[-1] are ignored).  One LAPACK dgtsv call (Gaussian elimination with
-    partial pivoting) solves all columns; an F-ordered `rhs` such as a
-    transposed C array is passed to it without a reordering copy.  Raises
-    RuntimeError if T is singular.
+    Scaling T's first and last rows by end_scale = (s0, s1) makes it the SPD
+    matrix whose `spd_tridiag_factor` is (d, e), so b's end rows are scaled
+    alike and one LAPACK dpttrs call applies the factors to all columns.  An
+    F-ordered `rhs` such as a transposed C array is overwritten with the
+    solution and returned; any other is copied first.
     """
-    dl = np.asarray(dl, dtype=np.float64)
-    du = np.asarray(du, dtype=np.float64)
-    rhs = np.asarray(rhs, dtype=np.float64)
-    *_, x, info = lapack.dgtsv(dl[1:], d, du[:-1], rhs)
+    rhs = np.asfortranarray(rhs, dtype=np.float64)
+    rhs[0] *= end_scale[0]
+    rhs[-1] *= end_scale[1]
+    x, info = lapack.dpttrs(d, e, rhs, overwrite_b=True)
     if info != 0:
-        raise RuntimeError(f"tridiagonal solve failed (LAPACK dgtsv info = {info})")
+        raise RuntimeError(f"tridiagonal solve failed (LAPACK dpttrs info = {info})")
     return x
 
 

@@ -6,7 +6,10 @@ the boundary trace.  Diffusion is treated implicitly by alternating
 tridiagonal sweeps (backward-Euler splitting: unconditionally stable and
 max-principle preserving), the boundary reaction explicitly through the
 ghost row at x = 0, which caps the step at hx / (2 Lip f).  `evolve` settles
-one step size and one pair of sweep matrices per run.
+one step size per run and factors the two sweep matrices once, as LAPACK
+dpttrf LDL^T factors that dpttrs applies at every step: halving the
+x-sweep's ghost-closure and Neumann rows, and moving the y-sweep's Dirichlet
+couplings to its right-hand side, makes both symmetric positive definite.
 
 A moving window keeps long runs feasible: when the level approaches either
 y-boundary the field is shifted by whole cells and extended constantly,
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import tridiag_solve_many
+from ._kernels import spd_tridiag_factor, tridiag_solve_many
 from .grid import Field, GridSpec, trace, trace_crossing
 from .nonlinearity import Nonlinearity
 
@@ -76,30 +79,42 @@ def _check_dt(dt: float, lim: float) -> None:
 
 
 def _sweep_matrices(spec: GridSpec, dt: float):
-    """Diagonals (dl, d, du) of the x- and y-sweep matrices for step dt."""
-
-    def diagonals(n, h):
-        r = dt / (h * h)
-        return np.full(n + 1, -r), np.full(n + 1, 1.0 + 2.0 * r), np.full(n + 1, -r)
-
-    dl, d, du = x = diagonals(spec.nx, spec.hx)
-    du[0] = dl[-1] = 2.0 * dl[1]  # ghost closure at x = 0, Neumann at x_max
-    dl, d, du = y = diagonals(spec.ny, spec.hy)
-    du[0] = dl[-1] = 0.0  # the Dirichlet rows at y_min/y_max are identities
-    d[0] = d[-1] = 1.0
+    """The x- and y-sweep matrices for step dt, each as the (d, e, end_scale)
+    that `tridiag_solve_many` takes: halving the x-sweep's ghost-closure and
+    Neumann rows (the trapezoid weights) makes it SPD, and the y-sweep is SPD
+    once its Dirichlet rows' couplings move to the right-hand side."""
+    rx = dt / (spec.hx * spec.hx)
+    d = np.full(spec.nx + 1, 1.0 + 2.0 * rx)
+    d[[0, -1]] *= 0.5
+    x = (*spd_tridiag_factor(d, np.full(spec.nx, -rx)), (0.5, 0.5))
+    ry = dt / (spec.hy * spec.hy)
+    d = np.full(spec.ny + 1, 1.0 + 2.0 * ry)
+    e = np.full(spec.ny, -ry)
+    d[[0, -1]] = 1.0  # the Dirichlet rows at y_min/y_max are identities
+    e[[0, -1]] = 0.0
+    y = (*spd_tridiag_factor(d, e), (1.0, 1.0))
     return x, y
 
 
 def _advance(state: EvolutionState, dt: float, nl: Nonlinearity, sweeps) -> EvolutionState:
     """One step of size dt on the sweep matrices `_sweep_matrices(spec, dt)`."""
     spec = state.field.spec
-    # the ghost-row flux -v_x = f(v) enters the x-sweep's right-hand side on
-    # row 0 only; the Dirichlet columns keep v
-    vstar = state.field.values.copy()
-    vstar[0, 1:-1] += dt * (2.0 * np.asarray(nl.f(vstar[0, 1:-1])) / spec.hx)
-    vstar[:, 1:-1] = tridiag_solve_many(*sweeps[0], vstar[:, 1:-1])
-    vnew = tridiag_solve_many(*sweeps[1], vstar.T).T
-    return EvolutionState(Field(np.ascontiguousarray(vnew), spec), state.time + dt)
+    v = state.field.values
+    # the x-sweep solves the interior columns, x-contiguous; the ghost-row
+    # flux -v_x = f(v) enters its right-hand side on row 0 only
+    rhs = np.asfortranarray(v[:, 1:-1])
+    rhs[0] += dt * (2.0 * np.asarray(nl.f(rhs[0])) / spec.hx)
+    vnew = np.empty_like(v)
+    vnew[:, 1:-1] = tridiag_solve_many(*sweeps[0], rhs)
+    # the Dirichlet columns keep v and enter the y-sweep through the rows
+    # next to them; the y-sweep solves vnew.T in place (F-ordered), so the
+    # transpose of its solution is C-ordered again
+    vnew[:, [0, -1]] = v[:, [0, -1]]
+    ry = dt / (spec.hy * spec.hy)
+    vnew[:, 1] += ry * v[:, 0]
+    vnew[:, -2] += ry * v[:, -1]
+    vnew = tridiag_solve_many(*sweeps[1], vnew.T).T
+    return EvolutionState(Field(vnew, spec), state.time + dt)
 
 
 def step(state: EvolutionState, dt: float, nl: Nonlinearity) -> EvolutionState:

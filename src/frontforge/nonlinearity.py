@@ -356,11 +356,12 @@ def ignition_point(nl: Nonlinearity, tol: float = 1e-10) -> float:
 
     For bistable laws the root is bracketed in (alpha, 1) and located by
     bisection on the antiderivative to `tol` relative to beta; bracket
-    failure means the law violates the structural conditions.  At s in the
-    bracket the antiderivative is integrated to 1e-12 of |F(alpha)|
-    (s/alpha)^2, the size it grows to from the bracket's low end where f is
-    near linear, so a law with a tiny beta, whose antiderivative stays far
-    below an absolute tolerance, gets beta to `tol` as well.
+    failure means the law violates the structural conditions.  The
+    antiderivative at the bracket's low end is carried, so each step at s
+    integrates f only from there, to 1e-12 of |F(alpha)| (s/alpha)^2, the
+    size F grows to from alpha where f is near linear: a law with a tiny
+    beta, whose antiderivative stays far below an absolute tolerance, gets
+    beta to `tol` as well.
     """
     if nl.kind == "combustion":
         return nl.beta
@@ -373,10 +374,18 @@ def ignition_point(nl: Nonlinearity, tol: float = 1e-10) -> float:
             f"antiderivative does not change sign on [{lo:g}, 1]: {flo:g} .. {fhi:g}"
         )
     # in x = s/lo >= 1 _bisect's stop is relative to x, so to beta however
-    # small it is
-    return lo * _bisect(
-        lambda x: -antiderivative(nl, lo * x, 1e-12 * min(1.0, -flo * x * x)), 1.0, hi / lo, tol
-    )
+    # small it is; _bisect moves the low end to every x where -F > 0, so the
+    # carried F(lo * low) moves up with it, as in explicit_front._mass_gap
+    low, mass = 1.0, antiderivative(nl, lo, 1e-12 * min(1.0, -flo))
+
+    def gap(x):
+        nonlocal low, mass
+        m = mass + _adaptive_simpson(nl.f, lo * low, lo * x, tol=1e-12 * min(1.0, -flo * x * x))
+        if -m > 0.0:
+            low, mass = x, m
+        return -m
+
+    return lo * _bisect(gap, 1.0, hi / lo, tol)
 
 
 def _bisect(fun, lo: float, hi: float, rel: float) -> float:

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 from scipy.sparse.linalg import spsolve
 
 
@@ -467,11 +468,21 @@ def _reaction_source(vals: np.ndarray, spec, nl) -> np.ndarray:
     return src
 
 
+def _solve_tridiag(dl, d, du, rhs):
+    """T x = rhs for the tridiagonal T with sub/main/super diagonals dl, d,
+    du (dl[0] and du[-1] are ignored), by scipy's banded solve."""
+    ab = np.zeros((3, d.size))
+    ab[0, 1:] = du[:-1]
+    ab[1] = d
+    ab[2, :-1] = dl[1:]
+    return solve_banded((1, 1), ab, rhs)
+
+
 def step_reference(state, dt: float, nl):
     """One evolution step that rebuilds the limit, both sweep matrices and a
-    full-field reaction source on every call: the reference for
-    `evolution.step` and `evolution.evolve`, which must give the same bits."""
-    from frontforge._kernels import tridiag_solve_many
+    full-field reaction source on every call, and solves the sweeps as the
+    PDE writes them (the x-sweep unsymmetrized, with its ghost-closure and
+    Neumann rows) by scipy's banded LU: the reference for `evolution.step`."""
     from frontforge.evolution import EvolutionState, stability_limit
     from frontforge.grid import Field
 
@@ -494,17 +505,18 @@ def step_reference(state, dt: float, nl):
     dl[nx] = -2.0 * rx  # homogeneous Neumann at x_max
     rhs = v + dt * _reaction_source(v, spec, nl)
     vstar = v.copy()
-    vstar[:, 1:ny] = tridiag_solve_many(dl, d, du, rhs[:, 1:ny])
+    vstar[:, 1:ny] = _solve_tridiag(dl, d, du, rhs[:, 1:ny])
 
-    # y-sweep over all x-rows; Dirichlet rows are identity equations
-    dl2 = np.full(ny + 1, -ry)
-    d2 = np.full(ny + 1, 1.0 + 2.0 * ry)
-    du2 = np.full(ny + 1, -ry)
-    dl2[0] = du2[0] = dl2[ny] = du2[ny] = 0.0
-    d2[0] = d2[ny] = 1.0
-    # off-diagonals touching the Dirichlet rows keep coupling (their values
-    # enter the interior equations through the rhs implicitly)
-    vnew = tridiag_solve_many(dl2, d2, du2, vstar.T).T
+    # y-sweep over all x-rows for the interior nodes; the Dirichlet values
+    # at y_min/y_max are known and enter the equations next to them.  (A
+    # pivoting solve of the full system with identity Dirichlet rows moves
+    # those values by rounding once ry > 1.)
+    rhs = vstar[:, 1:ny].T.copy()
+    rhs[0] += ry * vstar[:, 0]
+    rhs[-1] += ry * vstar[:, ny]
+    off = np.full(ny - 1, -ry)
+    vnew = vstar.copy()
+    vnew[:, 1:ny] = _solve_tridiag(off, np.full(ny - 1, 1.0 + 2.0 * ry), off, rhs).T
 
-    out = Field(np.ascontiguousarray(vnew), spec)
+    out = Field(vnew, spec)
     return EvolutionState(field=out, time=state.time + dt)

@@ -14,43 +14,85 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def _sweep_cases(nx=24, ny=64):
-    """The two matrices `evolution._sweep_matrices` builds, each with the
-    right-hand side layout the evolution passes: a C-ordered column slice
-    (x) and a transpose (y)."""
+    """The two factored matrices `evolution._sweep_matrices` builds, each with
+    the PDE matrix it stands for and a right-hand side in the layout the
+    evolution passes: an F-ordered copy of the interior columns (x) and the
+    transpose of a C array (y).  Each case is (sweep, dense PDE matrix, b,
+    rhs): the sweep solves `rhs` for the PDE solution with data b."""
     rng = np.random.default_rng(5)
     spec = GridSpec(x_max=1.0, y_min=-1.0, y_max=1.0, nx=nx, ny=ny, a=0.5)
     # dt / hx^2 = 3.7: the x-sweep is far from the identity
-    x_sweep, y_sweep = evolution._sweep_matrices(spec, 3.7 * spec.hx * spec.hx)
-    rhs = rng.standard_normal((nx + 1, ny + 1))[:, 1:ny]
-    assert not rhs.flags.c_contiguous and not rhs.flags.f_contiguous
-    yield (*x_sweep, rhs)
-    rhs = rng.standard_normal((nx + 1, ny + 1)).T
-    assert rhs.flags.f_contiguous
-    yield (*y_sweep, rhs)
+    dt = 3.7 * spec.hx * spec.hx
+    x_sweep, y_sweep = evolution._sweep_matrices(spec, dt)
+
+    def pde(n, h):
+        r = dt / (h * h)
+        return (1.0 + 2.0 * r) * np.eye(n + 1) - r * (np.eye(n + 1, k=1) + np.eye(n + 1, k=-1)), r
+
+    # x: the ghost closure at x = 0 and the Neumann row at x_max double the
+    # coupling to the interior
+    dense, rx = pde(nx, spec.hx)
+    dense[0, 1] = dense[nx, nx - 1] = -2.0 * rx
+    b = rng.standard_normal((nx + 1, ny + 1))[:, 1:ny]
+    yield x_sweep, dense, b, np.asfortranarray(b)
+    # y: identity Dirichlet rows, whose couplings ry*b[0] and ry*b[-1] the
+    # evolution moves into the rows next to them
+    dense, ry = pde(ny, spec.hy)
+    dense[0] = dense[ny] = 0.0
+    dense[0, 0] = dense[ny, ny] = 1.0
+    b = rng.standard_normal((nx + 1, ny + 1)).T
+    rhs = b.copy(order="F")
+    rhs[1] += ry * b[0]
+    rhs[-2] += ry * b[-1]
+    yield y_sweep, dense, b, rhs
 
 
 def test_tridiag_matches_dense_solve():
+    # a random matrix that is SPD once its end rows are scaled by (0.3, 2)
     n, m = 60, 9
-    dl = RNG.uniform(-1.0, -0.2, n)
-    du = RNG.uniform(-1.0, -0.2, n)
-    d = np.abs(dl) + np.abs(du) + RNG.uniform(1.0, 2.0, n)
-    rhs = RNG.standard_normal((n, m))
-    for dl, d, du, rhs in [(dl, d, du, rhs), *_sweep_cases()]:
-        x = _kernels.tridiag_solve_many(dl, d, du, rhs)
-        dense = np.diag(d) + np.diag(du[:-1], 1) + np.diag(dl[1:], -1)
-        ref = np.linalg.solve(dense, rhs)
+    e = RNG.uniform(-1.0, -0.2, n - 1)
+    d = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]) + RNG.uniform(1.0, 2.0, n)
+    sym = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    dense = sym / np.r_[0.3, np.ones(n - 2), 2.0][:, None]
+    b = RNG.standard_normal((n, m))
+    cases = [((*_kernels.spd_tridiag_factor(d, e), (0.3, 2.0)), dense, b, np.asfortranarray(b)), *_sweep_cases()]
+    for sweep, dense, b, rhs in cases:
+        assert rhs.flags.f_contiguous
+        ref = np.linalg.solve(dense, b)
+        x = _kernels.tridiag_solve_many(*sweep, rhs)
         np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12)
+        # an F-ordered right-hand side is solved in place
+        assert np.shares_memory(x, rhs)
+    # any other layout is copied and left as it was
+    sweep, dense, b, _ = next(_sweep_cases())
+    kept = b.copy()
+    x = _kernels.tridiag_solve_many(*sweep, b)
+    np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
+    assert np.array_equal(b, kept)
 
 
-def test_tridiag_singular_system_raises():
-    # row 2 is zero, so the matrix is singular
+def test_tridiag_non_spd_matrix_raises():
+    # singular (row 2 is zero) and indefinite symmetric tridiagonal matrices
     n = 6
-    dl = np.ones(n)
     d = np.full(n, 4.0)
-    du = np.ones(n)
-    dl[2] = d[2] = du[2] = 0.0
-    with pytest.raises(RuntimeError):
-        _kernels.tridiag_solve_many(dl, d, du, np.ones((n, 2)))
+    e = np.ones(n - 1)
+    d[2] = e[1] = e[2] = 0.0
+    for d, e in ((d, e), (np.ones(3), np.full(2, 2.0))):
+        with pytest.raises(RuntimeError, match="dpttrf info = [1-9]"):
+            _kernels.spd_tridiag_factor(d, e)
+
+
+def test_sweep_of_nonnegative_data_is_nonnegative():
+    # the dpttrf multipliers are negative, so both substitutions only add:
+    # nonnegative data, with exact zeros and subnormals, stays nonnegative to
+    # the bit, with no rounding below zero
+    rng = np.random.default_rng(8)
+    for sweep, _, b, _ in _sweep_cases():
+        data = np.abs(b) * rng.choice([0.0, 1e-310, 1.0], size=b.shape)
+        assert (data == 0.0).any() and ((data > 0.0) & (data < 1e-300)).any()
+        x = _kernels.tridiag_solve_many(*sweep, data)
+        assert (x >= 0.0).all()
+        assert (x > 0.0).any()
 
 
 def test_rearrange_preserves_weighted_distribution():

@@ -29,7 +29,9 @@ and 1/64, `top_values_129x897` for the value at the top node of each of
 the finer grid's columns that the sampled field starts from,
 `sample_front_129x1153` for the evolution's initial field on
 `evolution_grid(2, 64)`, `front_nonlinearity_t1c2` for the law table,
-`ignition_beta_t1c2` for its beta from the table's exact integral,
+`ignition_beta_t1c2` for the table's exact integral and its zero beta,
+`oracle_law_G_449` for one call of the law's potential G on the 449-node
+trace the cubic's hand-off burst leaves (a trace trial makes one),
 `invert_trace_tail_t1c2` for the trace inversion at s = 1e-180 that
 the endpoint slope needs, `invert_trace_one_side_t1c2` for the inversion at
 s = 1 - 1e-6, which runs on the complement integral below eta = -34,
@@ -115,7 +117,7 @@ def run_suite() -> dict:
     from frontforge.explicit_front import (
         ExplicitFrontParams,
         _law_table,
-        _table_beta,
+        _table_integral,
         _u_speed2,
         front_nonlinearity,
         invert_trace,
@@ -148,7 +150,8 @@ def run_suite() -> dict:
     x_offs = 0.5 * params.c * spec.xs + params.t
     results["top_values_129x897"] = bench(_u_speed2, x_offs, 0.5 * params.c * float(spec.ys[-1]))
     results["front_nonlinearity_t1c2"] = bench(front_nonlinearity, params)
-    results["ignition_beta_t1c2"] = bench(_table_beta, *_law_table(params.t), -1.0 / params.t)
+    results["ignition_beta_t1c2"] = bench(_table_integral, *_law_table(params.t), -1.0 / params.t)
+    results["oracle_law_G_449"] = bench(law.G, u)
     results["invert_trace_tail_t1c2"] = bench(invert_trace, params, 1e-180)
     results["invert_trace_one_side_t1c2"] = bench(invert_trace, params, 1.0 - 1e-6)
     results["kernel_mass_t1"] = bench(kernel_mass, params.t)

@@ -50,13 +50,13 @@ the same size whatever the number of columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from ._kernels import k01_scaled, k1_scaled
-from .nonlinearity import Nonlinearity, _bisect, make_custom
+from .nonlinearity import Nonlinearity, _bisect, _law
 from .specfun import k_ratio
 
 #: uniform quadrature panels this wide resolve the kernel to machine precision
@@ -652,10 +652,12 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
     uniform core with geometric tails, giving the parametric table
     (s, f, f') with exact derivative data; inside the table f is cubic
     Hermite in s and f' is that cubic's derivative, outside both continue
-    with the exact endpoint slopes -c/(2t).  The structural constants delta
-    and alpha are located from the closed forms, and beta is the zero of the
-    table's own exact integral (`_table_beta`).  Interpolation error is
-    below ~1e-9, far inside what the variational solver resolves.
+    with the exact endpoint slopes -c/(2t).  The potential is G = -(c/2) A
+    with A = int_0^s f^t the closed-form integral of that same piecewise
+    f (`_table_integral`), so G' = -f holds to round-off, and beta is the
+    zero of A.  The structural constants delta and alpha are located from
+    the closed forms.  Interpolation error is below ~1e-9, far inside what
+    the variational solver resolves.
     """
     t, c = params.t, params.c
     if t < LAW_T_MIN:
@@ -665,6 +667,7 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
     slope = -1.0 / t  # speed-2 endpoint slope; scaled by c/2 below
     s_lo, s_hi = float(s_tab[0]), float(s_tab[-1])
     h_tab = np.diff(s_tab)
+    integral, beta = _table_integral(s_tab, f_tab, fp_tab, slope)
 
     def locate(s):
         s = np.asarray(s, dtype=float)
@@ -701,6 +704,14 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
         val = np.where((s < s_lo) | (s > s_hi), slope, val)
         return val
 
+    def a_core(s):
+        # int_0^s of f_core; above the table, locate puts s at the top node
+        s, idx, _, w = locate(s)
+        val = integral(idx, w)
+        val = np.where(s < s_lo, 0.5 * slope * s * s, val)
+        val = np.where(s > s_hi, val + 0.5 * slope * (s - s_hi) * (s + s_hi - 2.0), val)
+        return val
+
     gamma1 = _u_speed2(t, y_star)
     gamma2 = _u_speed2(t, -y_star)
     delta = min(gamma1, 1.0 - gamma2)
@@ -710,42 +721,47 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
     alpha = _u_speed2(t, _bisect(lambda eta: _f_speed2(t, eta), -y_star, y_star, 1e-12))
 
     scale = 0.5 * c
-    nl = make_custom(
-        f=lambda s: scale * f_core(s),
-        f_prime=lambda s: scale * fp_core(s),
+    return _law(
+        lambda s: scale * f_core(s),
+        lambda s: scale * fp_core(s),
+        lambda s: -scale * a_core(s),
+        slopes=(scale * slope, scale * slope),
+        g1=-scale * float(a_core(1.0)),
+        kind="custom",
         delta=delta,
-        beta=_table_beta(s_tab, f_tab, fp_tab, slope),
+        beta=beta,
         alpha=alpha,
         label=f"explicit(t={t:g}, c={c:g})",
+        params={"kind": "explicit", "t": t, "c": c},
     )
-    return replace(nl, params={"kind": "explicit", "t": t, "c": c})
 
 
-def _table_beta(s_tab: np.ndarray, f_tab: np.ndarray, fp_tab: np.ndarray, slope: float) -> float:
-    """The zero beta of int_0^s f for the law table (s_tab, f_tab, fp_tab),
-    cubic Hermite inside and slope*s below s_tab[0].
+def _table_integral(s_tab: np.ndarray, f_tab: np.ndarray, fp_tab: np.ndarray, slope: float):
+    """A = int_0^s f for the law table (s_tab, f_tab, fp_tab), cubic Hermite
+    inside and slope*s below s_tab[0], and its zero beta.
 
-    The integral at the nodes is exact: the linear piece plus the cumulative
-    cell integrals h/2 (f_i + f_{i+1}) + h^2/12 (f'_i - f'_{i+1}).  It is
-    negative up to beta, so the first positive node closes the cell, where
-    the cubic's own antiderivative is bisected in the cell coordinate.
+    A is returned as a function of a cell index and the cell coordinate w in
+    [0, 1]: its value at the cell's lower node plus the cubic's own
+    antiderivative in the cell, a quartic in w with no constant term, in
+    Horner form.  The node values are exact: the linear piece plus the
+    cumulative cell integrals h/2 (f_i + f_{i+1}) + h^2/12 (f'_i - f'_{i+1}).
+    A is negative up to beta, so the first positive node closes beta's
+    cell, where A is bisected in w.
     """
     h = np.diff(s_tab)
-    cell = 0.5 * h * (f_tab[:-1] + f_tab[1:]) + h * h / 12.0 * (fp_tab[:-1] - fp_tab[1:])
+    # h f and h^2 f' at each cell's lower and upper node
+    f0, f1 = h * f_tab[:-1], h * f_tab[1:]
+    d0, d1 = h * h * fp_tab[:-1], h * h * fp_tab[1:]
+    cell = 0.5 * (f0 + f1) + (d0 - d1) / 12.0
     at_nodes = 0.5 * slope * s_tab[0] * s_tab[0] + np.concatenate([[0.0], np.cumsum(cell)])
+    # the quartic's coefficients of w^2, w^3, w^4 (that of w is f0)
+    c2 = 0.5 * d0
+    c3 = f1 - f0 - (2.0 * d0 + d1) / 3.0
+    c4 = 0.5 * (f0 - f1) + 0.25 * (d0 + d1)
+
+    def integral(idx, w):
+        return at_nodes[idx] + w * (f0[idx] + w * (c2[idx] + w * (c3[idx] + w * c4[idx])))
+
     i = int(np.argmax(at_nodes > 0.0)) - 1
-    s0, hi, base = float(s_tab[i]), float(h[i]), float(at_nodes[i])
-    f0, f1 = float(f_tab[i]), float(f_tab[i + 1])
-    d0, d1 = hi * float(fp_tab[i]), hi * float(fp_tab[i + 1])
-
-    def minus_integral(w):
-        w2, w3, w4 = w * w, w * w * w, w * w * w * w
-        part = (
-            f0 * (w - w3 + 0.5 * w4)
-            + d0 * (0.5 * w2 - 2.0 * w3 / 3.0 + 0.25 * w4)
-            + f1 * (w3 - 0.5 * w4)
-            + d1 * (0.25 * w4 - w3 / 3.0)
-        )
-        return -(base + hi * part)
-
-    return s0 + hi * _bisect(minus_integral, 0.0, 1.0, 1e-13)
+    w = _bisect(lambda w: -integral(i, w), 0.0, 1.0, 1e-13)
+    return integral, float(s_tab[i] + h[i] * w)

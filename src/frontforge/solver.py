@@ -94,8 +94,8 @@ class SolveRecord:
 
     `stop` is "residual" (the stationarity test passed), "newton" (Newton
     broke down or used up its `_NEWTON_STEPS` steps) or "refused" (Newton's
-    trace had a higher E_a than the burst's, or the extension of the trace
-    to report failed `_admissible` or the two-dimensional test).
+    trace had a higher E_a/Gamma_a than the burst's, or the extension of the
+    trace to report failed `_admissible` or the two-dimensional test).
     `burst_steps` counts the accepted flux fixed-point steps, `trials` all
     trace trials, `newton_steps` every Newton step and `factorizations` its
     dense factorizations; `rho_history` holds rho/|g| at every stationarity
@@ -523,9 +523,11 @@ def minimize(
     from the seed's row 0: a `_HANDOFF_ITERS`-step flux fixed-point burst,
     then, unless the burst's trace already passes, one exact Newton attempt
     on (u, lambda_a).  Newton's trace is accepted only when it converges
-    with 1 - 2 lambda_a > 0 and E_a at most the burst's, and the accepted
-    trace's extension must be `_admissible` (checked, never enforced) and
-    pass `_stationarity`.
+    with 1 - 2 lambda_a > 0 and E_a/Gamma_a at most the burst's, and the
+    accepted trace's extension must be `_admissible` (checked, never
+    enforced) and pass `_stationarity`.  E_a and Gamma_a both scale by
+    e^{-at} under a shift by t in y, so the ratio compares the two traces
+    as if both sat exactly on Gamma_a = 1.
 
     Converged means only that the extension's stationarity residual g -
     lambda_a D(Gamma_a) is at most `opts.tol` relative to the gradient norm
@@ -551,8 +553,11 @@ def minimize(
         if found is None:
             record.stop = "newton"
         else:
-            e_new = problem.energy(found, problem.scaled(found)[2], nl)
-            if e_new > history[-1]:
+            # E_a/Gamma_a, which a shift in y leaves unchanged: the two traces
+            # may sit up to _CONSTRAINT_TOL apart in Gamma_a
+            gamma_new = problem.scaled(found)[2]
+            e_new = problem.energy(found, gamma_new, nl)
+            if e_new / gamma_new > history[-1] / gamma:
                 found, record.stop = None, "refused"
         clock = record.lap("newton_s", clock)
     if found is not None:

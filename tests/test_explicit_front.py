@@ -434,6 +434,18 @@ class TestPackagedNonlinearity:
         assert abs(law.beta - ignition_point(law)) <= 1e-9
         assert validate(law).passed
 
+    @pytest.mark.parametrize("t", [0.125, 1.0, 2.5])
+    def test_potential_is_the_antiderivative_of_the_law(self, t, oracle_nl):
+        # G is -(c/2) times the closed-form integral of the table's own
+        # Hermite f, so G' = -f is left to the difference quotient's error
+        # and G vanishes at beta to round-off in G's scale
+        law = oracle_nl if t == 1.0 else front_nonlinearity(ExplicitFrontParams(t, 2.0))
+        s = np.linspace(1e-4, 1.0 - 1e-4, 20001)
+        h = 1e-6
+        fd = (law.G(s + h) - law.G(s - h)) / (2.0 * h)
+        assert np.max(np.abs(fd + law.f(s))) <= 1e-9
+        assert abs(float(law.G(law.beta))) <= 1e-14 * abs(float(law.G(1.0)))
+
     @pytest.mark.parametrize("t", [1.0, 2.5])
     def test_ignition_point_meets_table_beta_relatively(self, t, oracle_nl):
         # beta = 4.35e-8 at t = 2.5, where int_0^s f stays below 5e-18

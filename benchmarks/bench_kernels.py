@@ -29,7 +29,8 @@ and 1/64, `top_values_129x897` for the value at the top node of each of
 the finer grid's columns that the sampled field starts from,
 `sample_front_129x1153` for the evolution's initial field on
 `evolution_grid(2, 64)`, `front_nonlinearity_t1c2` for the law table,
-`ignition_beta_t1c2` for the table's exact integral and its zero beta,
+`ignition_beta_t1c2` for the table's Hermite interpolant, its exact
+integral and that integral's zero beta,
 `oracle_law_G_449` for one call of the law's potential G on the 449-node
 trace the cubic's hand-off burst leaves (a trace trial makes one),
 `invert_trace_tail_t1c2` for the trace inversion at s = 1e-180 that
@@ -88,7 +89,7 @@ def run_suite() -> dict:
 
     # solver layers on the cubic law's seed at the default 96x448 grid
     from frontforge import grid, solver
-    from frontforge.nonlinearity import make_bistable_cubic, validate
+    from frontforge.nonlinearity import _hermite_table, make_bistable_cubic, validate
 
     nl = make_bistable_cubic(0.25)
     results["choose_weight_cubic"] = bench(solver.choose_weight, nl)
@@ -117,7 +118,6 @@ def run_suite() -> dict:
     from frontforge.explicit_front import (
         ExplicitFrontParams,
         _law_table,
-        _table_integral,
         _u_speed2,
         front_nonlinearity,
         invert_trace,
@@ -150,7 +150,9 @@ def run_suite() -> dict:
     x_offs = 0.5 * params.c * spec.xs + params.t
     results["top_values_129x897"] = bench(_u_speed2, x_offs, 0.5 * params.c * float(spec.ys[-1]))
     results["front_nonlinearity_t1c2"] = bench(front_nonlinearity, params)
-    results["ignition_beta_t1c2"] = bench(_table_integral, *_law_table(params.t), -1.0 / params.t)
+    s_tab, f_tab, fp_tab = _law_table(params.t)
+    a0 = -0.5 / params.t * s_tab[0] * s_tab[0]  # the integral below the table
+    results["ignition_beta_t1c2"] = bench(_hermite_table, s_tab, f_tab, fp_tab, a0)
     results["oracle_law_G_449"] = bench(law.G, u)
     results["invert_trace_tail_t1c2"] = bench(invert_trace, params, 1e-180)
     results["invert_trace_one_side_t1c2"] = bench(invert_trace, params, 1.0 - 1e-6)

@@ -56,7 +56,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import k01_scaled, k1_scaled
-from .nonlinearity import Nonlinearity, _bisect, _law
+from .nonlinearity import Nonlinearity, _bisect, _hermite_table, _law
 from .specfun import k_ratio
 
 #: uniform quadrature panels this wide resolve the kernel to machine precision
@@ -650,14 +650,14 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
 
     The trace is swept once (cumulative quadrature) on a grid combining a
     uniform core with geometric tails, giving the parametric table
-    (s, f, f') with exact derivative data; inside the table f is cubic
-    Hermite in s and f' is that cubic's derivative, outside both continue
-    with the exact endpoint slopes -c/(2t).  The potential is G = -(c/2) A
-    with A = int_0^s f^t the closed-form integral of that same piecewise
-    f (`_table_integral`), so G' = -f holds to round-off, and beta is the
-    zero of A.  The structural constants delta and alpha are located from
-    the closed forms.  Interpolation error is below ~1e-9, far inside what
-    the variational solver resolves.
+    (s, f, f') with exact derivative data.  On the table's own range f is
+    its cubic Hermite interpolant in s (`nonlinearity._hermite_table`), f'
+    that cubic's derivative and G = -(c/2) A, A = int_0^s f^t the closed
+    form integral of that same piecewise f, so G' = -f holds to round-off;
+    beta is the zero of A.  Below and above the table `_law` continues all
+    three with the exact endpoint slope -c/(2t).  The structural constants
+    delta and alpha are located from the closed forms.  Interpolation error
+    is below ~1e-9, far inside what the variational solver resolves.
     """
     t, c = params.t, params.c
     if t < LAW_T_MIN:
@@ -666,51 +666,7 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
     s_tab, f_tab, fp_tab = _law_table(t)
     slope = -1.0 / t  # speed-2 endpoint slope; scaled by c/2 below
     s_lo, s_hi = float(s_tab[0]), float(s_tab[-1])
-    h_tab = np.diff(s_tab)
-    integral, beta = _table_integral(s_tab, f_tab, fp_tab, slope)
-
-    def locate(s):
-        s = np.asarray(s, dtype=float)
-        sc = np.clip(s, s_lo, s_hi)
-        idx = np.clip(np.searchsorted(s_tab, sc) - 1, 0, len(h_tab) - 1)
-        hloc = h_tab[idx]
-        return s, idx, hloc, (sc - s_tab[idx]) / hloc
-
-    def f_core(s):
-        s, idx, hloc, w = locate(s)
-        # products, not **, so a scalar s gives the array bits
-        h00 = (1.0 + 2.0 * w) * ((1.0 - w) * (1.0 - w))
-        h10 = w * ((1.0 - w) * (1.0 - w))
-        h01 = w * w * (3.0 - 2.0 * w)
-        h11 = w * w * (w - 1.0)
-        val = (
-            h00 * f_tab[idx]
-            + h10 * hloc * fp_tab[idx]
-            + h01 * f_tab[idx + 1]
-            + h11 * hloc * fp_tab[idx + 1]
-        )
-        val = np.where(s < s_lo, slope * s, val)
-        val = np.where(s > s_hi, slope * (s - 1.0), val)
-        return val
-
-    def fp_core(s):
-        # derivative in s of the same Hermite cubic as f_core
-        s, idx, hloc, w = locate(s)
-        val = (
-            6.0 * w * (w - 1.0) * (f_tab[idx] - f_tab[idx + 1]) / hloc
-            + (3.0 * w - 1.0) * (w - 1.0) * fp_tab[idx]
-            + w * (3.0 * w - 2.0) * fp_tab[idx + 1]
-        )
-        val = np.where((s < s_lo) | (s > s_hi), slope, val)
-        return val
-
-    def a_core(s):
-        # int_0^s of f_core; above the table, locate puts s at the top node
-        s, idx, _, w = locate(s)
-        val = integral(idx, w)
-        val = np.where(s < s_lo, 0.5 * slope * s * s, val)
-        val = np.where(s > s_hi, val + 0.5 * slope * (s - s_hi) * (s + s_hi - 2.0), val)
-        return val
+    f_core, fp_core, a_core, beta = _hermite_table(s_tab, f_tab, fp_tab, 0.5 * slope * s_lo * s_lo)
 
     gamma1 = _u_speed2(t, y_star)
     gamma2 = _u_speed2(t, -y_star)
@@ -726,7 +682,7 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
         lambda s: scale * fp_core(s),
         lambda s: -scale * a_core(s),
         slopes=(scale * slope, scale * slope),
-        g1=-scale * float(a_core(1.0)),
+        domain=(s_lo, s_hi),
         kind="custom",
         delta=delta,
         beta=beta,
@@ -735,33 +691,3 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
         params={"kind": "explicit", "t": t, "c": c},
     )
 
-
-def _table_integral(s_tab: np.ndarray, f_tab: np.ndarray, fp_tab: np.ndarray, slope: float):
-    """A = int_0^s f for the law table (s_tab, f_tab, fp_tab), cubic Hermite
-    inside and slope*s below s_tab[0], and its zero beta.
-
-    A is returned as a function of a cell index and the cell coordinate w in
-    [0, 1]: its value at the cell's lower node plus the cubic's own
-    antiderivative in the cell, a quartic in w with no constant term, in
-    Horner form.  The node values are exact: the linear piece plus the
-    cumulative cell integrals h/2 (f_i + f_{i+1}) + h^2/12 (f'_i - f'_{i+1}).
-    A is negative up to beta, so the first positive node closes beta's
-    cell, where A is bisected in w.
-    """
-    h = np.diff(s_tab)
-    # h f and h^2 f' at each cell's lower and upper node
-    f0, f1 = h * f_tab[:-1], h * f_tab[1:]
-    d0, d1 = h * h * fp_tab[:-1], h * h * fp_tab[1:]
-    cell = 0.5 * (f0 + f1) + (d0 - d1) / 12.0
-    at_nodes = 0.5 * slope * s_tab[0] * s_tab[0] + np.concatenate([[0.0], np.cumsum(cell)])
-    # the quartic's coefficients of w^2, w^3, w^4 (that of w is f0)
-    c2 = 0.5 * d0
-    c3 = f1 - f0 - (2.0 * d0 + d1) / 3.0
-    c4 = 0.5 * (f0 - f1) + 0.25 * (d0 + d1)
-
-    def integral(idx, w):
-        return at_nodes[idx] + w * (f0[idx] + w * (c2[idx] + w * (c3[idx] + w * c4[idx])))
-
-    i = int(np.argmax(at_nodes > 0.0)) - 1
-    w = _bisect(lambda w: -integral(i, w), 0.0, 1.0, 1e-13)
-    return integral, float(s_tab[i] + h[i] * w)

@@ -41,6 +41,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from . import grid as gridmod
+from ._kernels import spd_tridiag_factor
 from .explicit_front import ExplicitFrontParams, sample_front
 from .grid import Field, GridSpec, TraceProfile
 from .nonlinearity import Nonlinearity, NonlinearityError, _adaptive_simpson, validate
@@ -206,9 +207,10 @@ class _Workspace:
     The generalized eigenpairs Kx Phi = Sigma Phi Lambda (Phi^T Sigma Phi =
     I) are the DCT-I cosines phi_k(i) = cos(pi i k/nx), lambda_k =
     4 sin^2(pi k/(2 nx)); they turn S_ff X = G into one SPD tridiagonal
-    system (lambda_k C + T) per x mode k, factored once, as one
-    block-diagonal LDL^T.  The solves run along y on the unscaled weights,
-    so they stay accurate in the deep columns, where C is smallest.
+    system (lambda_k C + T) per x mode k, factored once as one
+    block-diagonal LDL^T (`_kernels.spd_tridiag_factor`).  The solves run
+    along y on the unscaled weights, so they stay accurate in the deep
+    columns, where C is smallest.
     """
 
     def __init__(self, spec: GridSpec):
@@ -226,10 +228,7 @@ class _Workspace:
         # zero couplings between consecutive blocks keep the modes apart
         off = np.zeros((nx + 1, ny - 1))
         off[:, :-1] = -t[1:-1]
-        d, e, info = lapack.dpttrf(diag, off.ravel()[:-1])
-        if info != 0:
-            raise SolverError(f"separable preconditioner is not positive definite (dpttrf info {info})")
-        self.ldl = (d, e)
+        self.ldl = spd_tridiag_factor(diag, off.ravel()[:-1])
 
     def precond_solve(self, g_free: np.ndarray) -> np.ndarray:
         """S_ff^{-1} G on an (nx+1, ny-1) free-node block G:

@@ -16,6 +16,7 @@ from frontforge.nonlinearity import (
     reflect,
     validate,
 )
+from frontforge.explicit_front import ExplicitFrontParams, _law_table, front_nonlinearity
 from oracles import adaptive_simpson_recursive, simpson_integral
 
 CUBIC_BETA_CLOSED = (5.0 - math.sqrt(7.0)) / 6.0
@@ -193,22 +194,35 @@ class TestIgnitionPoint:
             ignition_point(bad)
 
 
-@pytest.mark.parametrize("law", ["cubic_nl", "combustion", "custom", "oracle_nl"])
+def sine_law():
+    return make_custom(
+        lambda s: np.sin(np.pi * np.asarray(s, dtype=float)) * 0.1,
+        lambda s: 0.1 * np.pi * np.cos(np.pi * np.asarray(s, dtype=float)),
+        delta=0.2,
+        beta=0.5,
+    )
+
+
+@pytest.mark.parametrize("law", ["cubic_nl", "combustion", "custom", "oracle_nl", "oracle_table"])
 def test_every_law_continues_by_one_rule(law, request):
+    d0, d1 = 0.0, 1.0  # the ends of the law's core
     if law == "combustion":
         nl = make_combustion(0.3, 1.0)
     elif law == "custom":
-        nl = make_custom(
-            lambda s: np.sin(np.pi * np.asarray(s, dtype=float)) * 0.1,
-            lambda s: 0.1 * np.pi * np.cos(np.pi * np.asarray(s, dtype=float)),
-            delta=0.2,
-            beta=0.5,
-        )
+        nl = sine_law()
+    elif law == "oracle_table":
+        # the table ends inside (0, 1), and the rule starts at its ends
+        params = ExplicitFrontParams(2.5, 0.7)
+        nl = front_nonlinearity(params)
+        s_tab = _law_table(params.t)[0]
+        d0, d1 = float(s_tab[0]), float(s_tab[-1])
+        assert 0.0 < d0 < 1e-30 and 0.99 < d1 < 1.0
     else:
         nl = request.getfixturevalue(law)
     lo, hi = nl.extension_slopes
-    below = np.linspace(-2.0, 0.0, 401)[:-1]
-    above = np.linspace(1.0, 3.0, 401)[1:]
+    # [-2, d0) and (d1, 3], with [0, d0) and (d1, 1] sampled on their own
+    below = np.unique(np.concatenate([np.linspace(-2.0, 0.0, 401), np.linspace(0.0, d0, 101)]))[:-1]
+    above = np.unique(np.concatenate([np.linspace(d1, 1.0, 101), np.linspace(1.0, 3.0, 401)]))[1:]
     np.testing.assert_array_equal(nl.f(below), lo * below)
     np.testing.assert_array_equal(nl.f(above), hi * (above - 1.0))
     np.testing.assert_array_equal(nl.f_prime(below), np.full_like(below, lo))
@@ -219,6 +233,18 @@ def test_every_law_continues_by_one_rule(law, request):
     s = np.concatenate([below, [0.0, 1.0], above])
     h = 1e-6
     np.testing.assert_allclose((nl.G(s + h) - nl.G(s - h)) / (2.0 * h), -nl.f(s), rtol=0.0, atol=1e-6)
+
+
+def test_custom_potential_is_the_antiderivative():
+    # G is minus the exact integral of the Hermite interpolant of f on the
+    # 4096 cells; for the cubic that interpolant is f itself
+    cubic = make_bistable_cubic(0.25)
+    custom = make_custom(cubic.f, cubic.f_prime, cubic.delta, cubic.beta, cubic.alpha)
+    s = np.linspace(0.0, 1.0, 200001)
+    assert np.max(np.abs(custom.G(s) - cubic.G(s))) <= 1e-14
+    sine = sine_law()
+    for v in np.linspace(0.0, 1.0, 41):
+        assert potential(sine, v) == pytest.approx(-antiderivative(sine, v), abs=1e-14)
 
 
 def test_adaptive_simpson_tolerance():

@@ -9,15 +9,18 @@ law checks every `solve_front` runs before minimizing (`choose_weight_cubic`
 for the weight policy on the cubic law, alpha = 0.25, and
 `validate_oracle_law` for the structural validation of the oracle law, t =
 1, c = 2), plus the solver's layers at the default grid
-(`trace_build_96x448` for the trace problem: preconditioner, boundary modes
-and the pins' extension; `precond_solve_96x448` and `apply_stiffness_96x448`
-on the seed; `project_constraint_96x448` for the two-dimensional
-constraint projection, off every solve's path, whose cell quadratics take
-two stiffness applies each; and, from the trace the 20-step hand-off burst
+(`trace_build_96x448` for the trace problem: preconditioner, closed-form
+boundary modes and their mode matrix, and the pins' 1-D profile;
+`precond_solve_96x448` and `apply_stiffness_96x448` on the seed;
+`project_constraint_96x448` for the two-dimensional constraint projection,
+off every solve's path, whose cell quadratics take two stiffness applies
+each; and, from the trace the 20-step hand-off burst
 leaves, `lambda_apply_96x448` for one apply of the boundary operator with
 Gamma, `trace_trial_96x448` for one trace trial of that trace scaled by
 1.01, `trace_newton_step_96x448` for one dense bordered Newton step and
-`extension_96x448` for the extension into the front), and the parabolic
+`extension_96x448` for the extension into the front; `kernel_seed_96x448`
+for the seed trace a kernel-seeded solve starts from, the closed-form
+front at t = 1, c = a on x = 0), and the parabolic
 evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
 (`sweep_x_129x1151` and `sweep_y_1153x129` for one x- and one y-sweep on
 the field's interior columns and on its transpose, `evolution_step_129x1153`
@@ -29,8 +32,8 @@ and 1/64, `top_values_129x897` for the value at the top node of each of
 the finer grid's columns that the sampled field starts from,
 `sample_front_129x1153` for the evolution's initial field on
 `evolution_grid(2, 64)`, `front_nonlinearity_t1c2` for the law table,
-`ignition_beta_t1c2` for the table's Hermite interpolant, its exact
-integral and that integral's zero beta,
+`ignition_beta_t1c2` for the table's Hermite interpolant and its exact
+integral plus that integral's zero beta,
 `oracle_law_G_449` for one call of the law's potential G on the 449-node
 trace the cubic's hand-off burst leaves (a trace trial makes one),
 `invert_trace_tail_t1c2` for the trace inversion at s = 1e-180 that
@@ -112,11 +115,13 @@ def run_suite() -> dict:
     big = np.empty((spec.ny, spec.ny))
     results["trace_newton_step_96x448"] = bench(problem.newton_step, u, nl, lam, big)
     results["extension_96x448"] = bench(problem.extend, u)
+    from frontforge.explicit_front import ExplicitFrontParams, front_profile
+
+    results["kernel_seed_96x448"] = bench(front_profile, ExplicitFrontParams(1.0, spec.a), 0.0, spec.ys)
 
     # the evolution on the oracle front, as one frontbench `evolution` leg
     from frontforge import evolution
     from frontforge.explicit_front import (
-        ExplicitFrontParams,
         _law_table,
         _u_speed2,
         front_nonlinearity,
@@ -152,7 +157,7 @@ def run_suite() -> dict:
     results["front_nonlinearity_t1c2"] = bench(front_nonlinearity, params)
     s_tab, f_tab, fp_tab = _law_table(params.t)
     a0 = -0.5 / params.t * s_tab[0] * s_tab[0]  # the integral below the table
-    results["ignition_beta_t1c2"] = bench(_hermite_table, s_tab, f_tab, fp_tab, a0)
+    results["ignition_beta_t1c2"] = bench(lambda: _hermite_table(s_tab, f_tab, fp_tab, a0)[3]())
     results["oracle_law_G_449"] = bench(law.G, u)
     results["invert_trace_tail_t1c2"] = bench(invert_trace, params, 1e-180)
     results["invert_trace_one_side_t1c2"] = bench(invert_trace, params, 1.0 - 1e-6)

@@ -666,7 +666,7 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
     s_tab, f_tab, fp_tab = _law_table(t)
     slope = -1.0 / t  # speed-2 endpoint slope; scaled by c/2 below
     s_lo, s_hi = float(s_tab[0]), float(s_tab[-1])
-    f_core, fp_core, a_core, beta = _hermite_table(s_tab, f_tab, fp_tab, 0.5 * slope * s_lo * s_lo)
+    f_core, fp_core, a_core, zero = _hermite_table(s_tab, f_tab, fp_tab, 0.5 * slope * s_lo * s_lo)
 
     gamma1 = _u_speed2(t, y_star)
     gamma2 = _u_speed2(t, -y_star)
@@ -685,7 +685,7 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
         domain=(s_lo, s_hi),
         kind="custom",
         delta=delta,
-        beta=beta,
+        beta=zero(),
         alpha=alpha,
         label=f"explicit(t={t:g}, c={c:g})",
         params={"kind": "explicit", "t": t, "c": c},

@@ -103,9 +103,9 @@ def _hermite_table(s_tab: np.ndarray, f_tab: np.ndarray, fp_tab: np.ndarray, a0:
     a0 at s_tab[0] plus the exact integral of the cubic: at the nodes the
     cumulative cell integrals h/2 (f_i + f_{i+1}) + h^2/12 (f'_i - f'_{i+1}),
     inside a cell the cubic's own antiderivative, a quartic in the cell
-    coordinate w with no constant term, in Horner form.  zero is where the
-    integral turns positive, bisected in w inside the cell of the first
-    positive node (nan if no node is positive).
+    coordinate w with no constant term, in Horner form.  zero() bisects,
+    when called, in w for where the integral turns positive inside the cell
+    of the first positive node (nan if no node is positive).
     """
     h = np.diff(s_tab)
     # h f and h^2 f' at each cell's lower and upper node
@@ -145,11 +145,11 @@ def _hermite_table(s_tab: np.ndarray, f_tab: np.ndarray, fp_tab: np.ndarray, a0:
         i, _, w = locate(s)
         return in_cell(i, w)
 
-    i = int(np.argmax(at_nodes > 0.0)) - 1
-    if i < 0:
-        return value, derivative, integral, math.nan
-    w = _bisect(lambda w: -in_cell(i, w), 0.0, 1.0, 1e-13)
-    return value, derivative, integral, float(s_tab[i] + h[i] * w)
+    def zero():
+        i = int(np.argmax(at_nodes > 0.0)) - 1
+        return math.nan if i < 0 else float(s_tab[i] + h[i] * _bisect(lambda w: -in_cell(i, w), 0.0, 1.0, 1e-13))
+
+    return value, derivative, integral, zero
 
 
 def make_bistable_cubic(alpha: float) -> Nonlinearity:

@@ -10,11 +10,12 @@ harmonic extension of its boundary trace u = w(0, .), and the problem is
 solved on the trace (`_Trace`): E_a(u) = Gamma(u)/2 + sum ymeasure G(u)
 with Gamma(u) = kappa0 + (u - u0)^T Lambda (u - u0), the discrete form of
 the half-plane to boundary reduction (Cabre and Sola-Morales, CPAM 58,
-2005).  Lambda, the boundary Dirichlet-to-Neumann map, is diagonal in DST-I
-y-modes with closed-form mode values (`_boundary_modes`).  A solve is one
-pass: a short burst of the damped flux fixed point, which can transport
-the front across the window, then one attempt of exact Newton steps on
-(u, lambda_a), each one dense bordered solve of ny unknowns.  Every burst
+2005), all in closed form: Lambda, the boundary Dirichlet-to-Neumann map,
+is diagonal in DST-I y-modes (`_boundary_modes`), u0 and kappa0 come from
+the pins' 1-D profile in y.  A solve is one pass from a seed trace: a
+short burst of the damped flux fixed point, which can carry the front
+across the window, then one attempt of exact Newton steps on (u,
+lambda_a), each one dense bordered solve of ny unknowns.  Every burst
 trial pins, clamps, rearranges and translates the trace onto Gamma = 1 in
 closed form.  The front is built once, as the extension of the final
 trace: one solve with the separable preconditioner of the stiffness
@@ -33,6 +34,7 @@ than 5 %.  `MinimizerResult.record` says why and how the solve stopped.
 
 from __future__ import annotations
 
+import importlib
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,18 +44,18 @@ from scipy.linalg import lapack
 
 from . import grid as gridmod
 from ._kernels import spd_tridiag_factor
-from .explicit_front import ExplicitFrontParams, sample_front
+from .explicit_front import ExplicitFrontParams, front_profile
 from .grid import Field, GridSpec, TraceProfile
 from .nonlinearity import Nonlinearity, NonlinearityError, _adaptive_simpson, validate
 
 
 def __getattr__(name: str):
-    # no solve uses scipy.sparse.linalg; the benchmark's tracer patches
-    # solver.spla.splu, so the module is imported only when asked for
+    # the benchmark's tracer patches solver.spla.splu and solver.sample_front;
+    # no solve uses either, so each is imported only when asked for
     if name == "spla":
-        import scipy.sparse.linalg as spla
-
-        return spla
+        return importlib.import_module("scipy.sparse.linalg")
+    if name == "sample_front":
+        return importlib.import_module(".explicit_front", __package__).sample_front
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -246,19 +248,20 @@ def _boundary_modes(spec: GridSpec) -> np.ndarray:
     C^{-1/2} T C^{-1/2}, the symmetrised y-operator, is Toeplitz (diagonal
     r^2 (1 + cosh(a hy)), off-diagonal -r^2 cosh(a hy/2), r = hx/hy), so its
     eigenvectors are the orthonormal DST-I sines Psi_jm = sqrt(2/ny)
-    sin(pi j m/ny) with eigenvalues mu_m.  Per mode, the Schur complement
-    of Kx + mu_m Sigma onto x = 0 is d_m, from the backward recurrence
-    s_nx = 1 + mu sigma_nx, s_i = k_i + mu sigma_i - 1/s_{i+1} (k_i = 2
-    inside, 1 at the ends).  N = Lambda^{-1} has 1/d in place of d.
+    sin(pi j m/ny) with eigenvalues mu_m.  Per mode, d_m is the Schur
+    complement of Kx + mu_m Sigma onto x = 0, the last step of the backward
+    recurrence s_nx = 1 + mu sigma_nx, s_i = k_i + mu sigma_i - 1/s_{i+1}
+    (k_i = 2 inside, 1 at the ends).  With cosh(theta) = 1 + mu/2 and
+    2 cosh(theta) cosh(n theta) = cosh((n+1) theta) + cosh((n-1) theta),
+    s_i = cosh((nx-i+1) theta)/cosh((nx-i) theta) for i >= 1, so d = s_0 =
+    cosh(theta) - 1/s_1 = sinh(theta) tanh(nx theta) = sqrt(mu (1 + mu/4))
+    tanh(2 nx asinh(sqrt(mu)/2)), the last form free of cancellation: the
+    discrete strip's Dirichlet-to-Neumann symbol |k| tanh(|k| L), whose
+    tanh -> 1 limit closes x as a half-line.  N = Lambda^{-1} has 1/d.
     """
-    nx, ny = spec.nx, spec.ny
-    r2 = (spec.hx / spec.hy) ** 2
-    ahy = spec.a * spec.hy
-    mu = r2 * (1.0 + math.cosh(ahy) - 2.0 * math.cosh(0.5 * ahy) * np.cos(np.pi / ny * np.arange(1, ny)))
-    s = 1.0 + mu * spec.sigma[nx]
-    for i in range(nx - 1, -1, -1):
-        s = (2.0 if i else 1.0) + mu * spec.sigma[i] - 1.0 / s
-    return s
+    r2, ahy = (spec.hx / spec.hy) ** 2, spec.a * spec.hy
+    mu = r2 * (1.0 + math.cosh(ahy) - 2.0 * math.cosh(0.5 * ahy) * np.cos(np.pi / spec.ny * np.arange(1, spec.ny)))
+    return np.sqrt(mu * (1.0 + 0.25 * mu)) * np.tanh(2.0 * spec.nx * np.arcsinh(0.5 * np.sqrt(mu)))
 
 
 def _dst(x: np.ndarray) -> np.ndarray:
@@ -289,11 +292,6 @@ def _mode_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     toeplitz = windows(np.concatenate([g[n - 1 : 0 : -1], g[:n]]), n)[::-1]
     hankel = windows(g[2 : 2 * n + 1], n)
     return toeplitz, hankel
-
-
-def _pin(values: np.ndarray) -> None:
-    values[..., 0] = 1.0
-    values[..., -1] = 0.0
 
 
 def _boundary_fu(spec: GridSpec, u: np.ndarray, nl: Nonlinearity) -> float:
@@ -341,9 +339,12 @@ class _Trace:
     S-harmonic extension of its trace, the field of least Gamma_a with that
     trace.  With u0, kappa0 the trace and Gamma_a of the pins' extension
     w_p: Gamma(u) = kappa0 + (u - u0)^T Lambda (u - u0) exactly, Lambda as
-    in `_boundary_modes`.  In the scaled unknowns v = C^{1/2}(u - u0)
-    Lambda is M = Psi diag(d) Psi^T, applied by FFT, and every product
-    stays well scaled however far C spans.
+    in `_boundary_modes`.  Kx annihilates constants, so every column of
+    w_p is the profile p_j = sum_{k>=j} r_k / R, r = 1/wy_edge, R = sum r,
+    with the flux 1/R through each y-edge: kappa0 = x_max/(hy R), and p is
+    summed from y_max, where it is about e^-52, to stay accurate there.  In
+    the scaled unknowns v = C^{1/2}(u - u0) Lambda is M = Psi diag(d) Psi^T,
+    applied by FFT, and every product stays well scaled however far C spans.
     """
 
     def __init__(self, spec: GridSpec):
@@ -351,11 +352,10 @@ class _Trace:
         self.ws = _Workspace(spec)
         self.root_c = self.ws.root_c
         self.d = _boundary_modes(spec)
-        self.pins = pins = np.zeros((spec.nx + 1, spec.ny + 1))
-        _pin(pins)
-        pins[:, 1:-1] = self.ws.precond_solve(-gridmod.apply_stiffness(spec, pins)[:, 1:-1])
-        self.u0 = pins[0, 1:-1].copy()
-        self.kappa0 = gridmod.dirichlet(Field(pins, spec))
+        tail = np.cumsum(1.0 / spec.wy_edge[::-1])[::-1]
+        self.profile = np.append(tail / tail[0], 0.0)
+        self.u0 = self.profile[1:-1]
+        self.kappa0 = float(spec.x_max / (spec.hy * tail[0]))
         self.matrix = _mode_matrix(self.d)
         self.lwork = int(lapack.dsysv_lwork(spec.ny)[0])
 
@@ -382,7 +382,7 @@ class _Trace:
         pinned again; the pins are no unknowns of Gamma.  Raises
         NumericalError when Gamma = 1 is out of reach.
         """
-        _pin(u)
+        u[0], u[-1] = 1.0, 0.0
         np.clip(u, 0.0, 1.0, out=u)
         # through grid's name, which the benchmark's tracer patches
         gridmod.rearrange_columns(u[None, :], self.spec.ymeasure, out=u[None, :])
@@ -395,7 +395,7 @@ class _Trace:
                 return p, self.kappa0 + float(va @ mb), r
 
             u, gamma = gridmod.translate_onto_unit(self.spec, u, gamma, cell)
-            _pin(u)
+            u[0], u[-1] = 1.0, 0.0
         return u, self.energy(u, gamma, nl)
 
     def burst(self, u, nl, history: list, steps: int, record: SolveRecord):
@@ -501,7 +501,7 @@ class _Trace:
         """The front of trace u: u on row 0, w_p + S_ff^{-1} U Lambda (u - u0)
         below.  A second pass on the first one's trace mismatch removes the
         error, up to 1e-5 where C is smallest, of Lambda's scaled apply."""
-        values = self.pins.copy()
+        values = np.tile(self.profile, (self.spec.nx + 1, 1))
         flux = np.zeros((self.spec.nx + 1, self.spec.ny - 1))
         for _ in range(2):
             flux[0] = self.root_c * _dst(self.d * _dst(self.root_c * (u[1:-1] - values[0, 1:-1])))
@@ -514,17 +514,18 @@ def minimize(
     spec: GridSpec,
     nl: Nonlinearity,
     opts: SolverOptions | None = None,
-    seed: Field | None = None,
+    seed: TraceProfile | None = None,
 ) -> MinimizerResult:
     """Constrained minimization of the discrete E_a on Gamma_a = 1.
 
     The problem is solved on the boundary trace (`_Trace`) in one pass
-    from the seed's row 0: a `_HANDOFF_ITERS`-step flux fixed-point burst,
-    then, unless the burst's trace already passes, one exact Newton attempt
-    on (u, lambda_a).  Newton's trace is accepted only when it converges
-    with 1 - 2 lambda_a > 0 and E_a/Gamma_a at most the burst's, and the
-    accepted trace's extension must be `_admissible` (checked, never
-    enforced) and pass `_stationarity`.  E_a and Gamma_a both scale by
+    from the seed trace, ny + 1 finite values (else ValueError; by default
+    row 0 of `grid.seed_function`): a `_HANDOFF_ITERS`-step flux fixed-point
+    burst, then, unless the burst's trace already passes, one exact Newton
+    attempt on (u, lambda_a).  Newton's trace is accepted only when it
+    converges with 1 - 2 lambda_a > 0 and E_a/Gamma_a at most the burst's,
+    and the accepted trace's extension must be `_admissible` (checked,
+    never enforced) and pass `_stationarity`.  E_a and Gamma_a both scale by
     e^{-at} under a shift by t in y, so the ratio compares the two traces
     as if both sat exactly on Gamma_a = 1.
 
@@ -537,8 +538,11 @@ def minimize(
     opts = opts or SolverOptions()
     record = SolveRecord(stop="residual", trials=1)  # the seed's trial
     clock = time.perf_counter()
+    seed = seed or gridmod.trace(gridmod.seed_function(spec))
+    if not (seed.values.shape == (spec.ny + 1,) and np.isfinite(seed.values).all()):
+        raise ValueError(f"the seed trace must be ny + 1 = {spec.ny + 1} finite values, got {seed.values.size}")
     problem = _Trace(spec)
-    u, e_seed = problem.trial((seed or gridmod.seed_function(spec)).values[0].copy(), nl)
+    u, e_seed = problem.trial(seed.values.copy(), nl)
     history = [e_seed]
     clock = record.lap("build_s", clock)
 
@@ -559,21 +563,18 @@ def minimize(
             if e_new / gamma_new > history[-1] / gamma:
                 found, record.stop = None, "refused"
         clock = record.lap("newton_s", clock)
-    if found is not None:
-        front = problem.extend(found)
+    for candidate in [u] if found is None else [found, u]:
+        front = problem.extend(candidate)
         rho, gamma, lam = _stationarity(problem.ws, front, nl)
         record.rho_history.append(rho)
         clock = record.lap("extension_s", clock)
+        if found is None:
+            break
         if rho <= opts.tol and abs(gamma - 1.0) <= _CONSTRAINT_TOL and _admissible(front.values):
             if found is not u:
                 history.append(e_new)
-        else:
-            found, record.stop = None, "refused"
-    if found is None:
-        front = problem.extend(u)
-        rho, gamma, lam = _stationarity(problem.ws, front, nl)
-        record.rho_history.append(rho)
-        record.lap("extension_s", clock)
+            break
+        found, record.stop = None, "refused"
     if lam >= 0.5:
         raise DegenerateMultiplierError(
             f"lambda_a = {lam:.6f} >= 1/2: grid too coarse for this reaction law"
@@ -726,8 +727,7 @@ def solve_front(nl: Nonlinearity, opts: SolverOptions | None = None) -> FrontSol
         )
     a = opts.a if opts.a is not None else choose_weight(nl)
     spec = default_grid(a, opts)
-    seed = None
-    if opts.seed == "kernel":
-        seed = Field(sample_front(ExplicitFrontParams(t=1.0, c=a), spec.xs, spec.ys), spec)
+    kernel = opts.seed == "kernel"
+    seed = TraceProfile(spec.ys, front_profile(ExplicitFrontParams(t=1.0, c=a), 0.0, spec.ys)) if kernel else None
     result = minimize(spec, nl, opts, seed=seed)
     return extract_speed(result, nl)

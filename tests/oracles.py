@@ -12,6 +12,7 @@ derivatives from Richardson-extrapolated central differences.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
@@ -303,6 +304,25 @@ def boundary_ntd_dense(spec) -> np.ndarray:
     nb = spec.ny - 1  # row 0 comes first in the free ordering
     s_bb, s_bi, s_ii = s_ff[:nb, :nb], s_ff[:nb, nb:], s_ff[nb:, nb:]
     return np.linalg.inv(s_bb - s_bi @ np.linalg.solve(s_ii, s_bi.T))
+
+
+def boundary_modes_exact(spec) -> np.ndarray:
+    """d_m, m = 1..ny-1, by the backward recurrence s_nx = 1 + mu sigma_nx,
+    s_i = k_i + mu sigma_i - 1/s_{i+1} (k_i = 2 inside, 1 at the ends), run
+    in exact rational arithmetic on the float64 mu_m and rounded once at
+    d = s_0: the reference for the closed form of
+    `solver._boundary_modes`, on the same mu."""
+    r2, ahy = (spec.hx / spec.hy) ** 2, spec.a * spec.hy
+    mu = r2 * (1.0 + math.cosh(ahy) - 2.0 * math.cosh(0.5 * ahy) * np.cos(np.pi / spec.ny * np.arange(1, spec.ny)))
+    sigma = [Fraction(float(v)) for v in spec.sigma]
+    out = np.empty(mu.size)
+    for m, mu_m in enumerate(mu):
+        q = Fraction(float(mu_m))
+        s = 1 + q * sigma[spec.nx]
+        for i in range(spec.nx - 1, -1, -1):
+            s = (2 if i else 1) + q * sigma[i] - 1 / s
+        out[m] = float(s)
+    return out
 
 
 def newton_step_sparse(w, nl, lam: float):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -6,8 +7,9 @@ import pytest
 from scipy.linalg import eigh
 
 from frontforge import grid as gridmod
-from frontforge.explicit_front import ExplicitFrontParams, front_nonlinearity
-from frontforge.grid import GridSpec, Field, dirichlet, energy, seed_function, trace
+from frontforge import solver
+from frontforge.explicit_front import ExplicitFrontParams, front_nonlinearity, sample_front
+from frontforge.grid import GridSpec, Field, TraceProfile, dirichlet, energy, seed_function, trace
 from frontforge.nonlinearity import NonlinearityError, make_bistable_cubic, make_combustion, reflect
 from frontforge.solver import (
     MinimizerResult,
@@ -15,6 +17,7 @@ from frontforge.solver import (
     SolverOptions,
     SolveRecord,
     _admissible,
+    _boundary_modes,
     _dst,
     _mode_matrix,
     _stationarity,
@@ -29,6 +32,7 @@ from frontforge.solver import (
     solve_front,
 )
 from oracles import (
+    boundary_modes_exact,
     boundary_ntd_dense,
     free_stiffness_solve,
     newton_step_finite_difference,
@@ -120,6 +124,34 @@ class TestTrace:
         _, u0, kappa0 = reduced_problem_dense(spec)
         assert np.max(np.abs(problem.u0 - u0)) <= 1e-12
         assert problem.kappa0 == pytest.approx(kappa0, rel=1e-12)
+
+    @pytest.mark.parametrize("refine", [0, 1])
+    def test_pins_profile_is_the_pins_extension(self, refine):
+        # the profile broadcast over x leaves no stiffness residual on the
+        # free nodes, measured against the pins' coupling into them (the
+        # flux every y-edge carries), and its Gamma_a is kappa0.  Against
+        # correctly rounded tail sums the profile is relatively accurate up
+        # to y_max, where it is about e^-52 (summed from y_min, 1e8 off)
+        nl = make_bistable_cubic(0.25)
+        spec = default_grid(choose_weight(nl), SolverOptions(refine=refine))
+        problem = _Trace(spec)
+        r = 1.0 / spec.wy_edge
+        tails = np.array([math.fsum(r[j:]) for j in range(spec.ny)])
+        assert np.max(np.abs(problem.profile[:-1] / (tails / tails[0]) - 1.0)) <= 1e-14
+        pins = np.tile(problem.profile, (spec.nx + 1, 1))
+        coupling = np.zeros_like(pins)
+        coupling[:, 0] = 1.0
+        scale = np.max(np.abs(gridmod.apply_stiffness(spec, coupling)[:, 1:-1]))
+        assert np.max(np.abs(gridmod.apply_stiffness(spec, pins)[:, 1:-1])) <= 1e-14 * scale
+        assert type(problem.kappa0) is float
+        assert problem.kappa0 == pytest.approx(dirichlet(Field(pins, spec)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("nx, ny", [(16, 64), (96, 448)])
+    def test_boundary_modes_match_the_exact_recurrence(self, nx, ny):
+        nl = make_bistable_cubic(0.25)
+        spec = default_grid(choose_weight(nl), SolverOptions(nx=nx, ny=ny))
+        exact = boundary_modes_exact(spec)
+        assert np.max(np.abs(_boundary_modes(spec) - exact) / exact) <= 1e-15
 
     @pytest.mark.parametrize("nx, ny", [(16, 64), (32, 128)])
     def test_extension_matches_the_sparse_solve(self, nx, ny):
@@ -295,6 +327,45 @@ def test_trial_energy_is_the_energy_of_its_field():
         assert e_a == pytest.approx(energy(problem.extend(out), nl), rel=1e-13, abs=0.0)
 
 
+class _Stop(Exception):
+    pass
+
+
+class TestSeed:
+    @pytest.mark.parametrize("refine", [0, 1])
+    @pytest.mark.parametrize("law", ["cubic_nl", "oracle_nl"])
+    def test_kernel_seed_is_row_0_of_the_sampled_front(self, monkeypatch, request, law, refine):
+        seen = {}
+
+        def capture(spec, nl, opts, seed):
+            seen.update(spec=spec, seed=seed)
+            raise _Stop
+
+        monkeypatch.setattr(solver, "minimize", capture)
+        with pytest.raises(_Stop):
+            solve_front(request.getfixturevalue(law), SolverOptions(seed="kernel", refine=refine))
+        spec = seen["spec"]
+        assert np.array_equal(seen["seed"].y_nodes, spec.ys)
+        want = sample_front(ExplicitFrontParams(1.0, spec.a), spec.xs, spec.ys)[0]
+        assert np.array_equal(seen["seed"].values, want)
+
+    @pytest.mark.parametrize("bad", ["short", "long", "nan", "inf"])
+    def test_minimize_rejects_a_bad_seed_before_any_work(self, monkeypatch, bad):
+        nl = make_bistable_cubic(0.25)
+        opts = SolverOptions(nx=16, ny=64)
+        spec = default_grid(choose_weight(nl), opts)
+        ys = {"short": spec.ys[:-1], "long": np.append(spec.ys, spec.y_max + spec.hy)}.get(bad, spec.ys)
+        values = np.linspace(1.0, 0.0, ys.size)
+        values[ys.size // 2] = {"nan": np.nan, "inf": np.inf}.get(bad, values[ys.size // 2])
+
+        def no_build(spec):
+            raise AssertionError("the trace problem was built")
+
+        monkeypatch.setattr(solver, "_Trace", no_build)
+        with pytest.raises(ValueError, match="seed trace"):
+            minimize(spec, nl, opts, seed=TraceProfile(ys, values))
+
+
 class TestMinimize:
     def test_oracle_minimizer_properties(self, oracle_nl):
         opts = SolverOptions()
@@ -391,7 +462,7 @@ class TestMinimize:
         spec = default_grid(choose_weight(nl), opts)
         start = minimize(spec, nl, opts)
         assert start.record.stop == "residual"
-        res = minimize(spec, nl, replace(opts, tol=1e-30), seed=start.minimizer)
+        res = minimize(spec, nl, replace(opts, tol=1e-30), seed=trace(start.minimizer))
         assert res.record.stop == "newton"
         assert res.record.burst_steps == 0
         assert not res.converged

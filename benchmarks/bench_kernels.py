@@ -37,8 +37,11 @@ integral plus that integral's zero beta,
 `oracle_law_G_449` for one call of the law's potential G on the 449-node
 trace the cubic's hand-off burst leaves (a trace trial makes one),
 `invert_trace_tail_t1c2` for the trace inversion at s = 1e-180 that
-the endpoint slope needs, `invert_trace_one_side_t1c2` for the inversion at
-s = 1 - 1e-6, which runs on the complement integral below eta = -34,
+the endpoint slope needs, matched against the mass above each edge and
+bisected inside the graded cell above eta = 2, `invert_trace_one_side_t1c2`
+for the inversion at s = 1 - 1e-6, matched against the mass below each edge
+and bisected inside one geometric cell near eta = -6e11 (each one
+whole-line cumulative pass and one bisection),
 `kernel_mass_t1` for the kernel's mass on the full line at t = 1), and
 prints the best of several repeats:
 

@@ -52,7 +52,6 @@ from .solver import (
     choose_weight,
     extract_speed,
     minimize,
-    residual,
     solve_front,
 )
 from .specfun import bessel_k, bessel_k_asymptotic, bessel_k_flagged, bessel_k_scaled
@@ -100,7 +99,6 @@ __all__ = [
     "project_constraint",
     "rearrange_monotone",
     "reflect",
-    "residual",
     "sandwich_check",
     "seed_function",
     "solve_front",

@@ -35,10 +35,10 @@ tiers:
 
 An `_edges` table has no run of narrow cells unless it ends just above
 _Z_EXP, so `_integral_p` (with it `kernel_mass`, point values, the column
-tops of a sampled field and the `invert_trace` bisections) takes the Gauss
-tier alone; all of its part above _Z_EXP is one graded cell.  Below
-_Y_COMPLEMENT a value is 1 minus the mass below, from `kernel_mass`'s limit
-`_far`.
+tops of a sampled field, and `invert_trace`'s whole-line pass and the
+bisection inside one of its cells) takes the Gauss tier alone; all of its
+part above _Z_EXP is one graded cell.  Below _Y_COMPLEMENT a value is 1
+minus the mass below, from `kernel_mass`'s limit `_far`.
 
 A sampled field is one batched quadrature pass over all its columns: one
 panel table, one kernel evaluation per block of columns and one cumulative
@@ -541,48 +541,38 @@ def _fprime_speed2(t: float, eta) -> np.ndarray:
 
 def invert_trace(params: ExplicitFrontParams, s: float) -> float:
     """The unique y with u^{t,c}(0, y) = s, by bisection to a bracket of
-    relative width 1e-13 in the speed-2 trace position; above s = 1/2 on
-    1 - s against the mass below, which resolves 1 - u where u rounds to s."""
+    relative width 1e-13 in the speed-2 trace position eta.
+
+    One cumulative pass over the cells of _edges(_far(t), _Z_DEAD) gives
+    the kernel's mass beyond each edge on the side that resolves s: below
+    for s > 1/2, matched against 1 - s (u rounds to s where 1 - u does not),
+    above otherwise, matched against s.  The bisection runs inside the one
+    cell whose end masses bracket the target, on the upper side in v = -eta
+    so that the gap stays positive on the low side; each gap adds only the
+    cells from the bracket's low end, which `_bisect` moves to every point
+    with a positive gap, so the carried sum moves with it.
+    """
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
-    t = params.t
+    t, upper = params.t, s <= 0.5
+    edges = _edges(_far(t), _Z_DEAD)
+    mass = _cells(np.array([t]), edges)[0]
+    if upper:
+        edges, mass = -edges[::-1], mass[::-1]
+    target = s if upper else 1.0 - s
+    beyond = np.concatenate([[0.0], np.cumsum(mass)])
+    k = int(np.searchsorted(beyond, target, side="right")) - 1
+    low, carried = float(edges[k]), float(beyond[k])
 
-    def gap(eta):
-        return (1.0 - s) - _mass_below(t, eta) if s > 0.5 else _u_speed2(t, eta) - s
-
-    lo, hi = -4.0, 4.0  # eta bracket; the gap decreases from 1 - s to -s
-    while gap(hi) > 0.0 and hi < 1.0e6:
-        hi *= 2.0
-    if s > 0.5:
-        lo, gap = _mass_gap(t, 1.0 - s)
-    else:
-        while gap(lo) < 0.0 and lo > -1.0e18:
-            lo *= 2.0
-    return 2.0 * _bisect(gap, lo, hi, 1e-13) / params.c
-
-
-def _mass_gap(t: float, target: float):
-    """(lo, gap) for the bisection of eta -> target - (mass below eta).
-
-    One cumulative pass over the cells of _edges(_far(t), -4) gives the mass
-    below each of their edges, and lo is the highest edge whose mass is at
-    most `target`.  Each gap(eta) then adds only the cells from the bracket's
-    low end to eta: `_bisect` moves its low end to every eta with a positive
-    gap, so the sum moves up with it.
-    """
-    edges = _edges(_far(t), -4.0)
-    below = np.concatenate([[0.0], np.cumsum(_cells(np.array([t]), edges)[0])])
-    k = int(np.searchsorted(below, target, side="right")) - 1
-    low, mass = float(edges[k]), float(below[k])
-
-    def gap(eta):
-        nonlocal low, mass
-        m = mass + _integral_p(t, low, eta)
+    def gap(v):
+        nonlocal low, carried
+        m = carried + (_integral_p(t, -v, -low) if upper else _integral_p(t, low, v))
         if target - m > 0.0:
-            low, mass = eta, m
+            low, carried = v, m
         return target - m
 
-    return low, gap
+    v = _bisect(gap, low, float(edges[k + 1]), 1e-13)
+    return 2.0 * (-v if upper else v) / params.c
 
 
 def explicit_nonlinearity(params: ExplicitFrontParams, s: float) -> float:

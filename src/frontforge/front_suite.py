@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import TAIL_LAWS, fit_decay, standard_window
+from .analysis import TAIL_LAWS, fit_decay
 from .evolution import EvolveOptions, evolve, measure_speed
 from .explicit_front import ExplicitFrontParams, front_nonlinearity, sample_front
 from .grid import Field, GridSpec, TraceProfile, trace, trace_crossing
@@ -147,38 +147,11 @@ def derivative_trace(tr: TraceProfile) -> TraceProfile:
     return TraceProfile(tr.y_nodes[1:-1], der)
 
 
-def _resolved_floor(tr: TraceProfile) -> float:
-    """First y above which the invading-side trace is strictly resolved.
-
-    Deep in the lower tail the weighted cell measure e^{ay} hy underflows
-    relative to the transition region, so the minimizer (and in particular
-    the weighted rearrangement) represents the profile there as exact
-    plateaus.  Tail laws are only meaningful above the last such flat.
-    """
-    v = tr.values
-    flat = (np.diff(v) == 0.0) & (v[:-1] > 0.5)
-    if not flat.any():
-        return float(tr.y_nodes[0])
-    last = int(np.where(flat)[0].max())
-    return float(tr.y_nodes[min(last + 1, len(tr.y_nodes) - 1)])
-
-
 def front_decay_reports(sol: FrontSolution) -> dict:
-    """Fit all four tail laws of a computed front on the standard windows.
-
-    The minus-side window additionally starts above the measure-resolved
-    floor of the discrete trace (see _resolved_floor).
-    """
+    """Fit all four tail laws of a computed front on the standard windows."""
     tr = sol.trace
     tdy = derivative_trace(tr)
-    floor = _resolved_floor(tr) + 2.0 * (tr.y_nodes[1] - tr.y_nodes[0])
-    out = {}
-    for side, quantity in TAIL_LAWS:
-        lo, hi = standard_window(tr, side)
-        if side == "minus":
-            lo = max(lo, floor)
-        out[(side, quantity)] = fit_decay(tr, tdy, sol.speed, side, quantity, window=(lo, hi))
-    return out
+    return {(side, quantity): fit_decay(tr, tdy, sol.speed, side, quantity) for side, quantity in TAIL_LAWS}
 
 
 def sandwich_b_max(alpha: float = 0.25, sol: FrontSolution | None = None) -> float:

@@ -431,7 +431,7 @@ def ignition_point(nl: Nonlinearity, tol: float = 1e-10) -> float:
     # in x = s/lo >= 1 _bisect's stop is relative to x, so to beta however
     # small it is; gap moves the low end to every x where -F > 0, on the
     # walk and in _bisect, so the carried F(lo * low) moves up with it, as in
-    # explicit_front._mass_gap
+    # explicit_front.invert_trace
     low, mass = 1.0, antiderivative(nl, lo, 1e-12 * min(1.0, -flo))
 
     def gap(x):

@@ -248,7 +248,10 @@ def _boundary_modes(spec: GridSpec) -> np.ndarray:
     C^{-1/2} T C^{-1/2}, the symmetrised y-operator, is Toeplitz (diagonal
     r^2 (1 + cosh(a hy)), off-diagonal -r^2 cosh(a hy/2), r = hx/hy), so its
     eigenvectors are the orthonormal DST-I sines Psi_jm = sqrt(2/ny)
-    sin(pi j m/ny) with eigenvalues mu_m.  Per mode, d_m is the Schur
+    sin(pi j m/ny) with eigenvalues mu_m = r^2 (1 + cosh(2b) - 2 cosh(b)
+    cos(phi_m)) = 4 r^2 cosh(b) (sinh^2(b/2) + sin^2(phi_m/2)), b = a hy/2,
+    phi_m = pi m/ny, the last form free of the cancellation of the first at
+    small phi_m.  Per mode, d_m is the Schur
     complement of Kx + mu_m Sigma onto x = 0, the last step of the backward
     recurrence s_nx = 1 + mu sigma_nx, s_i = k_i + mu sigma_i - 1/s_{i+1}
     (k_i = 2 inside, 1 at the ends).  With cosh(theta) = 1 + mu/2 and
@@ -259,8 +262,9 @@ def _boundary_modes(spec: GridSpec) -> np.ndarray:
     discrete strip's Dirichlet-to-Neumann symbol |k| tanh(|k| L), whose
     tanh -> 1 limit closes x as a half-line.  N = Lambda^{-1} has 1/d.
     """
-    r2, ahy = (spec.hx / spec.hy) ** 2, spec.a * spec.hy
-    mu = r2 * (1.0 + math.cosh(ahy) - 2.0 * math.cosh(0.5 * ahy) * np.cos(np.pi / spec.ny * np.arange(1, spec.ny)))
+    r2, b = (spec.hx / spec.hy) ** 2, 0.5 * spec.a * spec.hy
+    half_phi = 0.5 * np.pi / spec.ny * np.arange(1, spec.ny)
+    mu = 4.0 * r2 * math.cosh(b) * (math.sinh(0.5 * b) ** 2 + np.sin(half_phi) ** 2)
     return np.sqrt(mu * (1.0 + 0.25 * mu)) * np.tanh(2.0 * spec.nx * np.arcsinh(0.5 * np.sqrt(mu)))
 
 
@@ -519,15 +523,16 @@ def minimize(
     """Constrained minimization of the discrete E_a on Gamma_a = 1.
 
     The problem is solved on the boundary trace (`_Trace`) in one pass
-    from the seed trace, ny + 1 finite values (else ValueError; by default
-    row 0 of `grid.seed_function`): a `_HANDOFF_ITERS`-step flux fixed-point
-    burst, then, unless the burst's trace already passes, one exact Newton
-    attempt on (u, lambda_a).  Newton's trace is accepted only when it
-    converges with 1 - 2 lambda_a > 0 and E_a/Gamma_a at most the burst's,
-    and the accepted trace's extension must be `_admissible` (checked,
-    never enforced) and pass `_stationarity`.  E_a and Gamma_a both scale by
-    e^{-at} under a shift by t in y, so the ratio compares the two traces
-    as if both sat exactly on Gamma_a = 1.
+    from the seed trace, ny + 1 finite values on spec.ys (else ValueError;
+    by default row 0 of `grid.seed_function`): a `_HANDOFF_ITERS`-step flux
+    fixed-point burst, then, unless the burst's trace already passes, one
+    exact Newton attempt on (u, lambda_a).  Newton's trace is accepted only
+    when it converges with 1 - 2 lambda_a > 0 and E_a/Gamma_a at most the
+    burst's, and the accepted trace's extension must be `_admissible`
+    (checked, never enforced) and pass `_stationarity`; each trace is
+    extended once.  E_a and Gamma_a both scale by e^{-at} under a shift by t
+    in y, so the ratio compares the two traces as if both sat exactly on
+    Gamma_a = 1.
 
     Converged means only that the extension's stationarity residual g -
     lambda_a D(Gamma_a) is at most `opts.tol` relative to the gradient norm
@@ -539,8 +544,11 @@ def minimize(
     record = SolveRecord(stop="residual", trials=1)  # the seed's trial
     clock = time.perf_counter()
     seed = seed or gridmod.trace(gridmod.seed_function(spec))
-    if not (seed.values.shape == (spec.ny + 1,) and np.isfinite(seed.values).all()):
-        raise ValueError(f"the seed trace must be ny + 1 = {spec.ny + 1} finite values, got {seed.values.size}")
+    if not (np.array_equal(seed.y_nodes, spec.ys) and np.isfinite(seed.values).all()):
+        raise ValueError(
+            f"the seed trace must be ny + 1 = {spec.ny + 1} finite values on spec.ys, "
+            f"got {seed.values.size} from y = {seed.y_nodes[0]:g}"
+        )
     problem = _Trace(spec)
     u, e_seed = problem.trial(seed.values.copy(), nl)
     history = [e_seed]
@@ -563,7 +571,7 @@ def minimize(
             if e_new / gamma_new > history[-1] / gamma:
                 found, record.stop = None, "refused"
         clock = record.lap("newton_s", clock)
-    for candidate in [u] if found is None else [found, u]:
+    for candidate in [u] if found is None or found is u else [found, u]:
         front = problem.extend(candidate)
         rho, gamma, lam = _stationarity(problem.ws, front, nl)
         record.rho_history.append(rho)
@@ -688,12 +696,6 @@ def pde_residual(
     ux = (u1 - u0) / hx + 0.5 * hx * (uyy + c * uy)
     boundary = float(np.max(np.abs(-ux - np.asarray(nl.f(u0)))))
     return interior, boundary
-
-
-def residual(front: FrontSolution, nl: Nonlinearity):
-    """Residual norms of a computed front under its own reaction law."""
-    spec = front.front.spec
-    return pde_residual(front.front.values, spec.hx, spec.hy, front.speed, nl, ys=spec.ys)
 
 
 # -- orchestration ------------------------------------------------------------

@@ -306,14 +306,28 @@ def boundary_ntd_dense(spec) -> np.ndarray:
     return np.linalg.inv(s_bb - s_bi @ np.linalg.solve(s_ii, s_bi.T))
 
 
+def boundary_eigenvalues_exact(spec) -> np.ndarray:
+    """mu_m = r^2 (1 + cosh(a hy) - 2 cosh(a hy/2) cos(pi m/ny)), r = hx/hy,
+    m = 1..ny-1, in 40-digit mpmath arithmetic on the float64 grid constants
+    and rounded once: the eigenvalues of `solver._boundary_modes`' symmetrised
+    y-operator, free of the cancellation the expression suffers in float64
+    at small m."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        r2 = (mpmath.mpf(spec.hx) / mpmath.mpf(spec.hy)) ** 2
+        ahy = mpmath.mpf(spec.a) * mpmath.mpf(spec.hy)
+        diag, off = 1 + mpmath.cosh(ahy), 2 * mpmath.cosh(ahy / 2)
+        return np.array([float(r2 * (diag - off * mpmath.cospi(mpmath.mpf(m) / spec.ny))) for m in range(1, spec.ny)])
+
+
 def boundary_modes_exact(spec) -> np.ndarray:
     """d_m, m = 1..ny-1, by the backward recurrence s_nx = 1 + mu sigma_nx,
     s_i = k_i + mu sigma_i - 1/s_{i+1} (k_i = 2 inside, 1 at the ends), run
-    in exact rational arithmetic on the float64 mu_m and rounded once at
-    d = s_0: the reference for the closed form of
-    `solver._boundary_modes`, on the same mu."""
-    r2, ahy = (spec.hx / spec.hy) ** 2, spec.a * spec.hy
-    mu = r2 * (1.0 + math.cosh(ahy) - 2.0 * math.cosh(0.5 * ahy) * np.cos(np.pi / spec.ny * np.arange(1, spec.ny)))
+    in exact rational arithmetic on the 40-digit mu_m rounded once
+    (`boundary_eigenvalues_exact`) and rounded once more at d = s_0: the
+    reference for the closed form of `solver._boundary_modes`."""
+    mu = boundary_eigenvalues_exact(spec)
     sigma = [Fraction(float(v)) for v in spec.sigma]
     out = np.empty(mu.size)
     for m, mu_m in enumerate(mu):
@@ -540,3 +554,56 @@ def step_reference(state, dt: float, nl):
 
     out = Field(vnew, spec)
     return EvolutionState(field=out, time=state.time + dt)
+
+
+def invert_trace_bracketed(params, s: float) -> float:
+    """The trace position y with u^{t,c}(0, y) = s by the earlier two-path
+    inversion: below s = 1/2 a bracket doubled from +-4 and bisected with a
+    fresh [eta, eta + 30] integral at each step, above it a bracket from one
+    cumulative pass below eta = -4 (`_mass_gap_below`): the reference for
+    `explicit_front.invert_trace`'s one-cell bisection."""
+    from frontforge.explicit_front import _mass_below, _u_speed2
+    from frontforge.nonlinearity import _bisect
+
+    if not 0.0 < s < 1.0:
+        raise ValueError("s must lie in (0, 1)")
+    t = params.t
+
+    def gap(eta):
+        return (1.0 - s) - _mass_below(t, eta) if s > 0.5 else _u_speed2(t, eta) - s
+
+    lo, hi = -4.0, 4.0  # eta bracket; the gap decreases from 1 - s to -s
+    while gap(hi) > 0.0 and hi < 1.0e6:
+        hi *= 2.0
+    if s > 0.5:
+        lo, gap = _mass_gap_below(t, 1.0 - s)
+    else:
+        while gap(lo) < 0.0 and lo > -1.0e18:
+            lo *= 2.0
+    return 2.0 * _bisect(gap, lo, hi, 1e-13) / params.c
+
+
+def _mass_gap_below(t: float, target: float):
+    """(lo, gap) for the bisection of eta -> target - (mass below eta).
+
+    One cumulative pass over the cells of _edges(_far(t), -4) gives the mass
+    below each of their edges, and lo is the highest edge whose mass is at
+    most `target`.  Each gap(eta) then adds only the cells from the bracket's
+    low end to eta: `_bisect` moves its low end to every eta with a positive
+    gap, so the sum moves up with it.
+    """
+    from frontforge.explicit_front import _cells, _edges, _far, _integral_p
+
+    edges = _edges(_far(t), -4.0)
+    below = np.concatenate([[0.0], np.cumsum(_cells(np.array([t]), edges)[0])])
+    k = int(np.searchsorted(below, target, side="right")) - 1
+    low, mass = float(edges[k]), float(below[k])
+
+    def gap(eta):
+        nonlocal low, mass
+        m = mass + _integral_p(t, low, eta)
+        if target - m > 0.0:
+            low, mass = eta, m
+        return target - m
+
+    return low, gap

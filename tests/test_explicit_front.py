@@ -27,6 +27,7 @@ from frontforge.nonlinearity import antiderivative, ignition_point, validate
 from frontforge.specfun import bessel_k, k_ratio
 from oracles import (
     gauss_cells_by_column,
+    invert_trace_bracketed,
     panel_cells_by_column,
     sample_front_by_columns,
     subpanels_linspace,
@@ -398,6 +399,43 @@ class TestImplicitNonlinearity:
         s = 1.0 - gap
         eta = 0.5 * P12.c * invert_trace(P12, s)
         assert abs(kernel_mass(P12.t, hi=eta) - (1.0 - s)) <= 1e-12 * (1.0 - s)
+
+    @pytest.mark.parametrize("t", [0.125, 0.5, 1.0, 2.5])
+    def test_inversion_matches_the_bracketed_reference(self, monkeypatch, t):
+        # both sides, both tails and s = 1/2; at no point more quadratures
+        params = ExplicitFrontParams(t, 2.0)
+        calls = []
+        integral_p = ef._integral_p
+        monkeypatch.setattr(ef, "_integral_p", lambda *args: calls.append(1) or integral_p(*args))
+        for s in (1e-180, 1e-20, 0.05, 0.3, 0.5, 0.6, 0.9, 1.0 - 1e-6, 1.0 - 1e-12):
+            calls.clear()
+            want = invert_trace_bracketed(params, s)
+            budget = len(calls)
+            calls.clear()
+            got = invert_trace(params, s)
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), s
+            assert len(calls) <= budget, s
+
+    def test_inversion_bisects_once_after_one_pass(self, monkeypatch):
+        seen = {"cells": [], "bisect": 0}
+        cells, bisect = ef._cells, ef._bisect
+
+        def count_cells(x_offs, edges, *args):
+            seen["cells"].append((edges[0], edges[-1]))
+            return cells(x_offs, edges, *args)
+
+        def count_bisect(*args):
+            seen["bisect"] += 1
+            return bisect(*args)
+
+        monkeypatch.setattr(ef, "_cells", count_cells)
+        monkeypatch.setattr(ef, "_bisect", count_bisect)
+        for s in (1e-180, 0.5, 1.0 - 1e-6):
+            seen["cells"].clear()
+            seen["bisect"] = 0
+            invert_trace(P12, s)
+            assert seen["cells"][0] == (ef._far(P12.t), ef._Z_DEAD)
+            assert seen["bisect"] == 1
 
 
 class TestPackagedNonlinearity:

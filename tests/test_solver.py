@@ -349,12 +349,16 @@ class TestSeed:
         want = sample_front(ExplicitFrontParams(1.0, spec.a), spec.xs, spec.ys)[0]
         assert np.array_equal(seen["seed"].values, want)
 
-    @pytest.mark.parametrize("bad", ["short", "long", "nan", "inf"])
+    @pytest.mark.parametrize("bad", ["short", "long", "nan", "inf", "other window"])
     def test_minimize_rejects_a_bad_seed_before_any_work(self, monkeypatch, bad):
         nl = make_bistable_cubic(0.25)
         opts = SolverOptions(nx=16, ny=64)
         spec = default_grid(choose_weight(nl), opts)
-        ys = {"short": spec.ys[:-1], "long": np.append(spec.ys, spec.y_max + spec.hy)}.get(bad, spec.ys)
+        ys = {
+            "short": spec.ys[:-1],
+            "long": np.append(spec.ys, spec.y_max + spec.hy),
+            "other window": spec.ys + spec.hy,  # the same ny nodes, shifted
+        }.get(bad, spec.ys)
         values = np.linspace(1.0, 0.0, ys.size)
         values[ys.size // 2] = {"nan": np.nan, "inf": np.inf}.get(bad, values[ys.size // 2])
 
@@ -441,6 +445,25 @@ class TestMinimize:
         assert res.residual_norm <= opts.tol
         with pytest.raises(SolverError, match="disagree"):
             solve_front(nl, opts)
+
+    def test_a_refused_burst_trace_is_extended_once(self, monkeypatch):
+        # seeded from its own minimizer the burst's trace passes the trace
+        # test and Newton is skipped; the two-dimensional test, made to fail
+        # here, refuses it, and that one extension is the one reported
+        nl = make_bistable_cubic(0.25)
+        opts = SolverOptions(nx=48, ny=224)
+        spec = default_grid(choose_weight(nl), opts)
+        seed = trace(minimize(spec, nl, opts).minimizer)
+        extended = []
+        extend = solver._Trace.extend
+        monkeypatch.setattr(solver._Trace, "extend", lambda self, u: extended.append(u) or extend(self, u))
+        monkeypatch.setattr(solver, "_stationarity", lambda ws, w, nl: (1.0, 1.0, 0.0))
+        res = minimize(spec, nl, opts, seed=seed)
+        assert res.record.stop == "refused"
+        assert res.record.newton_steps == 0
+        assert len(extended) == 1
+        assert len(res.record.rho_history) == 2  # the burst's trace test, then its extension's
+        assert res.residual_norm == res.record.rho_history[-1] == 1.0
 
     def test_stop_reasons(self):
         # at a tolerance below round-off the Newton attempt runs all 12

@@ -28,8 +28,12 @@ for one step of a run on its sweep matrices, `evolution_leg_129x1153` for
 one `evolve` leg of 0.125 time units), and the
 closed-form oracle at t = 1, c = 2 (`sample_front_65x449` and
 `sample_front_129x897` for the sampled field on the residual grids h = 1/32
-and 1/64, `top_values_129x897` for the value at the top node of each of
-the finer grid's columns that the sampled field starts from,
+and 1/64, `panel_kernel_129x897` for the kernel on the finer grid's
+shared-panel nodes in the column blocks of `_shared_cells`,
+`shared_cells_129x897` for that whole shared-panel pass: kernel, one small
+product per column and panel, check; `top_values_129x897` for the value at
+the top node of each of the finer grid's columns that the sampled field
+starts from,
 `sample_front_129x1153` for the evolution's initial field on
 `evolution_grid(2, 64)`, `front_nonlinearity_t1c2` for the law table,
 `ignition_beta_t1c2` for the table's Hermite interpolant and its exact
@@ -125,7 +129,11 @@ def run_suite() -> dict:
     # the evolution on the oracle front, as one frontbench `evolution` leg
     from frontforge import evolution
     from frontforge.explicit_front import (
+        _BLOCK_POINTS,
         _law_table,
+        _p_kernel,
+        _shared_cells,
+        _shared_panels,
         _u_speed2,
         front_nonlinearity,
         invert_trace,
@@ -156,6 +164,18 @@ def run_suite() -> dict:
     spec = oracle_residual_grid(params, 1.0 / 64.0)
     results["sample_front_129x897"] = bench(sample_front, params, spec.xs, spec.ys)
     x_offs = 0.5 * params.c * spec.xs + params.t
+    shared = _shared_panels(0.5 * params.c * spec.ys)
+    nodes = shared.nodes.ravel()
+    # `_shared_cells`' column blocks: on this grid its nodes outnumber its products' entries
+    block = _BLOCK_POINTS // len(nodes)
+
+    def panel_kernel():
+        for first in range(0, len(x_offs), block):
+            _p_kernel(x_offs[first : first + block, None], nodes)
+
+    results["panel_kernel_129x897"] = bench(panel_kernel)
+    cells = np.zeros((len(x_offs), len(spec.ys) - 1))
+    results["shared_cells_129x897"] = bench(_shared_cells, cells, x_offs, shared, 1e-11)
     results["top_values_129x897"] = bench(_u_speed2, x_offs, 0.5 * params.c * float(spec.ys[-1]))
     results["front_nonlinearity_t1c2"] = bench(front_nonlinearity, params)
     s_tab, f_tab, fp_tab = _law_table(params.t)

@@ -24,7 +24,9 @@ tiers:
   cells of a sampled grid) is cut into panels at most that wide.  The kernel
   is evaluated once per panel at _SHARED_POINTS Chebyshev-Lobatto points,
   each cell takes the exact integral of the panel's interpolant over it, and
-  the interpolant through every other point is the check;
+  the interpolant through every other point is the check; both come from
+  one small matrix product per column and panel, the node values times the
+  panel's packed weights;
 - Gauss sub-panels, with nested 6/12-point rules, for every other cell.
   They are graded to the kernel's decay (`_subpanels`): a quarter of the
   distance from 0 below _Z_GEO, where it decays like a power; at most
@@ -43,8 +45,11 @@ minus the mass below, from `kernel_mass`'s limit `_far`.
 A sampled field is one batched quadrature pass over all its columns: one
 panel table, one kernel evaluation per block of columns and one cumulative
 sum per column.  A block holds as many columns as fit in _BLOCK_POINTS kernel
-points of the tier (and, for shared panels, cells), so the temporaries stay
-the same size whatever the number of columns.
+points of the tier (and, for shared panels, entries of the panel products),
+so the temporaries stay the same size whatever the number of columns.  Each
+column's shared panels are products of their own, of one shape, so a
+column's values do not depend on the block it falls in or on the columns
+sampled with it.
 """
 
 from __future__ import annotations
@@ -78,7 +83,8 @@ _GRADED = np.concatenate([[0.0], _PANEL * 2.0 ** np.arange(63)])
 _Z_DEAD = 400.0
 #: use the complement integral for trace values this far down
 _Y_COMPLEMENT = -34.0
-#: kernel points (or shared-panel cells) in one block of columns of `_cells`
+#: kernel points (or shared-panel product entries) in one block of columns of
+#: `_cells`
 _BLOCK_POINTS = 65536
 #: smallest kernel offset t whose law table `front_nonlinearity` resolves
 LAW_T_MIN = 0.125
@@ -240,13 +246,22 @@ class _SharedPanels:
     """The shared-panel tier of an edge table: the grouped cells, the panel
     each belongs to, the kernel nodes of every panel and the weights that give
     each cell the integral of its panel's interpolant through all nodes
-    (`fine`) or through every other node (`coarse`)."""
+    (`fine`) or through every other node (`coarse`).
+
+    `packed` holds them per panel for one product: packed[p, k, m] is the fine
+    weight of panel p's m-th cell on node k, and packed[p, k, M + m] its
+    coarse weight (zero on odd k), with M the most cells any panel holds and
+    zeros past a panel's own cells.  Cell i's fine integral is entry
+    `slot[i]` of the flattened (panel, 2M) product, its coarse one entry
+    slot[i] + M."""
 
     cells: np.ndarray
     panel: np.ndarray
     nodes: np.ndarray
     fine: np.ndarray
     coarse: np.ndarray
+    packed: np.ndarray
+    slot: np.ndarray
 
 
 def _shared_panels(edges: np.ndarray) -> _SharedPanels | None:
@@ -288,12 +303,20 @@ def _shared_panels(edges: np.ndarray) -> _SharedPanels | None:
         # each cell's integral of the interpolant through n Lobatto points
         return hw[panel, None] * ((_chebyshev(b, n) - _chebyshev(a, n)) @ _lobatto(n)[1])
 
+    fine, coarse = weights(_SHARED_POINTS), weights(_SHARED_POINTS // 2 + 1)
+    m = int((last - first).max())
+    local = cells - first[panel]  # each cell's place in its panel
+    packed = np.zeros((len(first), _SHARED_POINTS, 2 * m))
+    packed[panel, :, local] = fine
+    packed[panel, 0::2, m + local] = coarse
     return _SharedPanels(
         cells=cells,
         panel=panel,
         nodes=mid[:, None] + hw[:, None] * _lobatto(_SHARED_POINTS)[0][None, :],
-        fine=weights(_SHARED_POINTS),
-        coarse=weights(_SHARED_POINTS // 2 + 1),
+        fine=fine,
+        coarse=coarse,
+        packed=packed,
+        slot=panel * 2 * m + local,
     )
 
 
@@ -301,30 +324,27 @@ def _shared_cells(out: np.ndarray, x_offs: np.ndarray, shared: _SharedPanels, to
     """Write into `out` the grouped cells of every row that passes its check,
     and return the mask of those rows.
 
-    The kernel is evaluated once per panel node.  A cell's integral is the
-    weighted sum of its panel's node values, accumulated node by node, and
-    the check compares it with the sum over every other node under the
-    6/12 rule's per-row test.
+    The kernel is evaluated once per panel node.  Each row's node values on
+    each panel make one (1 x 25)(25 x 2M) product with the panel's `packed`
+    weights, which gives every cell of the panel its integral and its check
+    sum over every other node at once; the check compares the two under the
+    6/12 rule's per-row test.  Every row and panel is its own product of the
+    same shape, so a row's bits do not depend on the block it falls in.
     """
     nodes = shared.nodes.ravel()
-    n = _SHARED_POINTS
+    panels, n, width = shared.packed.shape
     ok = np.zeros(len(x_offs), dtype=bool)
-    block = max(1, _BLOCK_POINTS // max(len(nodes), len(shared.cells)))
+    block = max(1, _BLOCK_POINTS // max(len(nodes), panels * width))
     for first in range(0, len(x_offs), block):
         rows = np.arange(first, min(first + block, len(x_offs)))
-        vals = _p_kernel(x_offs[rows, None], nodes).reshape(len(rows), -1, n)
-        fine = np.zeros((len(rows), len(shared.cells)))
-        coarse = np.zeros_like(fine)
-        for k in range(n):
-            at = vals[:, shared.panel, k]
-            fine += at * shared.fine[:, k]
-            if k % 2 == 0:
-                coarse += at * shared.coarse[:, k // 2]
-        err = np.abs(fine - coarse).sum(axis=1)
+        vals = _p_kernel(x_offs[rows, None], nodes).reshape(len(rows), panels, 1, n)
+        sums = np.matmul(vals, shared.packed).reshape(len(rows), -1)
+        fine = sums[:, shared.slot]
+        err = np.abs(fine - sums[:, shared.slot + width // 2]).sum(axis=1)
         good = err <= np.maximum(tol, 1e-13 * np.abs(fine).sum(axis=1))
         out[rows[good, None], shared.cells] = fine[good]
         ok[rows] = good
-        del vals, fine, coarse, at  # so the next block's kernel pass does not hold them
+        del vals, sums, fine  # so the next block's kernel pass does not hold them
     return ok
 
 
@@ -488,10 +508,18 @@ def _ascending(ys) -> np.ndarray:
     return ys
 
 
+def _offsets(params: ExplicitFrontParams, xs) -> np.ndarray:
+    """The speed-2 kernel offsets c x/2 + t of the columns xs, which must be
+    finite and nonnegative."""
+    xs = np.asarray(xs, dtype=float)
+    if not np.all(np.isfinite(xs) & (xs >= 0.0)):
+        raise ValueError("x must be nonnegative")
+    return 0.5 * params.c * xs + params.t
+
+
 def front_profile(params: ExplicitFrontParams, x: float, ys: np.ndarray) -> np.ndarray:
     """u^{t,c}(x, ys) on an ascending grid via one cumulative kernel pass."""
-    x_off = 0.5 * params.c * x + params.t
-    return _sweep(np.array([x_off]), 0.5 * params.c * _ascending(ys))[0]
+    return _sweep(_offsets(params, [x]), 0.5 * params.c * _ascending(ys))[0]
 
 
 def explicit_front_dy(params: ExplicitFrontParams, x: float, y):
@@ -506,8 +534,7 @@ def explicit_front_dy(params: ExplicitFrontParams, x: float, y):
 def sample_front(params: ExplicitFrontParams, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Field u^{t,c} on the tensor grid xs x ys, shape (len(xs), len(ys)),
     all columns in one batched kernel pass."""
-    x_offs = 0.5 * params.c * np.asarray(xs, dtype=float) + params.t
-    return _sweep(x_offs, 0.5 * params.c * _ascending(ys))
+    return _sweep(_offsets(params, xs), 0.5 * params.c * _ascending(ys))
 
 
 def asymptotic_constant(params: ExplicitFrontParams, side: str) -> float:

@@ -192,22 +192,29 @@ def u_speed2_uniform(x_off: float, eta: float) -> float:
 def panel_cells_by_column(x_off: float, edges, tol: float = 1e-11):
     """Kernel integrals over the cells of `edges` for one scalar offset: the
     reference for one row of the batched `explicit_front._cells`.  The shared
-    panels (grouping, nodes and interpolant weights) come from
-    `explicit_front._shared_panels`; a column whose shared panels fail their
-    13/25-point check takes the Gauss path on every cell."""
+    panels (grouping, nodes and per-cell interpolant weights) come from
+    `explicit_front._shared_panels`; each panel's weights are packed here
+    into one zero-padded (25 x 2M) block, M the most cells a panel holds, and
+    the panel's node values make one (1 x 25)(25 x 2M) product with it.  A
+    column whose shared panels fail their 13/25-point check takes the Gauss
+    path on every cell."""
     from frontforge import explicit_front as ef
 
     shared = ef._shared_panels(edges)
     if shared is None:
         return gauss_cells_by_column(x_off, edges, tol)
-    vals = _poisson_kernel_pair(x_off, shared.nodes.ravel()).reshape(shared.nodes.shape)
-    fine = np.zeros(len(shared.cells))
-    coarse = np.zeros(len(shared.cells))
-    for k in range(shared.nodes.shape[1]):
-        at = vals[shared.panel, k]
-        fine += at * shared.fine[:, k]
-        if k % 2 == 0:
-            coarse += at * shared.coarse[:, k // 2]
+    panels, n = shared.nodes.shape
+    m = int(np.bincount(shared.panel).max())
+    start = np.empty(panels, dtype=int)
+    start[shared.panel[::-1]] = shared.cells[::-1]  # each panel's first cell
+    local = shared.cells - start[shared.panel]
+    block = np.zeros((panels, n, 2 * m))
+    block[shared.panel, :, local] = shared.fine
+    block[shared.panel, 0::2, m + local] = shared.coarse
+    vals = _poisson_kernel_pair(x_off, shared.nodes.ravel()).reshape(panels, 1, n)
+    sums = np.matmul(vals, block)[:, 0, :]
+    fine = sums[shared.panel, local]
+    coarse = sums[shared.panel, m + local]
     err = float(np.abs(fine - coarse).sum())
     if err > max(tol, 1e-13 * float(np.abs(fine).sum())):
         return gauss_cells_by_column(x_off, edges, tol)

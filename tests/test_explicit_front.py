@@ -280,9 +280,36 @@ class TestBatchedSampling:
         with pytest.raises(ef.QuadratureError):
             ef.sample_front(ExplicitFrontParams(0.01, 2.0), self.COARSE_XS, self.COARSE_YS)
 
-    def test_bad_nodes_rejected(self):
+    @pytest.mark.parametrize("t", [1.0, 0.125])
+    def test_blocking_cannot_change_a_column(self, t, monkeypatch):
+        params = ExplicitFrontParams(t, 2.0)
+        spec = oracle_residual_grid(params, 1 / 64)
+        xs, ys = spec.xs, spec.ys
+        assert (len(xs), len(ys)) == (129, 897)
+        got = ef.sample_front(params, xs, ys)
+        assert np.array_equal(ef.sample_front(params, xs[:1], ys), got[:1])
+        assert np.array_equal(ef.sample_front(params, xs[1:4], ys), got[1:4])
+        assert np.array_equal(front_profile(params, xs[0], ys), got[0])
+        assert np.array_equal(front_profile(params, xs[64], ys), got[64])
+        monkeypatch.setattr(ef, "_BLOCK_POINTS", 1)  # one column per block
+        assert np.array_equal(ef.sample_front(params, xs, ys), got)
+
+    def test_bad_nodes_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="strictly increasing"):
             ef.sample_front(P12, self.COARSE_XS, self.COARSE_YS[::-1])
+        # a column left of the boundary, or not finite, is refused before any
+        # quadrature, as the pointwise forms refuse x < 0
+        monkeypatch.setattr(ef, "_cells", lambda *a, **k: pytest.fail("quadrature ran"))
+        ys = np.linspace(-2.0, 2.0, 5)
+        for x in (-1.5, -1e-300, np.nan, np.inf):
+            with pytest.raises(ValueError, match="x must be nonnegative"):
+                ef.sample_front(P12, [x, 0.0], ys)
+            with pytest.raises(ValueError, match="x must be nonnegative"):
+                front_profile(P12, x, ys)
+        pointwise = [(explicit_front, P12), (explicit_front_dy, P12), (green_g, P12.t), (poisson_kernel, P12.t)]
+        for fn, first in pointwise:
+            with pytest.raises(ValueError, match="x must be nonnegative"):
+                fn(first, -1.5, 0.0)
 
 
 class TestFrontValues:

@@ -11,10 +11,8 @@ for the weight policy on the cubic law, alpha = 0.25, and
 1, c = 2), plus the solver's layers at the default grid
 (`trace_build_96x448` for the trace problem: preconditioner, closed-form
 boundary modes and their mode matrix, and the pins' 1-D profile;
-`precond_solve_96x448` and `apply_stiffness_96x448` on the seed;
-`project_constraint_96x448` for the two-dimensional constraint projection,
-off every solve's path, whose cell quadratics take two stiffness applies
-each; and, from the trace the 20-step hand-off burst
+`precond_solve_96x448` and `apply_stiffness_96x448` on the seed; and,
+from the trace the 20-step hand-off burst
 leaves, `lambda_apply_96x448` for one apply of the boundary operator with
 Gamma, `trace_trial_96x448` for one trace trial of that trace scaled by
 1.01, `trace_newton_step_96x448` for one dense bordered Newton step and
@@ -110,7 +108,6 @@ def run_suite() -> dict:
     stiff = grid.apply_stiffness(spec, seed.values)[:, 1:-1]
     results["precond_solve_96x448"] = bench(problem.ws.precond_solve, stiff)
     results["apply_stiffness_96x448"] = bench(grid.apply_stiffness, spec, seed.values)
-    results["project_constraint_96x448"] = bench(grid.project_constraint, seed)
 
     # the trace pieces, from the trace the 20-step hand-off burst leaves
     u, e_seed = problem.trial(seed.values[0].copy(), nl)

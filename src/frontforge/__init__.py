@@ -28,11 +28,8 @@ from .grid import (
     TraceProfile,
     dirichlet,
     energy,
-    project_constraint,
-    rearrange_monotone,
     seed_function,
     trace,
-    translate,
 )
 from .nonlinearity import (
     Nonlinearity,
@@ -96,8 +93,6 @@ __all__ = [
     "minimize",
     "poisson_kernel",
     "potential",
-    "project_constraint",
-    "rearrange_monotone",
     "reflect",
     "sandwich_check",
     "seed_function",
@@ -105,6 +100,5 @@ __all__ = [
     "speed_ordering",
     "step",
     "trace",
-    "translate",
     "validate",
 ]

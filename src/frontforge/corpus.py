@@ -168,10 +168,15 @@ def _cmd_seed_dirichlet(a, d, m, x_max, y_min, y_max, nx, ny):
 
 
 def _cmd_projection_residual(a, d, m, x_max, y_min, y_max, nx, ny):
-    from .grid import GridSpec, dirichlet, project_constraint, seed_function
+    from .grid import GridSpec, seed_function
+    from .nonlinearity import make_bistable_cubic
+    from .solver import _Trace
 
     spec = GridSpec(float(x_max), float(y_min), float(y_max), int(nx), int(ny), float(a))
-    return abs(dirichlet(project_constraint(seed_function(spec, float(d), float(m)))) - 1.0)
+    problem = _Trace(spec)
+    # the law only prices the trial's E_a, which is not read
+    u, _ = problem.trial(seed_function(spec, float(d), float(m)).values[0].copy(), make_bistable_cubic(0.25))
+    return abs(problem.scaled(u)[2] - 1.0)
 
 
 def _cmd_choose_weight_cubic(alpha):

@@ -444,11 +444,7 @@ def _mass_below(x_off, eta: float):
 
 def green_g(t: float, x, y):
     """G^t(x,y) = (1/2pi) e^{-y} K_0(sqrt((x+t)^2 + y^2)); solves Lw + 2w_y = 0."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if np.any(np.asarray(x) < 0.0):
-        raise ValueError("x must be nonnegative")
-    x_off = np.asarray(x, dtype=float) + t
+    x_off = _offsets(ExplicitFrontParams(t, 2.0), x)
     yarr = np.asarray(y, dtype=float)
     r = np.hypot(x_off, yarr)
     k0h, _ = k01_scaled(np.ravel(r))
@@ -459,11 +455,7 @@ def green_g(t: float, x, y):
 
 def poisson_kernel(t: float, x, y):
     """P^t(x,y) = -2 G^t_x; positive, unit mass in y for every x."""
-    if t <= 0.0:
-        raise ValueError("t must be positive")
-    if np.any(np.asarray(x) < 0.0):
-        raise ValueError("x must be nonnegative")
-    out = _p_kernel(np.asarray(x, dtype=float) + t, y)
+    out = _p_kernel(_offsets(ExplicitFrontParams(t, 2.0), x), y)
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -480,9 +472,7 @@ def kernel_mass(t: float, x: float = 0.0, lo: float | None = None, hi: float = 3
 
 def explicit_front(params: ExplicitFrontParams, x: float, y) -> float | np.ndarray:
     """The front value u^{t,c}(x, y) in (0, 1), decreasing in y."""
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    x_off = 0.5 * params.c * x + params.t
+    x_off = float(_offsets(params, x))
     if np.ndim(y) == 0:
         return _u_speed2(x_off, 0.5 * params.c * float(y))
     return np.array([_u_speed2(x_off, 0.5 * params.c * float(v)) for v in np.asarray(y)])
@@ -510,7 +500,8 @@ def _ascending(ys) -> np.ndarray:
 
 def _offsets(params: ExplicitFrontParams, xs) -> np.ndarray:
     """The speed-2 kernel offsets c x/2 + t of the columns xs, which must be
-    finite and nonnegative."""
+    finite and nonnegative; with c = 2 the offsets x + t of the kernels
+    `green_g` and `poisson_kernel`, whose t obeys the same rule."""
     xs = np.asarray(xs, dtype=float)
     if not np.all(np.isfinite(xs) & (xs >= 0.0)):
         raise ValueError("x must be nonnegative")
@@ -524,9 +515,7 @@ def front_profile(params: ExplicitFrontParams, x: float, ys: np.ndarray) -> np.n
 
 def explicit_front_dy(params: ExplicitFrontParams, x: float, y):
     """d/dy of u^{t,c}: equals -(c/2) P^t(cx/2, cy/2) < 0."""
-    if x < 0.0:
-        raise ValueError("x must be nonnegative")
-    x_off = 0.5 * params.c * x + params.t
+    x_off = _offsets(params, x)
     out = -0.5 * params.c * _p_kernel(x_off, 0.5 * params.c * np.asarray(y, dtype=float))
     return float(out) if np.ndim(out) == 0 else out
 

@@ -30,7 +30,17 @@ _ALL_KEYS = _NL_KEYS | _GRID_KEYS | _SOLVER_KEYS | _EVOLVE_KEYS | _MISC_KEYS
 _INT_KEYS = {"grid.nx", "grid.ny", "solver.refine"}
 _STR_KEYS = {"nonlinearity.kind", "solver.seed", "evolve.initial", "output.dir"}
 # checked to be positive and finite at parse time
-_POSITIVE_KEYS = ("grid.x_span", "grid.y_span_down", "grid.y_span_up", "solver.tol", "solver.a", "evolve.T", "evolve.dt", "evolve.out_every")
+_POSITIVE_KEYS = (
+    "nonlinearity.amplitude",
+    "grid.x_span",
+    "grid.y_span_down",
+    "grid.y_span_up",
+    "solver.tol",
+    "solver.a",
+    "evolve.T",
+    "evolve.dt",
+    "evolve.out_every",
+)
 
 
 @dataclass
@@ -93,8 +103,6 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
         raise ConfigError("nonlinearity.alpha must lie in (0, 1/2)")
     if "beta" in nl and not 0.0 < nl["beta"] < 1.0:
         raise ConfigError("nonlinearity.beta must lie in (0, 1)")
-    if "amplitude" in nl and nl["amplitude"] <= 0.0:
-        raise ConfigError("nonlinearity.amplitude must be positive")
     if "t" in nl and not nl["t"] >= LAW_T_MIN:
         raise ConfigError(f"nonlinearity.t must be at least {LAW_T_MIN:g}, the smallest the law table resolves")
     if "c" in nl and nl["c"] <= 0.0:

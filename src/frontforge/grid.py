@@ -9,28 +9,47 @@ y-edge parts `_x_part`, `_y_part` of the bilinear form on products of the
 differences from `_diff`, and its matrix-free apply `apply_stiffness`, the
 exact linear operator of the solver's gradient.
 
-`translate_onto_unit` moves a nodal array in y onto Gamma = 1: Gamma of a
+`translate_onto_unit` moves a boundary trace in y onto Gamma = 1, the last
+step of the solver's trace trial (`solver._Trace.trial`): Gamma of a
 translate is an exact quadratic in the shift on each grid cell, with
-coefficients from the caller's form of Gamma, and `_unit_shift` walks the
-cells to the root.  `project_constraint` gives it the stiffness form of a
-whole field, the solver's trace trials the boundary form of a trace.
+coefficients from the caller's form of Gamma (the trial's is `Lambda`'s),
+and the walk over the whole-cell translates `shift_cells` finds the cell of
+the root.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+# the solver's trace trial looks the rearrangement up here, where the
+# benchmark's tracer patches it
 from ._kernels import rearrange_columns
 from .nonlinearity import Nonlinearity
+
+# Names of the retired two-dimensional projection, translate and
+# rearrangement.  The benchmark's tracer still wraps them when it installs,
+# so each resolves to `_retired`; this goes when the tracer drops the hooks
+# (ROADMAP, the benchmark change).
+_RETIRED = ("project_constraint", "translate", "rearrange_monotone")
+
+
+def _retired(*args, **kwargs):
+    raise NotImplementedError("retired: the solver rearranges and translates the boundary trace (solver._Trace)")
+
+
+def __getattr__(name: str):
+    if name in _RETIRED:
+        return _retired
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class NumericalError(ValueError):
     """A numerical failure deep in a run, as opposed to invalid input: a
-    trace that does not cross its level, or a field that cannot be brought
-    onto Gamma_a = 1 inside the window.  The CLI maps it to exit code 1;
+    trace that does not cross its level, or one that cannot be brought onto
+    Gamma_a = 1 inside the window.  The CLI maps it to exit code 1;
     callers that treat any ValueError as a rejected trial still catch it."""
 
 
@@ -232,34 +251,6 @@ def trace_crossing(profile: TraceProfile, level: float = 0.5) -> float:
 # -- structural operations ----------------------------------------------------
 
 
-def translate(w: Field, t: float) -> Field:
-    """w^t(x, y) = w(x, y + t), linear interpolation on the shifted grid.
-
-    Vacated rows are filled by constant extension of the facing boundary
-    row (the 1-state at y_min, the 0-state at y_max for monotone fronts).
-    Shifts beyond a quarter of the window would eat into the truncation
-    margins and are rejected.
-    """
-    g = w.spec
-    if abs(t) > 0.25 * (g.y_max - g.y_min):
-        raise ValueError(f"shift {t:g} exceeds a quarter of the y-window")
-    if t == 0.0:
-        return w.copy()
-    shift = t / g.hy
-    j = np.arange(g.ny + 1, dtype=float) + shift
-    j0 = np.clip(np.floor(j).astype(int), 0, g.ny)
-    j1 = np.clip(j0 + 1, 0, g.ny)
-    frac = np.clip(j - j0, 0.0, 1.0)
-    frac = np.where(j < 0.0, 0.0, np.where(j > g.ny, 0.0, frac))
-    j0 = np.where(j < 0.0, 0, j0)
-    vals = w.values[:, j0]
-    vals *= 1.0 - frac
-    upper = w.values[:, j1]
-    upper *= frac
-    vals += upper
-    return Field(vals, g)
-
-
 def _unit_root(p: float, q: float, r: float) -> float:
     """The theta in [0, 1] with (1-theta)^2 p + 2 theta (1-theta) q + theta^2 r = 1.
 
@@ -277,88 +268,40 @@ def _unit_root(p: float, q: float, r: float) -> float:
     return min(max(theta, 0.0), 1.0)
 
 
-def project_constraint(w: Field, tol: float = 1e-8) -> Field:
-    """Translate in y so that the constraint Gamma_a = 1 holds.
-
-    A field already within `tol` of the constraint is returned as a copy.
-    Otherwise Gamma of the translate is an exact quadratic in the shift on
-    each grid cell, with the coefficients A.SA, A.SB and B.SB of the cell's
-    integer translates A, B (`_stiffness_cell`), and `translate_onto_unit`
-    finds the shift, so the result meets the constraint to round-off.
-    """
-    gamma = dirichlet(w)
-    if abs(gamma - 1.0) <= tol:
-        return w.copy()
-    g = w.spec
-    return Field(translate_onto_unit(g, w.values, gamma, lambda a, b: _stiffness_cell(g, a, b))[0], g)
-
-
-def _stiffness_cell(spec: GridSpec, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-    """(A.SA, A.SB, B.SB), the cell quadratic of Gamma_a for fields A, B."""
-    sb = apply_stiffness(spec, b)
-    return float(np.vdot(a, apply_stiffness(spec, a))), float(np.vdot(a, sb)), float(np.vdot(b, sb))
+def shift_cells(spec: GridSpec, values: np.ndarray, k: int) -> np.ndarray:
+    """`values` translated along their last (y) axis by k whole cells, k hy
+    in y: node j takes node j + k, with constant extension past either end."""
+    return values[..., np.clip(np.arange(spec.ny + 1) + k, 0, spec.ny)]
 
 
 def translate_onto_unit(spec: GridSpec, values: np.ndarray, gamma: float, cell) -> tuple[np.ndarray, float]:
     """Translate nodal `values` along their last (y) axis onto Gamma = 1:
     ((1-theta) A + theta B, Gamma there), where Gamma is now `gamma`.
 
-    A and B are the translates by k hy and (k+1) hy, column gathers with
-    constant extension, and cell(A, B) is the quadratic's coefficients
-    (Gamma(A), the bilinear form of A and B, Gamma(B)) for the caller's
-    form of Gamma; `_unit_shift` finds k and theta.  For theta in [0, 1]
-    this is `translate` by (k + theta) hy.
-    """
-    cols = np.arange(spec.ny + 1)
-
-    def shifted(k):
-        return values[..., np.clip(cols + k, 0, spec.ny)]
-
-    k, theta, gamma = _unit_shift(spec, gamma, lambda k: cell(shifted(k), shifted(k + 1)))
-    return (1.0 - theta) * shifted(k) + theta * shifted(k + 1), gamma
-
-
-def _unit_shift(spec: GridSpec, gamma: float, forms) -> tuple[int, float, float]:
-    """(k, theta, Gamma) of the y-shift t = (k + theta) hy that brings
-    Gamma, now `gamma`, to 1, where forms(k) is the cell quadratic
-    (Q(A,A), Q(A,B), Q(B,B)) of the translates A, B by k hy and (k+1) hy.
-
-    Starting from the cell of the continuum shift log(Gamma)/a, the walk
-    moves one cell at a time to the cell whose ends bracket Gamma = 1 and
-    solves the quadratic there (`_unit_root`).  Zero or non-finite Gamma, or
-    a shift beyond a quarter of the y-window (the limit of `translate`),
-    raises NumericalError.
+    A and B are the translates by k and k + 1 cells (`shift_cells`), and
+    cell(A, B) is the quadratic's coefficients (Gamma(A), the bilinear form
+    of A and B, Gamma(B)) for the caller's form of Gamma.  Starting from
+    the cell of the continuum shift log(Gamma)/a, the walk moves one cell at
+    a time to the cell whose ends bracket Gamma = 1 and solves the quadratic
+    there (`_unit_root`).  Zero or non-finite Gamma, or a shift beyond a
+    quarter of the y-window, raises NumericalError.
     """
     if not math.isfinite(gamma):
-        raise NumericalError(f"cannot project a field with Dirichlet energy {gamma}")
+        raise NumericalError(f"cannot translate onto Gamma = 1 from Gamma = {gamma}")
     if gamma <= 0.0:
-        raise NumericalError("cannot project a field with zero Dirichlet energy")
+        raise NumericalError("cannot translate onto Gamma = 1 from Gamma = 0")
     limit = 0.25 * (spec.y_max - spec.y_min)
     reach = limit / spec.hy
     k = math.floor(math.log(gamma) / (spec.a * spec.hy))
     while -reach - 1.0 <= k <= reach:
-        p, q, r = forms(k)
+        a, b = shift_cells(spec, values, k), shift_cells(spec, values, k + 1)
+        p, q, r = cell(a, b)
         if (p - 1.0) * (r - 1.0) <= 0.0:
             theta = _unit_root(p, q, r)
             if abs((k + theta) * spec.hy) > limit:
                 break
-            return k, theta, (1.0 - theta) ** 2 * p + 2.0 * theta * (1.0 - theta) * q + theta**2 * r
+            return (1.0 - theta) * a + theta * b, (1.0 - theta) ** 2 * p + 2.0 * theta * (1.0 - theta) * q + theta**2 * r
         # Gamma falls with the shift; the cell ends are shared, so the walk
         # never turns back
         k += 1 if r > 1.0 else -1
-    raise NumericalError("constraint projection needs a shift beyond a quarter of the y-window")
-
-
-def rearrange_monotone(w: Field) -> Field:
-    """Monotone-in-y decreasing rearrangement of w clamped to [0,1].
-
-    Works per column in the variable z = e^{ay}/a: values are redistributed
-    against the cell measures e^{ay_j} hy (weighted counting sort), which
-    preserves the weighted distribution up to one-cell resampling and fixes
-    every already-monotone column exactly; such columns are copied, not
-    sorted.  The clamped copy, C-ordered for the kernel's row access, is
-    rearranged in place.
-    """
-    g = w.spec
-    vals = np.clip(w.values, 0.0, 1.0, order="C")
-    return Field(rearrange_columns(vals, g.ymeasure, out=vals), g)
+    raise NumericalError("Gamma = 1 needs a shift beyond a quarter of the y-window")

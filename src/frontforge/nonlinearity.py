@@ -186,8 +186,8 @@ def make_combustion(beta: float, amplitude: float) -> Nonlinearity:
     """Ignition law: f = 0 below beta, amplitude*(s-beta)*(1-s) on (beta, 1)."""
     if not 0.0 < beta < 1.0:
         raise NonlinearityError(f"beta must lie in (0, 1), got {beta}")
-    if amplitude <= 0.0:
-        raise NonlinearityError(f"amplitude must be positive, got {amplitude}")
+    if not 0.0 < amplitude < math.inf:
+        raise NonlinearityError(f"amplitude must be positive and finite, got {amplitude}")
     b = float(beta)
     amp = float(amplitude)
 
@@ -269,9 +269,10 @@ def _adaptive_simpson(fun, a, b, tol: float = 1e-12):
     integrals is returned (a float for scalar ends).  The trees are walked
     breadth first: each level evaluates the quarter points of all open
     intervals in one call.  An interval is accepted when its two halves
-    agree with the whole to 15*eps (eps halves per level) or at the depth
-    cap, and the accepted values are summed back in tree order, left +
-    right, so each result is the float the depth-first recursion returns.
+    agree with the whole to 15*eps (eps halves per level), when their sum is
+    not finite, or at the depth cap, and the accepted values are summed back
+    in tree order, left + right, so each result is the float the depth-first
+    recursion returns.
     """
     x0 = np.atleast_1d(np.asarray(a, dtype=float))
     x2 = np.atleast_1d(np.asarray(b, dtype=float))
@@ -286,7 +287,8 @@ def _adaptive_simpson(fun, a, b, tol: float = 1e-12):
         left = (xm - x0) / 6.0 * (f0 + 4.0 * fl + f1)
         right = (x2 - xm) / 6.0 * (f1 + 4.0 * fr + f2)
         both = left + right
-        done = (np.abs(both - whole) <= 15.0 * eps) | (d <= 0)
+        # a non-finite value is accepted as it is: halving cannot settle it
+        done = (np.abs(both - whole) <= 15.0 * eps) | ~np.isfinite(both) | (d <= 0)
         levels.append((done, both + (both - whole) / 15.0))
         if done.all():
             break

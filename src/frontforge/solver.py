@@ -376,29 +376,35 @@ class _Trace:
     def energy(self, u: np.ndarray, gamma: float, nl: Nonlinearity) -> float:
         return 0.5 * gamma + float(np.sum(self.spec.ymeasure * np.asarray(nl.G(u))))
 
-    def trial(self, u: np.ndarray, nl: Nonlinearity) -> tuple[np.ndarray, float]:
-        """The admissible trace made from `u` (changed in place), and its E_a.
+    def cell(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+        """(Gamma(A), kappa0 + (A - u0)^T Lambda (B - u0), Gamma(B)): the
+        quadratic in theta of Gamma((1 - theta) A + theta B)."""
+        va, _, p = self.scaled(a)
+        _, mb, r = self.scaled(b)
+        return p, self.kappa0 + float(va @ mb), r
 
-        Pin the ends, clamp to [0,1], rearrange monotone in y in place and
-        translate onto Gamma = 1 (`grid.translate_onto_unit`): for the
-        integer shifts A, B the cell quadratic is p = Gamma(A), q = kappa0 +
-        (A - u0)^T Lambda (B - u0), r = Gamma(B), and the translate is
-        pinned again; the pins are no unknowns of Gamma.  Raises
-        NumericalError when Gamma = 1 is out of reach.
-        """
+    def rearrange(self, u: np.ndarray) -> np.ndarray:
+        """Pin the ends, clamp to [0, 1] and rearrange monotone in y, all in
+        place: the weighted rearrangement against ymeasure keeps the
+        boundary potential and does not raise Gamma (up to O(h))."""
         u[0], u[-1] = 1.0, 0.0
         np.clip(u, 0.0, 1.0, out=u)
         # through grid's name, which the benchmark's tracer patches
         gridmod.rearrange_columns(u[None, :], self.spec.ymeasure, out=u[None, :])
+        return u
+
+    def trial(self, u: np.ndarray, nl: Nonlinearity) -> tuple[np.ndarray, float]:
+        """The admissible trace made from `u` (changed in place), and its E_a.
+
+        `rearrange`, then translate onto Gamma = 1 with the cell quadratic
+        `cell` (`grid.translate_onto_unit`) and pin the translate again; the
+        pins are no unknowns of Gamma.  Raises NumericalError when Gamma = 1
+        is out of reach.
+        """
+        self.rearrange(u)
         gamma = self.scaled(u)[2]
         if not abs(gamma - 1.0) <= _CONSTRAINT_TOL:
-
-            def cell(a, b):
-                va, _, p = self.scaled(a)
-                _, mb, r = self.scaled(b)
-                return p, self.kappa0 + float(va @ mb), r
-
-            u, gamma = gridmod.translate_onto_unit(self.spec, u, gamma, cell)
+            u, gamma = gridmod.translate_onto_unit(self.spec, u, gamma, self.cell)
             u[0], u[-1] = 1.0, 0.0
         return u, self.energy(u, gamma, nl)
 

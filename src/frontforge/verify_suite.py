@@ -17,14 +17,11 @@ from . import corpus
 from .grid import (
     Field,
     GridSpec,
-    boundary_integral,
     boundary_mass,
     dirichlet,
     energy,
-    project_constraint,
-    rearrange_monotone,
     seed_function,
-    translate,
+    shift_cells,
     weighted_mass,
 )
 from .nonlinearity import (
@@ -35,10 +32,18 @@ from .nonlinearity import (
     reflect,
     validate,
 )
-from .solver import choose_weight, seed_energy_value
+from .solver import _Trace, choose_weight, seed_energy_value
 from .specfun import bessel_k, k_ratio
 
 _BUMPS = 4  # bumps in each random compact field
+
+
+def _bump(r2: np.ndarray) -> np.ndarray:
+    """exp(-1/(1 - r2)) inside the unit ball r2 < 1, exactly 0 outside."""
+    out = np.zeros_like(r2)
+    inside = r2 < 1.0
+    out[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
+    return out
 
 
 def _random_bump_field(spec: GridSpec, rng: np.random.Generator) -> Field:
@@ -53,11 +58,22 @@ def _random_bump_field(spec: GridSpec, rng: np.random.Generator) -> Field:
         sy = rng.uniform(0.08, 0.2) * (spec.y_max - spec.y_min)
         amp = rng.uniform(0.2, 1.0)
         r2 = ((xs[:, None] - cx) / sx) ** 2 + ((ys[None, :] - cy) / sy) ** 2
-        inside = r2 < 1.0
-        bump = np.zeros_like(r2)
-        bump[inside] = np.exp(-1.0 / (1.0 - r2[inside]))
-        vals += amp * math.e * bump
+        vals += amp * math.e * _bump(r2)
     return Field(vals, spec)
+
+
+def _random_bump_trace(spec: GridSpec, rng: np.random.Generator) -> np.ndarray:
+    """Smooth random trace on spec.ys with exact compact support inside the
+    window: `_random_bump_field`'s bumps in y alone."""
+    ys = spec.ys
+    vals = np.zeros(spec.ny + 1)
+    y_margin = 0.15 * (spec.y_max - spec.y_min)
+    for _ in range(_BUMPS):
+        cy = rng.uniform(spec.y_min + 1.5 * y_margin, spec.y_max - 1.5 * y_margin)
+        sy = rng.uniform(0.08, 0.2) * (spec.y_max - spec.y_min)
+        amp = rng.uniform(0.2, 1.0)
+        vals += amp * math.e * _bump(((ys - cy) / sy) ** 2)
+    return vals
 
 
 def trace_poincare_suite(seed: int = 1234, cases: int = 24):
@@ -85,10 +101,15 @@ def trace_poincare_suite(seed: int = 1234, cases: int = 24):
 
 
 def scaling_suite(seed: int = 1234, cases: int = 24):
-    """E_a(w^t) = e^{-at} E_a(w) for interior-supported fields.
+    """E_a(u^t) = e^{-at} E_a(u) for the solver's trace energy.
 
-    Relative slack 2*(hx+hy) against the energy scale |E| + Gamma,
-    covering the linear-interpolation defect of the discrete translate.
+    u is a random trace after the solver's rearrangement
+    (`_Trace.rearrange`), a front with the pins at its ends; u^t(y) = u(y +
+    t) is its translate by t rounded to whole cells (`grid.shift_cells`,
+    the translates of the solver's trial), and E_a is `_Trace.energy` at
+    the Gamma of `_Trace.scaled`.  Relative slack 2*(hx+hy) against the
+    energy scale |E| + Gamma covers the window's defect: the pins sit at
+    fixed ends while the front moves.
     """
     rng = np.random.default_rng(seed + 1)
     nl = make_bistable_cubic(0.25)
@@ -96,50 +117,64 @@ def scaling_suite(seed: int = 1234, cases: int = 24):
     for _ in range(cases):
         a = float(rng.uniform(0.1, 0.4))
         spec = GridSpec(x_max=12.0, y_min=-20.0, y_max=8.0, nx=48, ny=224, a=a)
-        w = _random_bump_field(spec, rng)
-        t = float(rng.uniform(-5.0, 5.0))
-        e0 = energy(w, nl)
-        e1 = energy(translate(w, t), nl)
-        scale = abs(e0) + dirichlet(w)
-        defect = abs(e1 - math.exp(-a * t) * e0)
-        worst.append(defect - 2.0 * (spec.hx + spec.hy) * scale)
+        problem = _Trace(spec)
+        u = problem.rearrange(_random_bump_trace(spec, rng))
+        k = round(float(rng.uniform(-5.0, 5.0)) / spec.hy)
+        gamma = problem.scaled(u)[2]
+        e0 = problem.energy(u, gamma, nl)
+        moved = shift_cells(spec, u, k)
+        e1 = problem.energy(moved, problem.scaled(moved)[2], nl)
+        defect = abs(e1 - math.exp(-a * k * spec.hy) * e0)
+        worst.append(defect - 2.0 * (spec.hx + spec.hy) * (abs(e0) + gamma))
     violations = sum(1 for v in worst if v > 0.0)
     return violations == 0, f"{cases} cases, {violations} violations, margin {max(worst):+.3e}"
 
 
 def rearrangement_suite(seed: int = 1234, cases: int = 24):
-    """Rearrangement: boundary potential preserved, Gamma and E not increased.
+    """The solver's rearrangement of a trace (`_Trace.rearrange`): the output
+    is nonincreasing, the boundary potential and the weighted distribution
+    are kept, and Gamma and E_a do not increase.
 
-    Equimeasurability is checked through the boundary potential integral
-    (slack 0.2*hy times the total weighted boundary mass) and through the
-    weighted distribution function at 9 thresholds (slack: 1.5 weighted
-    cells).  Energy and Dirichlet slack: 0.1*(hx+hy)*Gamma(w), the
-    calibrated O(h) defect allowance of the quantile resampling.
+    Gamma(u*) <= Gamma(u) is the two-dimensional inequality on traces:
+    Gamma(u) is the least Gamma_a over fields with trace u, and rearranging
+    that field's columns in y gives a field with trace u*.  The input is a
+    random trace with its pins, clamped to [0, 1].  Equimeasurability is
+    checked through the boundary potential, E_a at Gamma = 0 (slack 0.2*hy
+    times the total weighted boundary mass), and through the weighted
+    distribution function at 9 thresholds (slack: 1.5 weighted cells).
+    Gamma slack: 0.1*(hx+hy)*Gamma(u), energy slack 0.1*(hx+hy)*(1 +
+    Gamma(u)), the calibrated O(h) defect allowance of the quantile
+    resampling.
     """
     rng = np.random.default_rng(seed + 2)
     nl = make_bistable_cubic(0.25)
     worst = []
+    ascents = 0  # outputs that increase somewhere
     for _ in range(cases):
         a = float(rng.uniform(0.1, 0.4))
         spec = GridSpec(x_max=12.0, y_min=-20.0, y_max=8.0, nx=48, ny=224, a=a)
-        w = _random_bump_field(spec, rng)
-        np.clip(w.values, 0.0, 1.0, out=w.values)
-        ws = rearrange_monotone(w)
-        gamma = dirichlet(w)
+        problem = _Trace(spec)
+        u = _random_bump_trace(spec, rng)
+        u[0], u[-1] = 1.0, 0.0
+        np.clip(u, 0.0, 1.0, out=u)
+        us = problem.rearrange(u.copy())
+        ascents += bool((us[1:] > us[:-1]).any())
 
-        pot0 = boundary_integral(w, nl.G)
-        pot1 = boundary_integral(ws, nl.G)
+        pot0 = problem.energy(u, 0.0, nl)
+        pot1 = problem.energy(us, 0.0, nl)
         wmass = float(np.sum(spec.ymeasure))
         worst.append(abs(pot1 - pot0) - 2.0 * spec.hy * wmass * 0.1)
 
         for thr in np.linspace(0.05, 0.9, 9):
-            m0 = float(np.sum(spec.ymeasure[w.values[0, :] > thr]))
-            m1 = float(np.sum(spec.ymeasure[ws.values[0, :] > thr]))
+            m0 = float(np.sum(spec.ymeasure[u > thr]))
+            m1 = float(np.sum(spec.ymeasure[us > thr]))
             worst.append(abs(m1 - m0) - 1.5 * float(np.max(spec.ymeasure)))
 
-        worst.append(dirichlet(ws) - gamma - 0.1 * (spec.hx + spec.hy) * gamma)
-        worst.append(energy(ws, nl) - energy(w, nl) - 0.1 * (spec.hx + spec.hy) * (1.0 + gamma))
-    violations = sum(1 for v in worst if v > 0.0)
+        gamma, gamma_s = problem.scaled(u)[2], problem.scaled(us)[2]
+        worst.append(gamma_s - gamma - 0.1 * (spec.hx + spec.hy) * gamma)
+        e0, e1 = problem.energy(u, gamma, nl), problem.energy(us, gamma_s, nl)
+        worst.append(e1 - e0 - 0.1 * (spec.hx + spec.hy) * (1.0 + gamma))
+    violations = ascents + sum(1 for v in worst if v > 0.0)
     return violations == 0, f"{cases} cases, {violations} violations, margin {max(worst):+.3e}"
 
 
@@ -224,10 +259,8 @@ def fast_checks(seed: int = 1234):
         return ok, "quadratic bounds and sign structure of the potential"
 
     def projection():
-        spec = GridSpec(x_max=40.0, y_min=-120.0, y_max=30.0, nx=32, ny=256, a=0.25)
-        w = seed_function(spec)
-        resid = abs(dirichlet(project_constraint(w)) - 1.0)
-        return resid <= 1e-8, f"|Gamma - 1| = {resid:.2e} after projection"
+        resid = corpus.run_command("projection_residual 0.25 0.125 8 40 -120 30 32 256")
+        return resid <= 1e-8, f"|Gamma - 1| = {resid:.2e} after the trace trial"
 
     yield "bessel-pinned-and-identities", bessel_pinned
     yield "bessel-ratio-shape", ratio_shape

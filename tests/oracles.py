@@ -79,7 +79,7 @@ def adaptive_simpson_recursive(fun, a: float, b: float, tol: float = 1e-12, dept
         fr = float(fun(rm))
         left = simp(x0, xm, f0, fl, f1)
         right = simp(xm, x2, f1, fr, f2)
-        if d <= 0 or abs(left + right - whole) <= 15.0 * eps:
+        if d <= 0 or not math.isfinite(left + right) or abs(left + right - whole) <= 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return rec(x0, xm, f0, fl, f1, left, eps / 2.0, d - 1) + rec(
             xm, x2, f1, fr, f2, right, eps / 2.0, d - 1
@@ -466,40 +466,6 @@ def dirichlet_expression(spec, v) -> float:
     kx = float(np.sum(ux * ux @ (spec.tau * spec.wy)) * spec.hx * spec.hy)
     ky = float(np.sum(spec.sigma @ (uy * uy * spec.wy_edge[None, :])) * spec.hx * spec.hy)
     return kx + ky
-
-
-def translate_expression(spec, v, t: float):
-    """w(x, y + t) by linear interpolation written as one expression: the
-    reference for the in-place `grid.translate` (same bits)."""
-    j = np.arange(spec.ny + 1, dtype=float) + t / spec.hy
-    j0 = np.clip(np.floor(j).astype(int), 0, spec.ny)
-    j1 = np.clip(j0 + 1, 0, spec.ny)
-    frac = np.clip(j - j0, 0.0, 1.0)
-    frac = np.where(j < 0.0, 0.0, np.where(j > spec.ny, 0.0, frac))
-    j0 = np.where(j < 0.0, 0, j0)
-    return (1.0 - frac)[None, :] * v[:, j0] + frac[None, :] * v[:, j1]
-
-
-def cell_forms_gathered(w, k: int) -> tuple[float, float, float]:
-    """(Q(A,A), Q(A,B), Q(B,B)) for A, B = w translated by k*hy and
-    (k+1)*hy, with both translates gathered as the windows [:-1] and [1:] of
-    one extended field (column j is column clip(j + k, 0, ny)) and every
-    product formed on the whole field: the reference for
-    `grid._stiffness_cell`, which forms A.SA, A.SB and B.SB from the
-    matrix-free stiffness apply."""
-    spec = w.spec
-    cols = np.clip(np.arange(spec.ny + 2) + k, 0, spec.ny)
-    dx = ((w.values[1:, :] - w.values[:-1, :]) / spec.hx)[:, cols]
-    ext = w.values[:, cols]
-    dy = (ext[:, 1:] - ext[:, :-1]) / spec.hy
-
-    def form(pair_x, pair_y):
-        kx = np.sum(pair_x @ (spec.tau * spec.wy))
-        ky = np.sum(spec.sigma @ (pair_y * spec.wy_edge[None, :]))
-        return float(kx + ky) * spec.hx * spec.hy
-
-    ax, bx, ay, by = dx[:, :-1], dx[:, 1:], dy[:, :-1], dy[:, 1:]
-    return form(ax * ax, ay * ay), form(ax * bx, ay * by), form(bx * bx, by * by)
 
 
 def _reaction_source(vals: np.ndarray, spec, nl) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""The kernel benchmark script names only what frontforge has.
+"""The benchmark scripts name only what frontforge has.
 
 `benchmarks/bench_kernels.py` imports private helpers, so moving one breaks
-the script without failing any other test.  It is parsed, not run.
+the script without failing any other test.  It is parsed, not run.  The
+frontbench tracer patches frontforge functions by name; it is installed.
 """
 
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 import types
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
@@ -37,3 +40,18 @@ def test_bench_kernels_names_exist_in_frontforge():
     assert ("solver", "_Trace") in read
     missing = sorted(f"{mod}.{attr}" for mod, attr in read if not hasattr(modules[mod], attr))
     assert not missing
+
+
+def test_the_benchmark_tracer_installs():
+    # frontbench's tracer wraps frontforge functions by name, among them
+    # names that only `solver.__getattr__` and `grid.__getattr__` still
+    # resolve; it is run as the harness runs it, in its own process
+    root = BENCH.parents[1]
+    code = (
+        "import sys\n"
+        f"sys.path[:0] = [{str(root / 'frontbench')!r}, {str(root / 'src')!r}]\n"
+        "from tracer import Tracer\n"
+        "Tracer().install()\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -306,10 +306,19 @@ class TestBatchedSampling:
                 ef.sample_front(P12, [x, 0.0], ys)
             with pytest.raises(ValueError, match="x must be nonnegative"):
                 front_profile(P12, x, ys)
+        # the pointwise forms refuse the same x, and a kernel offset t that
+        # ExplicitFrontParams refuses, before any kernel call
+        for name in ("_p_kernel", "_u_speed2", "k01_scaled"):
+            monkeypatch.setattr(ef, name, lambda *a, **k: pytest.fail("kernel ran"))
         pointwise = [(explicit_front, P12), (explicit_front_dy, P12), (green_g, P12.t), (poisson_kernel, P12.t)]
         for fn, first in pointwise:
-            with pytest.raises(ValueError, match="x must be nonnegative"):
-                fn(first, -1.5, 0.0)
+            for x in (-1.5, np.nan, np.inf):
+                with pytest.raises(ValueError, match="x must be nonnegative"):
+                    fn(first, x, 0.0)
+        for fn in (green_g, poisson_kernel):
+            for t in (0.0, -1.0, np.nan, np.inf):
+                with pytest.raises(ValueError, match="t must be positive"):
+                    fn(t, 0.0, 0.0)
 
 
 class TestFrontValues:

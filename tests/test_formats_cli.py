@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from frontforge import analysis, cli, evolution, formats, grid
+from frontforge import analysis, cli, evolution, formats, grid, solver
 from frontforge.cli import main
 from frontforge.formats import ConfigError, parse_config_text
 from frontforge.solver import SolverOptions
@@ -249,13 +249,13 @@ class TestCli:
         ys = spec.ys
 
         def failing_solve(nl, opts):
+            problem = solver._Trace(spec)
             if failure == "zero-energy projection":
-                grid.project_constraint(grid.Field(np.full((17, 65), 0.4), spec))
+                grid.translate_onto_unit(spec, np.full(65, 0.4), 0.0, problem.cell)
             elif failure == "far projection":
-                # Gamma = e^{a t} with t a full window: the shift onto Gamma = 1 is t
-                w = grid.seed_function(spec)
-                t = spec.y_max - spec.y_min
-                grid.project_constraint(grid.Field(w.values * np.exp(0.5 * spec.a * t) / np.sqrt(grid.dirichlet(w)), spec))
+                # a front at the bottom of the window: Gamma = 1 lies a
+                # window's height above it
+                problem.trial(np.where(ys < spec.y_min + 2.0, 1.0, 0.0), nl)
             else:
                 grid.trace_crossing(grid.TraceProfile(ys, np.full_like(ys, 0.9)))
             pytest.fail("no NumericalError raised")
@@ -320,6 +320,15 @@ class TestCli:
         monkeypatch.setattr(cli, "solve_front", lambda *a, **k: pytest.fail("solve_front ran"))
         cfg = tmp_path / "solve.cfg"
         cfg.write_text(f"nonlinearity.kind = combustion\n{lines}\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("amplitude", ["nan", "inf"])
+    def test_non_finite_amplitude_rejected_before_solving(self, tmp_path, monkeypatch, amplitude):
+        # refused at parse time: the law's checks would integrate nan
+        monkeypatch.delenv("FRONTFORGE_OUT", raising=False)
+        monkeypatch.setattr(cli, "solve_front", lambda *a, **k: pytest.fail("solve_front ran"))
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text(f"nonlinearity.kind = combustion\nnonlinearity.amplitude = {amplitude}\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
     @pytest.mark.slow

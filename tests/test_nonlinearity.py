@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from frontforge.explicit_front import ExplicitFrontParams, _law_table, front_non
 from oracles import adaptive_simpson_recursive, simpson_integral
 
 CUBIC_BETA_CLOSED = (5.0 - math.sqrt(7.0)) / 6.0
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 class TestBistableCubic:
@@ -73,8 +78,9 @@ class TestCombustion:
     def test_rejects_bad_parameters(self):
         with pytest.raises(NonlinearityError):
             make_combustion(1.2, 1.0)
-        with pytest.raises(NonlinearityError):
-            make_combustion(0.3, -1.0)
+        for amplitude in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(NonlinearityError):
+                make_combustion(0.3, amplitude)
 
 
 class TestPotential:
@@ -251,6 +257,26 @@ def test_adaptive_simpson_tolerance():
     val = nlmod._adaptive_simpson(lambda x: np.exp(-x) * np.sin(8 * x), 0.0, 2.0, tol=1e-12)
     exact = (8 - math.exp(-2) * (math.sin(16) * 1 + 8 * math.cos(16))) / 65.0
     assert val == pytest.approx(exact, abs=5e-12)
+
+
+def test_adaptive_simpson_accepts_a_non_finite_interval():
+    # it returns nan at once, where halving towards the depth cap would
+    # double the open intervals 48 times; run under an address-space cap so
+    # that a regression fails instead of exhausting the machine's memory
+    code = (
+        "import resource, numpy as np\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 3 << 29 if hard == resource.RLIM_INFINITY else min(3 << 29, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "from frontforge.nonlinearity import _adaptive_simpson\n"
+        "val = _adaptive_simpson(lambda x: np.full_like(x, np.nan), 0.0, 1.0)\n"
+        "assert np.isnan(val), val\n"
+        "vals = _adaptive_simpson(lambda x: np.where(x <= 0.5, x, np.nan), np.array([0.0, 0.5]), np.array([0.5, 1.0]))\n"
+        "assert abs(vals[0] - 0.125) < 1e-15 and np.isnan(vals[1]), vals\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 @pytest.mark.parametrize("law", ["cubic_nl", "combustion", "oracle_nl"])

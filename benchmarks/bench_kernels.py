@@ -10,13 +10,15 @@ for the weight policy on the cubic law, alpha = 0.25, and
 `validate_oracle_law` for the structural validation of the oracle law, t =
 1, c = 2), plus the solver's layers at the default grid
 (`trace_build_96x448` for the trace problem: preconditioner, closed-form
-boundary modes and their mode matrix, and the pins' 1-D profile;
+boundary modes and the pins' 1-D profile;
 `precond_solve_96x448` and `apply_stiffness_96x448` on the seed; and,
 from the trace the 20-step hand-off burst
 leaves, `lambda_apply_96x448` for one apply of the boundary operator with
 Gamma, `trace_trial_96x448` for one trace trial of that trace scaled by
-1.01, `trace_newton_step_96x448` for one dense bordered Newton step and
-`extension_96x448` for the extension into the front; `kernel_seed_96x448`
+1.01, `trace_newton_step_96x448` for one Newton step, its bordered solve
+by preconditioned MINRES, and `extension_96x448` for the extension into the
+front, with `trace_newton_step_384x1792` for one Newton step from the
+hand-off burst's trace at `refine=2`; `kernel_seed_96x448`
 for the seed trace a kernel-seeded solve starts from, the closed-form
 front at t = 1, c = a on x = 0), and the parabolic
 evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
@@ -116,9 +118,12 @@ def run_suite() -> dict:
     results["lambda_apply_96x448"] = bench(problem.scaled, u)
     # trial changes its input in place, so each call gets a fresh trace
     results["trace_trial_96x448"] = bench(lambda: problem.trial(u * 1.01, nl))
-    big = np.empty((spec.ny, spec.ny))
-    results["trace_newton_step_96x448"] = bench(problem.newton_step, u, nl, lam, big)
+    results["trace_newton_step_96x448"] = bench(problem.newton_step, u, nl, lam, solver.SolveRecord())
     results["extension_96x448"] = bench(problem.extend, u)
+    fine = solver._Trace(solver.default_grid(spec.a, solver.SolverOptions(refine=2)))
+    v, e_seed = fine.trial(grid.seed_function(fine.spec).values[0].copy(), nl)
+    v, _ = fine.burst(v, nl, [e_seed], solver._HANDOFF_ITERS, solver.SolveRecord())
+    results["trace_newton_step_384x1792"] = bench(fine.newton_step, v, nl, fine.stationarity(v, nl)[2], solver.SolveRecord())
     from frontforge.explicit_front import ExplicitFrontParams, front_profile
 
     results["kernel_seed_96x448"] = bench(front_profile, ExplicitFrontParams(1.0, spec.a), 0.0, spec.ys)

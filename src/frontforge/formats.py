@@ -258,7 +258,7 @@ def front_meta(sol) -> dict:
         "newton_steps": sol.record.newton_steps,
         "rho_history": " ".join(_fmt(r) for r in sol.record.rho_history),
         "trials": sol.record.trials,
-        "factorizations": sol.record.factorizations,
+        "krylov_iterations": sol.record.krylov_iterations,
         "build_s": sol.record.build_s,
         "burst_s": sol.record.burst_s,
         "newton_s": sol.record.newton_s,

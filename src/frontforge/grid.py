@@ -278,9 +278,10 @@ def translate_onto_unit(spec: GridSpec, values: np.ndarray, gamma: float, cell) 
     """Translate nodal `values` along their last (y) axis onto Gamma = 1:
     ((1-theta) A + theta B, Gamma there), where Gamma is now `gamma`.
 
-    A and B are the translates by k and k + 1 cells (`shift_cells`), and
-    cell(A, B) is the quadratic's coefficients (Gamma(A), the bilinear form
-    of A and B, Gamma(B)) for the caller's form of Gamma.  Starting from
+    A and B are the translates by k and k + 1 cells (`shift_cells`; the
+    translate by 0 cells is `values` itself, not a copy), and cell(A, B) is
+    the quadratic's coefficients (Gamma(A), the bilinear form of A and B,
+    Gamma(B)) for the caller's form of Gamma.  Starting from
     the cell of the continuum shift log(Gamma)/a, the walk moves one cell at
     a time to the cell whose ends bracket Gamma = 1 and solves the quadratic
     there (`_unit_root`).  Zero or non-finite Gamma, or a shift beyond a
@@ -294,7 +295,7 @@ def translate_onto_unit(spec: GridSpec, values: np.ndarray, gamma: float, cell) 
     reach = limit / spec.hy
     k = math.floor(math.log(gamma) / (spec.a * spec.hy))
     while -reach - 1.0 <= k <= reach:
-        a, b = shift_cells(spec, values, k), shift_cells(spec, values, k + 1)
+        a, b = (values if j == 0 else shift_cells(spec, values, j) for j in (k, k + 1))
         p, q, r = cell(a, b)
         if (p - 1.0) * (r - 1.0) <= 0.0:
             theta = _unit_root(p, q, r)

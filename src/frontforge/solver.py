@@ -15,9 +15,10 @@ is diagonal in DST-I y-modes (`_boundary_modes`), u0 and kappa0 come from
 the pins' 1-D profile in y.  A solve is one pass from a seed trace: a
 short burst of the damped flux fixed point, which can carry the front
 across the window, then one attempt of exact Newton steps on (u,
-lambda_a), each one dense bordered solve of ny unknowns.  Every burst
-trial pins, clamps, rearranges and translates the trace onto Gamma = 1 in
-closed form.  The front is built once, as the extension of the final
+lambda_a), each one bordered solve in Lambda's modes by preconditioned
+MINRES, two DSTs an iteration (`_minres`).  Every burst trial pins,
+clamps, rearranges and translates the trace onto Gamma = 1 in closed
+form.  The front is built once, as the extension of the final
 trace: one solve with the separable preconditioner of the stiffness
 (`_Workspace`: DCT-I x-modes and one tridiagonal factor per mode).  The
 grid pins w = 1 at y_min and w = 0 at y_max, so the free nodes are the
@@ -86,6 +87,7 @@ _NEWTON_STEPS = 12  # steps of the Newton attempt
 _BURST_TRIES = 6  # step lengths 1, 1/2, ..., 1/32 of a fixed-point step
 _STALL_REL = 1e-9  # relative decrease of E_a at or below which a step is refused
 _CONSTRAINT_TOL = 1e-8  # |Gamma_a - 1| that the projection leaves alone
+_KRYLOV_RTOL = 1e-14  # preconditioned residual at which a Newton step's MINRES stops
 # largest |c - c_var| / c_var that `extract_speed` reports: the two speed
 # estimates coincide at the continuum minimizer
 _SPEED_AGREEMENT = 0.05
@@ -100,8 +102,8 @@ class SolveRecord:
     trace had a higher E_a/Gamma_a than the burst's, or the extension of the
     trace to report failed `_admissible` or the two-dimensional test).
     `burst_steps` counts the accepted flux fixed-point steps, `trials` all
-    trace trials, `newton_steps` every Newton step and `factorizations` its
-    dense factorizations; `rho_history` holds rho/|g| at every stationarity
+    trace trials, `newton_steps` every Newton step and `krylov_iterations`
+    their MINRES iterations; `rho_history` holds rho/|g| at every stationarity
     test in order.  The `_s` fields are each phase's seconds: the build,
     the burst, Newton, and extensions with their two-dimensional tests.
     """
@@ -111,7 +113,7 @@ class SolveRecord:
     newton_steps: int = 0
     rho_history: list = field(default_factory=list)
     trials: int = 0
-    factorizations: int = 0
+    krylov_iterations: int = 0
     build_s: float = 0.0
     burst_s: float = 0.0
     newton_s: float = 0.0
@@ -278,35 +280,57 @@ def _dst(x: np.ndarray) -> np.ndarray:
     return np.fft.rfft(ext)[1:ny].imag * (-1.0 / math.sqrt(2.0 * ny))
 
 
-def _mode_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Views (T, H) with T - H = Psi diag(values) Psi^T.
+def _minres(apply, precond: np.ndarray, rhs: np.ndarray, cap: int) -> tuple[np.ndarray | None, int]:
+    """Preconditioned MINRES (Paige and Saunders, SIAM J. Numer. Anal. 12,
+    1975) for the symmetric system apply(x) = rhs, with the SPD diagonal
+    preconditioner `precond`.  Returns (x, iterations) once the residual's
+    precond^{-1}-norm is at most `_KRYLOV_RTOL` times the rhs's, or (None,
+    cap) when `cap` iterations do not get there."""
+    x = np.zeros_like(rhs)
+    r1 = r2 = rhs
+    y = rhs / precond
+    beta1 = beta = math.sqrt(float(rhs @ y))
+    if beta1 == 0.0:
+        return x, 0
+    old_beta = eps = dbar = 0.0
+    phibar, cs, sn = beta1, -1.0, 0.0
+    w = w2 = np.zeros_like(rhs)
+    for it in range(1, cap + 1):
+        # Lanczos step: v_k = y/beta, and the next r with y = P^{-1} r
+        v = y / beta
+        y = apply(v)
+        if it > 1:
+            y -= (beta / old_beta) * r1
+        alpha = float(v @ y)
+        y -= (alpha / beta) * r2
+        r1, r2 = r2, y
+        y = r2 / precond
+        old_beta, beta = beta, math.sqrt(float(r2 @ y))
+        # the previous rotation on the new column, then the next rotation
+        old_eps = eps
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        eps, dbar = sn * beta, -cs * beta
+        gamma = max(math.hypot(gbar, beta), 1e-300)
+        cs, sn = gbar / gamma, beta / gamma
+        w1, w2 = w2, w
+        w = (v - old_eps * w1 - delta * w2) / gamma
+        x += (cs * phibar) * w
+        phibar *= sn
+        if phibar <= _KRYLOV_RTOL * beta1:
+            return x, it
+    return None, cap
 
-    With 1-based nodes that matrix is g(|j-k|) - g(j+k) for g(r) = (1/ny)
-    sum_m values_m cos(pi m r/ny), one real FFT: T is the Toeplitz and H
-    the Hankel part, both windows onto one array of g.
-    """
-    n = values.size
-    ny = n + 1
-    ext = np.zeros(2 * ny)  # the even extension whose FFT is the DCT-I
-    ext[1:ny] = values
-    ext[ny + 1 :] = values[::-1]
-    g = np.fft.rfft(ext).real / (2 * ny)  # g(r), r = 0..ny
-    g = np.concatenate([g, g[ny - 1 : 1 : -1]])  # g(2 ny - r) = g(r), up to r = 2 ny - 2
-    windows = np.lib.stride_tricks.sliding_window_view
-    toeplitz = windows(np.concatenate([g[n - 1 : 0 : -1], g[:n]]), n)[::-1]
-    hankel = windows(g[2 : 2 * n + 1], n)
-    return toeplitz, hankel
+
+def _boundary_fu(spec: GridSpec, u: np.ndarray, fu: np.ndarray) -> float:
+    """B = int e^{ay} f(u) u dy over the trace u = w(0, .), fu = f(u)."""
+    return float(np.sum(spec.ymeasure * fu * u))
 
 
-def _boundary_fu(spec: GridSpec, u: np.ndarray, nl: Nonlinearity) -> float:
-    """B = int e^{ay} f(u) u dy over the trace u = w(0, .)."""
-    return float(np.sum(spec.ymeasure * np.asarray(nl.f(u)) * u))
-
-
-def _multiplier(spec: GridSpec, u: np.ndarray, nl: Nonlinearity, gamma: float) -> float:
+def _multiplier(spec: GridSpec, u: np.ndarray, fu: np.ndarray, gamma: float) -> float:
     """lambda_a from stationarity tested with phi = w: (D_kin - B)/(2 D_kin),
-    with D_kin = gamma = Gamma_a(w) and u = w(0, .)."""
-    return (gamma - _boundary_fu(spec, u, nl)) / (2.0 * gamma)
+    with D_kin = gamma = Gamma_a(w), u = w(0, .) and fu = f(u)."""
+    return (gamma - _boundary_fu(spec, u, fu)) / (2.0 * gamma)
 
 
 def _stationarity(ws: _Workspace, w: Field, nl: Nonlinearity) -> tuple[float, float, float]:
@@ -319,8 +343,9 @@ def _stationarity(ws: _Workspace, w: Field, nl: Nonlinearity) -> tuple[float, fl
     """
     spec = w.spec
     gamma = gridmod.dirichlet(w)
-    lam = _multiplier(spec, w.values[0], nl, gamma)
-    flux = spec.ymeasure[1:-1] * np.asarray(nl.f(w.values[0, 1:-1]))
+    fu = np.asarray(nl.f(w.values[0]))
+    lam = _multiplier(spec, w.values[0], fu, gamma)
+    flux = spec.ymeasure[1:-1] * fu[1:-1]
     g_free = gridmod.apply_stiffness(spec, w.values)[:, 1:-1]
     g_free[0] -= flux
     slope = float(np.vdot(g_free, ws.precond_solve(g_free)))
@@ -360,8 +385,6 @@ class _Trace:
         self.profile = np.append(tail / tail[0], 0.0)
         self.u0 = self.profile[1:-1]
         self.kappa0 = float(spec.x_max / (spec.hy * tail[0]))
-        self.matrix = _mode_matrix(self.d)
-        self.lwork = int(lapack.dsysv_lwork(spec.ny)[0])
 
     def scaled(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """(v, M v, Gamma(u)) with v = C^{1/2}(u - u0)."""
@@ -369,9 +392,10 @@ class _Trace:
         mv = _dst(self.d * _dst(v))
         return v, mv, self.kappa0 + float(v @ mv)
 
-    def flux(self, u: np.ndarray, nl: Nonlinearity) -> np.ndarray:
-        """C^{-1/2} ymeasure f(u) on the free nodes (ymeasure = hx C)."""
-        return self.spec.hx * self.root_c * np.asarray(nl.f(u[1:-1]))
+    def flux(self, fu: np.ndarray) -> np.ndarray:
+        """C^{-1/2} ymeasure f(u) on the free nodes (ymeasure = hx C), from
+        fu = f(u) on the whole row."""
+        return self.spec.hx * self.root_c * fu[1:-1]
 
     def energy(self, u: np.ndarray, gamma: float, nl: Nonlinearity) -> float:
         return 0.5 * gamma + float(np.sum(self.spec.ymeasure * np.asarray(nl.G(u))))
@@ -402,9 +426,18 @@ class _Trace:
         is out of reach.
         """
         self.rearrange(u)
-        gamma = self.scaled(u)[2]
+        known = self.scaled(u)
+        gamma = known[2]
+
+        def cell(a, b):
+            # `_Trace.cell`, with u's forms reused where an end is u itself,
+            # the walk's translate by 0 cells
+            va, _, p = known if a is u else self.scaled(a)
+            _, mb, r = known if b is u else self.scaled(b)
+            return p, self.kappa0 + float(va @ mb), r
+
         if not abs(gamma - 1.0) <= _CONSTRAINT_TOL:
-            u, gamma = gridmod.translate_onto_unit(self.spec, u, gamma, self.cell)
+            u, gamma = gridmod.translate_onto_unit(self.spec, u, gamma, cell)
             u[0], u[-1] = 1.0, 0.0
         return u, self.energy(u, gamma, nl)
 
@@ -419,13 +452,14 @@ class _Trace:
         """
         moved = 0
         for _ in range(steps):
-            b_over = _boundary_fu(self.spec, u, nl)
+            fu = np.asarray(nl.f(u))
+            b_over = _boundary_fu(self.spec, u, fu)
             # B approximates 1 - 2*lambda_a >= 1 at the minimizer; floor the
             # divisor so misplaced seeds (B near or below 0) still get a
             # usefully-scaled flux solve, damped by the energy check
             delta = np.zeros_like(u)
             delta[1:-1] = self.u0 - u[1:-1]
-            delta[1:-1] += _dst(_dst(self.flux(u, nl)) / self.d) / (max(b_over, 0.2) * self.root_c)
+            delta[1:-1] += _dst(_dst(self.flux(fu)) / self.d) / (max(b_over, 0.2) * self.root_c)
             e_cur, s = history[-1], 1.0
             for _ in range(_BURST_TRIES):
                 record.trials += 1
@@ -448,53 +482,65 @@ class _Trace:
         gradient and residual are Lambda(u - u0) - b and (1 - 2 lambda_a)
         Lambda(u - u0) - b on row 0, where the inverse stiffness is N."""
         _, mv, gamma = self.scaled(u)
-        lam = _multiplier(self.spec, u, nl, gamma)
-        flux = self.flux(u, nl)
+        fu = np.asarray(nl.f(u))
+        lam = _multiplier(self.spec, u, fu, gamma)
+        flux = self.flux(fu)
 
         def norm(z):
             return math.sqrt(abs(float(z @ _dst(_dst(z) / self.d))))
 
         return norm((1.0 - 2.0 * lam) * mv - flux) / max(norm(mv - flux), 1e-300), gamma, lam
 
-    def newton_step(self, u, nl, lam: float, big: np.ndarray):
+    def newton_step(self, u, nl, lam: float, record: SolveRecord):
         """(du, dlambda) of one exact Newton step on F1 = (1 - 2 lambda)
         Lambda(u - u0) - ymeasure f(u) = 0, F2 = Gamma(u) - 1 = 0, or None
-        when the bordered matrix is singular.
+        when MINRES breaks down or has no SPD preconditioner (1 - 2 lambda
+        <= 0, or v = 0); its iterations go into `record`.
 
-        In dv = C^{1/2} du, with F1 scaled by C^{-1/2}, the system is
-        symmetric: block (1 - 2 lambda) M - diag(hx f'(u)), border -2 M v,
-        rhs (-C^{-1/2} F1, Gamma - 1).  It is written into `big` (ny x ny)
-        and factored in place by LAPACK's dsysv.
+        In Lambda's modes q = Psi C^{1/2} du, with F1 scaled by Psi C^{-1/2},
+        the system is symmetric: block mu diag(d) - Psi diag(hx f'(u)) Psi
+        (mu = 1 - 2 lambda), border -2 d Psi v, rhs (-Psi C^{-1/2} F1,
+        Gamma - 1).  It is solved by `_minres`, two DSTs an iteration,
+        preconditioned by the block's constant-shift part mu d - hx min(f'(1),
+        0) and, on the border, its Schur scalar: an SPD diagonal, whose
+        iterations do not grow as the mesh is refined.
         """
         n = self.spec.ny - 1
         mu = 1.0 - 2.0 * lam
-        _, mv, gamma = self.scaled(u)
-        rhs = np.empty((n + 1, 1))
-        np.subtract(self.flux(u, nl), mu * mv, out=rhs[:n, 0])
-        rhs[n] = gamma - 1.0
-        np.subtract(*self.matrix, out=big[:n, :n])
-        big[:n, :n] *= mu
-        big.flat[: n * (n + 2) : n + 2] -= self.spec.hx * np.asarray(nl.f_prime(u[1:-1]))
-        np.multiply(mv, -2.0, out=big[:n, n])
-        big[n, :n] = big[:n, n]
-        big[n, n] = 0.0
-        # big is symmetric, so its transpose is the Fortran-ordered matrix
-        *_, x, info = lapack.dsysv(big.T, rhs, lwork=self.lwork, overwrite_a=True, overwrite_b=True)
-        if info != 0:
+        modes = _dst(self.root_c * (u[1:-1] - self.u0))
+        mv = self.d * modes  # Psi M v
+        border = -2.0 * mv
+        rhs = np.empty(n + 1)
+        rhs[:n] = _dst(self.flux(np.asarray(nl.f(u)))) - mu * mv
+        rhs[n] = self.kappa0 + float(modes @ mv) - 1.0
+        diag = mu * self.d
+        shifted = diag - self.spec.hx * min(float(nl.f_prime(1.0)), 0.0)
+        schur = float(border @ (border / shifted))
+        if not (shifted.min() > 0.0 and schur > 0.0):
             return None
-        return x[:n, 0] / self.root_c, float(x[n, 0])
+        hfp = self.spec.hx * np.asarray(nl.f_prime(u[1:-1]))
+
+        def apply(z):
+            q, out = z[:n], np.empty(n + 1)
+            out[:n] = diag * q - _dst(hfp * _dst(q)) + z[n] * border
+            out[n] = border @ q
+            return out
+
+        x, iterations = _minres(apply, np.append(shifted, schur), rhs, self.spec.ny)
+        record.krylov_iterations += iterations
+        if x is None:
+            return None
+        return _dst(x[:n]) / self.root_c, float(x[n])
 
     def newton(self, u, nl, lam: float, tol: float, record: SolveRecord):
         """Newton from u (not changed) to rho/|g| <= tol, |Gamma - 1| <=
         `_CONSTRAINT_TOL` in at most `_NEWTON_STEPS` steps: the trace, or
-        None on a singular matrix, a non-finite iterate or 1 - 2 lambda <=
-        0.  Steps, factorizations and residuals go into `record`."""
-        big = np.empty((self.spec.ny, self.spec.ny))
+        None when MINRES breaks down, on a non-finite iterate or 1 - 2 lambda
+        <= 0.  Steps, MINRES iterations and residuals go into `record`."""
         cur = u.copy()
         for _ in range(_NEWTON_STEPS):
-            step = self.newton_step(cur, nl, lam, big)
+            step = self.newton_step(cur, nl, lam, record)
             record.newton_steps += 1
-            record.factorizations += 1
             if step is None:
                 return None
             cur[1:-1] += step[0]

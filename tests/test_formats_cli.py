@@ -355,7 +355,7 @@ class TestCli:
         assert rho[-1] <= 1e-10 < rho[0]
         # ... and where its time went
         assert int(meta["trials"]) >= int(meta["burst_steps"])
-        assert int(meta["factorizations"]) == int(meta["newton_steps"])
+        assert int(meta["krylov_iterations"]) >= int(meta["newton_steps"])
         assert all(float(meta[phase]) > 0.0 for phase in ("build_s", "burst_s", "newton_s", "extension_s"))
         # emitted trace is consumable by asymptotics
         code = main(["asymptotics", "--input", os.path.join(out, "trace.csv"), "--c", repr(c), "--out", out])

@@ -19,7 +19,6 @@ from frontforge.solver import (
     _admissible,
     _boundary_modes,
     _dst,
-    _mode_matrix,
     _stationarity,
     _Trace,
     _Workspace,
@@ -185,20 +184,18 @@ class TestTrace:
 
 class TestNewton:
     def test_capacitance_matches_the_dense_schur_complement(self):
-        # M = C^{-1/2} Lambda C^{-1/2} as windows and as the FFT apply, and
-        # its inverse, the scaled Neumann-to-Dirichlet map C^{1/2} N C^{1/2}
+        # M = C^{-1/2} Lambda C^{-1/2} as the FFT apply, and its inverse,
+        # the scaled Neumann-to-Dirichlet map C^{1/2} N C^{1/2}
         nl = make_bistable_cubic(0.25)
         spec = default_grid(choose_weight(nl), SolverOptions(nx=16, ny=64))
         problem = _Trace(spec)
         root_c = problem.root_c
         ntd = root_c[:, None] * boundary_ntd_dense(spec) * root_c[None, :]
         ref = np.linalg.inv(ntd)
-        toeplitz, hankel = problem.matrix
-        assert np.max(np.abs(toeplitz - hankel - ref)) <= 1e-12 * np.max(np.abs(ref))
         applied = np.stack([_dst(problem.d * _dst(e)) for e in np.eye(spec.ny - 1)])
         assert np.max(np.abs(applied - ref)) <= 1e-12 * np.max(np.abs(ref))
-        toeplitz, hankel = _mode_matrix(1.0 / problem.d)
-        assert np.max(np.abs(toeplitz - hankel - ntd)) <= 1e-12 * np.max(np.abs(ntd))
+        applied = np.stack([_dst(_dst(e) / problem.d) for e in np.eye(spec.ny - 1)])
+        assert np.max(np.abs(applied - ntd)) <= 1e-12 * np.max(np.abs(ntd))
 
     def test_step_matches_the_finite_difference_jacobian(self):
         # the reduced problem's bordered Jacobian by differences: exact for
@@ -208,10 +205,9 @@ class TestNewton:
         spec = default_grid(choose_weight(nl), SolverOptions(nx=16, ny=64))
         problem, burst, lam = _burst_trace(spec, nl)
         dtn = reduced_problem_dense(spec)[0]
-        big = np.empty((spec.ny, spec.ny))
         squeezed = 0.02 + 0.96 * burst
         for u in (squeezed, squeezed * 1.01):
-            du, dlam = problem.newton_step(u, nl, lam, big)
+            du, dlam = problem.newton_step(u, nl, lam, SolveRecord())
             ref_du, ref_dlam = newton_step_finite_difference(spec, u, nl, lam)
             err = du - ref_du
             assert np.sqrt(err @ dtn @ err) <= 1e-12 * np.sqrt(ref_du @ dtn @ ref_du)
@@ -226,12 +222,11 @@ class TestNewton:
         nl = make_bistable_cubic(0.25)
         spec = default_grid(choose_weight(nl), SolverOptions(nx=32, ny=128))
         problem, burst, lam = _burst_trace(spec, nl, steps=3)
-        big = np.empty((spec.ny, spec.ny))
         bump = np.zeros_like(burst)
         bump[1:-1] = 1e-3 * np.sin(np.linspace(0.0, 9.0, spec.ny - 1))
         root_c = problem.root_c
         for u in (burst, burst + bump):
-            du, dlam = problem.newton_step(u, nl, lam, big)
+            du, dlam = problem.newton_step(u, nl, lam, SolveRecord())
             ref_dw, ref_dlam = newton_step_sparse(problem.extend(u), nl, lam)
             # in the scaled unknowns C^{1/2} du: the weights e^{ay} set the
             # metric, and the deep nodes, whose weight is below 1e-15, are
@@ -239,6 +234,78 @@ class TestNewton:
             err = np.linalg.norm(root_c * (du - ref_dw[0]))
             assert err <= 1e-12 * np.linalg.norm(root_c * ref_dw[0])
             assert dlam == pytest.approx(ref_dlam, rel=1e-12)
+
+    def test_minres_iterations_per_step_do_not_depend_on_the_grid(self, monkeypatch):
+        # the shifted preconditioner leaves a perturbation confined to the
+        # front, so each step's iterations (about 27 on the cubic) stay put
+        # when the mesh width halves
+        per_step = []
+        minres = solver._minres
+
+        def counted(*args):
+            x, iterations = minres(*args)
+            per_step[-1].append(iterations)
+            return x, iterations
+
+        monkeypatch.setattr(solver, "_minres", counted)
+        nl = make_bistable_cubic(0.25)
+        for refine in (0, 1):
+            per_step.append([])
+            spec = default_grid(choose_weight(nl), SolverOptions(refine=refine))
+            problem, burst, lam = _burst_trace(spec, nl)
+            record = SolveRecord()
+            assert problem.newton(burst, nl, lam, 1e-10, record) is not None
+            assert record.krylov_iterations == sum(per_step[-1])
+        coarse, fine = per_step
+        assert len(coarse) == len(fine)
+        assert max(abs(a - b) for a, b in zip(coarse, fine)) <= 2
+
+    @pytest.mark.parametrize(
+        "nl",
+        [
+            make_bistable_cubic(0.25),
+            make_combustion(0.3, 1.0),
+            make_combustion(0.7, 1.0),
+            front_nonlinearity(ExplicitFrontParams(1.0, 2.0)),
+        ],
+        ids=["cubic", "combustion-0.3", "combustion-0.7", "oracle"],
+    )
+    def test_minres_converges_within_its_cap_on_a_coarse_grid(self, nl, monkeypatch):
+        # the cap is ny iterations, nearest to a step's needs on the coarsest
+        # grid: at 16x64 the steps take at most 38 (combustion 0.7), and
+        # Newton ends as it did with the dense solve, converged (stop
+        # "residual") or, for combustion 0.3, converged and refused
+        per_step = []
+        minres = solver._minres
+
+        def counted(*args):
+            x, iterations = minres(*args)
+            per_step.append(iterations)
+            return x, iterations
+
+        monkeypatch.setattr(solver, "_minres", counted)
+        opts = SolverOptions(nx=16, ny=64)
+        res = minimize(default_grid(choose_weight(nl), opts), nl, opts)
+        assert res.record.stop in ("residual", "refused")
+        assert res.record.krylov_iterations == sum(per_step)
+        assert 0 < max(per_step) <= 0.75 * opts.ny
+
+    def test_a_minres_that_does_not_converge_stops_newton(self, monkeypatch):
+        # capped at one iteration, the first step's MINRES breaks down:
+        # Newton returns None and the burst's trace is reported unconverged
+        minres = solver._minres
+        monkeypatch.setattr(solver, "_minres", lambda apply, precond, rhs, cap: minres(apply, precond, rhs, 1))
+        nl = make_bistable_cubic(0.25)
+        opts = SolverOptions(nx=48, ny=224)
+        spec = default_grid(choose_weight(nl), opts)
+        problem, burst, lam = _burst_trace(spec, nl)
+        record = SolveRecord()
+        assert problem.newton(burst, nl, lam, opts.tol, record) is None
+        assert record.newton_steps == record.krylov_iterations == 1
+        res = minimize(spec, nl, opts)
+        assert res.record.stop == "newton"
+        assert not res.converged
+        assert res.record.newton_steps == res.record.krylov_iterations == 1
 
     def test_benchmark_laws_converge_to_the_pinned_speeds(
         self, cubic_solution, combustion_pair, oracle_solution
@@ -289,18 +356,17 @@ def _peak_in_fields(fn, *args) -> float:
 
 
 def test_trial_peak_allocation_in_fields():
-    # at the default 96x448 grid a trace trial measures 0.12 fields, a
-    # Newton step 0.70 (dsysv's workspace), a whole Newton run 5.3 (its one
-    # bordered ny x ny matrix is 4.6) and an extension 4.0; dirichlet on its
-    # own, on an extended front scaled by 1.01, 1.4; each pin has half a
-    # field of margin
+    # at the default 96x448 grid a trace trial measures 0.11 fields, a
+    # Newton step 0.26 and a whole Newton run 0.28 (MINRES keeps a few
+    # vectors of ny values and no ny x ny matrix) and an extension 4.0;
+    # dirichlet on its own, on an extended front scaled by 1.01, 1.4; each
+    # pin has half a field of margin
     nl = make_bistable_cubic(0.25)
     spec = default_grid(choose_weight(nl), SolverOptions())
     problem, burst, lam = _burst_trace(spec, nl)
     assert _peak_in_fields(problem.trial, burst * 1.01, nl) <= 0.12 + 0.5
-    big = np.empty((spec.ny, spec.ny))
-    assert _peak_in_fields(problem.newton_step, burst, nl, lam, big) <= 0.7 + 0.5
-    assert _peak_in_fields(problem.newton, burst, nl, lam, 1e-10, SolveRecord()) <= 5.3 + 0.5
+    assert _peak_in_fields(problem.newton_step, burst, nl, lam, SolveRecord()) <= 0.26 + 0.5
+    assert _peak_in_fields(problem.newton, burst, nl, lam, 1e-10, SolveRecord()) <= 0.28 + 0.5
     assert _peak_in_fields(problem.extend, burst) <= 4.0 + 0.5
     perturbed = Field(problem.extend(burst).values * 1.01, spec)
     assert perturbed.values.shape == (97, 449)

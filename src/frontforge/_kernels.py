@@ -8,9 +8,8 @@ Poisson kernel P^t, which is most of the closed-form front's cost.  The
 batched tridiagonal solve is for a matrix that is symmetric positive
 definite once its first and last rows are scaled: LAPACK's dpttrf factors it
 once as LDL^T and dpttrs applies the factors to many right-hand sides
-(scipy.linalg.lapack).  The weighted rearrangement is numpy: rows that are
-already nonincreasing are kept as they are, every other row gets a stable
-sort and a cumulative-measure search.
+(scipy.linalg.lapack).  The weighted rearrangement of a trace is numpy: a
+stable sort and a cumulative-measure search.
 """
 
 from __future__ import annotations
@@ -72,34 +71,20 @@ def tridiag_solve_many(d, e, end_scale, rhs):
 
 
 # ---------------------------------------------------------------------------
-# weighted monotone decreasing rearrangement, column by column
+# weighted monotone decreasing rearrangement of one trace
 # ---------------------------------------------------------------------------
 
 
-def rearrange_columns(vals, meas, *, out=None):
-    """Weighted decreasing rearrangement of each row of `vals` (along axis 1).
+def rearrange_columns(u, meas):
+    """Weighted decreasing rearrangement of the 1-D trace `u`, in place.
 
-    `meas[j]` is the measure of cell j.  The output row is nonincreasing and
-    redistributes the input values by quantile resampling at cell midpoints.
-    The resampling maps a row that is already nonincreasing onto itself, so
-    such rows are copied as they are and only rows with an ascent are
-    sorted.  The result goes into `out` when given (it may be `vals` itself:
-    rows are independent), else into a new array; `vals` is not changed
-    unless it is `out`.
+    `meas[j]` is the measure of cell j.  The output is nonincreasing and
+    redistributes the input values by quantile resampling at cell
+    midpoints: a stable sort and a cumulative-measure search, which map a
+    trace that is already nonincreasing onto itself.  Returns `u`.
     """
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    meas = np.ascontiguousarray(meas, dtype=np.float64)
-    n = vals.shape[1]
-    prefix = np.cumsum(meas) - meas
-    zeta = prefix + 0.5 * meas
-    if out is None:
-        out = vals.copy()
-    elif out is not vals:
-        np.copyto(out, vals)
-    for i in np.flatnonzero((vals[:, 1:] > vals[:, :-1]).any(axis=1)):
-        idx = np.argsort(-vals[i], kind="stable")
-        sv = vals[i, idx]
-        cum = np.cumsum(meas[idx])
-        k = np.searchsorted(cum, zeta, side="left")
-        out[i] = sv[np.minimum(k, n - 1)]
-    return out
+    zeta = (np.cumsum(meas) - meas) + 0.5 * meas
+    idx = np.argsort(-u, kind="stable")
+    k = np.searchsorted(np.cumsum(meas[idx]), zeta, side="left")
+    u[:] = u[idx][np.minimum(k, u.size - 1)]
+    return u

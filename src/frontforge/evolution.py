@@ -12,8 +12,9 @@ x-sweep's ghost-closure and Neumann rows, and moving the y-sweep's Dirichlet
 couplings to its right-hand side, makes both symmetric positive definite.
 
 A moving window keeps long runs feasible: when the level approaches either
-y-boundary the field is shifted by whole cells and extended constantly,
-while recorded level positions stay in the original frame.
+y-boundary the field is shifted by whole cells and extended constantly
+(`grid.shift_cells`), while recorded level positions stay in the original
+frame.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import spd_tridiag_factor, tridiag_solve_many
-from .grid import Field, GridSpec, trace, trace_crossing
+from .grid import Field, GridSpec, shift_cells, trace, trace_crossing
 from .nonlinearity import Nonlinearity
 
 
@@ -131,20 +132,6 @@ def step(state: EvolutionState, dt: float, nl: Nonlinearity) -> EvolutionState:
     return _advance(state, dt, nl, _sweep_matrices(spec, dt))
 
 
-def _recenter(vals: np.ndarray, cells: int) -> np.ndarray:
-    """Shift field values by whole cells in y, extending the edge rows."""
-    out = np.empty_like(vals)
-    if cells > 0:
-        out[:, :-cells] = vals[:, cells:]
-        out[:, -cells:] = vals[:, -1:]
-    elif cells < 0:
-        out[:, -cells:] = vals[:, :cells]
-        out[:, : -cells] = vals[:, :1]
-    else:
-        out[:] = vals
-    return out
-
-
 def evolve(
     initial: Field,
     nl: Nonlinearity,
@@ -202,7 +189,7 @@ def evolve(
                 target = 0.5 * (spec.y_min + spec.y_max)
                 cells = int(round((level_local - target) / spec.hy))
                 if cells != 0:
-                    state.field = Field(_recenter(state.field.values, cells), spec)
+                    state.field = Field(shift_cells(spec, state.field.values, cells), spec)
                     offset += cells * spec.hy
 
     if times[-1] < state.time:

@@ -9,12 +9,9 @@ y-edge parts `_x_part`, `_y_part` of the bilinear form on products of the
 differences from `_diff`, and its matrix-free apply `apply_stiffness`, the
 exact linear operator of the solver's gradient.
 
-`translate_onto_unit` moves a boundary trace in y onto Gamma = 1, the last
-step of the solver's trace trial (`solver._Trace.trial`): Gamma of a
-translate is an exact quadratic in the shift on each grid cell, with
-coefficients from the caller's form of Gamma (the trial's is `Lambda`'s),
-and the walk over the whole-cell translates `shift_cells` finds the cell of
-the root.
+`shift_cells` translates nodal values in y by whole cells: the translates
+the solver's trace trial walks over onto Gamma = 1 (`solver._Trace.walk`)
+and the evolution's moving window.
 """
 
 from __future__ import annotations
@@ -65,6 +62,9 @@ class GridSpec:
     a: float
 
     def __post_init__(self):
+        for name in ("a", "x_max", "y_min", "y_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} must be finite")
         if not (self.x_max > 0.0 and self.y_min < 0.0 < self.y_max):
             raise ValueError("require x_max > 0 and y_min < 0 < y_max")
         if self.nx < 16 or self.ny < 64:
@@ -251,58 +251,8 @@ def trace_crossing(profile: TraceProfile, level: float = 0.5) -> float:
 # -- structural operations ----------------------------------------------------
 
 
-def _unit_root(p: float, q: float, r: float) -> float:
-    """The theta in [0, 1] with (1-theta)^2 p + 2 theta (1-theta) q + theta^2 r = 1.
-
-    Requires (p - 1)(r - 1) <= 0.  In powers of theta the equation is
-    alpha theta^2 + 2 beta theta + gamma = 0 with alpha = p - 2q + r >= 0
-    (the form of A - B), beta = q - p, gamma = p - 1; both roots are taken
-    from the cancellation-free pair s/alpha, gamma/s.
-    """
-    alpha, beta, gamma = p - 2.0 * q + r, q - p, p - 1.0
-    s = -(beta + math.copysign(math.sqrt(max(beta * beta - alpha * gamma, 0.0)), beta))
-    if gamma < 0.0 and beta < 0.0 and alpha > 0.0:
-        theta = s / alpha  # the larger root; the smaller one is negative
-    else:
-        theta = gamma / s if s != 0.0 else 0.0
-    return min(max(theta, 0.0), 1.0)
-
-
 def shift_cells(spec: GridSpec, values: np.ndarray, k: int) -> np.ndarray:
     """`values` translated along their last (y) axis by k whole cells, k hy
-    in y: node j takes node j + k, with constant extension past either end."""
-    return values[..., np.clip(np.arange(spec.ny + 1) + k, 0, spec.ny)]
-
-
-def translate_onto_unit(spec: GridSpec, values: np.ndarray, gamma: float, cell) -> tuple[np.ndarray, float]:
-    """Translate nodal `values` along their last (y) axis onto Gamma = 1:
-    ((1-theta) A + theta B, Gamma there), where Gamma is now `gamma`.
-
-    A and B are the translates by k and k + 1 cells (`shift_cells`; the
-    translate by 0 cells is `values` itself, not a copy), and cell(A, B) is
-    the quadratic's coefficients (Gamma(A), the bilinear form of A and B,
-    Gamma(B)) for the caller's form of Gamma.  Starting from
-    the cell of the continuum shift log(Gamma)/a, the walk moves one cell at
-    a time to the cell whose ends bracket Gamma = 1 and solves the quadratic
-    there (`_unit_root`).  Zero or non-finite Gamma, or a shift beyond a
-    quarter of the y-window, raises NumericalError.
-    """
-    if not math.isfinite(gamma):
-        raise NumericalError(f"cannot translate onto Gamma = 1 from Gamma = {gamma}")
-    if gamma <= 0.0:
-        raise NumericalError("cannot translate onto Gamma = 1 from Gamma = 0")
-    limit = 0.25 * (spec.y_max - spec.y_min)
-    reach = limit / spec.hy
-    k = math.floor(math.log(gamma) / (spec.a * spec.hy))
-    while -reach - 1.0 <= k <= reach:
-        a, b = (values if j == 0 else shift_cells(spec, values, j) for j in (k, k + 1))
-        p, q, r = cell(a, b)
-        if (p - 1.0) * (r - 1.0) <= 0.0:
-            theta = _unit_root(p, q, r)
-            if abs((k + theta) * spec.hy) > limit:
-                break
-            return (1.0 - theta) * a + theta * b, (1.0 - theta) ** 2 * p + 2.0 * theta * (1.0 - theta) * q + theta**2 * r
-        # Gamma falls with the shift; the cell ends are shared, so the walk
-        # never turns back
-        k += 1 if r > 1.0 else -1
-    raise NumericalError("Gamma = 1 needs a shift beyond a quarter of the y-window")
+    in y: node j takes node j + k, with constant extension past either end.
+    The copy is C-ordered, as the evolution's sweeps expect a field to be."""
+    return np.take(values, np.clip(np.arange(spec.ny + 1) + k, 0, spec.ny), axis=-1)

@@ -16,9 +16,9 @@ the pins' 1-D profile in y.  A solve is one pass from a seed trace: a
 short burst of the damped flux fixed point, which can carry the front
 across the window, then one attempt of exact Newton steps on (u,
 lambda_a), each one bordered solve in Lambda's modes by preconditioned
-MINRES, two DSTs an iteration (`_minres`).  Every burst trial pins,
-clamps, rearranges and translates the trace onto Gamma = 1 in closed
-form.  The front is built once, as the extension of the final
+MINRES, two DSTs an iteration (`_minres`).  Every trial pins, clamps and
+rearranges the trace, then walks it in y onto Gamma = 1 in closed form
+(`_Trace.walk`).  The front is built once, as the extension of the final
 trace: one solve with the separable preconditioner of the stiffness
 (`_Workspace`: DCT-I x-modes and one tridiagonal factor per mode).  The
 grid pins w = 1 at y_min and w = 0 at y_max, so the free nodes are the
@@ -79,6 +79,15 @@ class SolverOptions:
     a: float | None = None  # weight; None = choose_weight policy
     seed: str = "exponential"  # "exponential" | "kernel"
     refine: int = 0  # halvings of the mesh width
+
+    def check(self) -> None:
+        """ValueError for a seed, tol or refine that no solve can run."""
+        if self.seed not in ("exponential", "kernel"):
+            raise ValueError(f"seed must be exponential|kernel, got {self.seed!r}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol = {self.tol} must be positive and finite")
+        if not (isinstance(self.refine, (int, np.integer)) and self.refine >= 0):
+            raise ValueError(f"refine = {self.refine!r} must be a nonnegative integer")
 
 
 # Iteration constants of `minimize`.
@@ -374,6 +383,8 @@ class _Trace:
     summed from y_max, where it is about e^-52, to stay accurate there.  In
     the scaled unknowns v = C^{1/2}(u - u0) Lambda is M = Psi diag(d) Psi^T,
     applied by FFT, and every product stays well scaled however far C spans.
+    The trial's two moves in y are the weighted rearrangement (`rearrange`)
+    and the translation onto Gamma = 1 (`walk`).
     """
 
     def __init__(self, spec: GridSpec):
@@ -400,12 +411,61 @@ class _Trace:
     def energy(self, u: np.ndarray, gamma: float, nl: Nonlinearity) -> float:
         return 0.5 * gamma + float(np.sum(self.spec.ymeasure * np.asarray(nl.G(u))))
 
-    def cell(self, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
-        """(Gamma(A), kappa0 + (A - u0)^T Lambda (B - u0), Gamma(B)): the
-        quadratic in theta of Gamma((1 - theta) A + theta B)."""
-        va, _, p = self.scaled(a)
-        _, mb, r = self.scaled(b)
-        return p, self.kappa0 + float(va @ mb), r
+    def cell(self, a: tuple, b: tuple) -> tuple[float, float, float]:
+        """(Gamma(A), kappa0 + (A - u0)^T Lambda (B - u0), Gamma(B)) from the
+        `scaled` forms a of A and b of B: the quadratic in theta of
+        Gamma((1 - theta) A + theta B)."""
+        return a[2], self.kappa0 + float(a[0] @ b[1]), b[2]
+
+    @staticmethod
+    def _unit_root(p: float, q: float, r: float) -> float:
+        """The theta in [0, 1] with (1-theta)^2 p + 2 theta (1-theta) q + theta^2 r = 1.
+
+        Requires (p - 1)(r - 1) <= 0.  In powers of theta the equation is
+        alpha theta^2 + 2 beta theta + gamma = 0 with alpha = p - 2q + r >= 0
+        (the form of A - B), beta = q - p, gamma = p - 1; both roots are taken
+        from the cancellation-free pair s/alpha, gamma/s.
+        """
+        alpha, beta, gamma = p - 2.0 * q + r, q - p, p - 1.0
+        s = -(beta + math.copysign(math.sqrt(max(beta * beta - alpha * gamma, 0.0)), beta))
+        if gamma < 0.0 and beta < 0.0 and alpha > 0.0:
+            theta = s / alpha  # the larger root; the smaller one is negative
+        else:
+            theta = gamma / s if s != 0.0 else 0.0
+        return min(max(theta, 0.0), 1.0)
+
+    def walk(self, u: np.ndarray, forms: tuple) -> tuple[np.ndarray, float]:
+        """u translated in y onto Gamma = 1, from its `scaled` forms: ((1 -
+        theta) A + theta B, Gamma there).
+
+        A and B are u's translates by k and k + 1 cells (`grid.shift_cells`,
+        with `forms` for the translate by 0 cells), and Gamma of their
+        convex combination is the quadratic `cell` in theta.  Starting from
+        the cell of the continuum shift log(Gamma)/a, the walk moves one cell
+        at a time to the cell whose ends bracket Gamma = 1 and solves the
+        quadratic there (`_unit_root`).  Zero or non-finite Gamma, or a shift
+        beyond a quarter of the y-window, raises NumericalError.
+        """
+        spec, gamma = self.spec, forms[2]
+        if not math.isfinite(gamma):
+            raise gridmod.NumericalError(f"cannot translate onto Gamma = 1 from Gamma = {gamma}")
+        if gamma <= 0.0:
+            raise gridmod.NumericalError("cannot translate onto Gamma = 1 from Gamma = 0")
+        limit = 0.25 * (spec.y_max - spec.y_min)
+        reach = limit / spec.hy
+        k = math.floor(math.log(gamma) / (spec.a * spec.hy))
+        while -reach - 1.0 <= k <= reach:
+            a, b = (gridmod.shift_cells(spec, u, j) for j in (k, k + 1))
+            p, q, r = self.cell(forms if k == 0 else self.scaled(a), forms if k == -1 else self.scaled(b))
+            if (p - 1.0) * (r - 1.0) <= 0.0:
+                theta = self._unit_root(p, q, r)
+                if abs((k + theta) * spec.hy) > limit:
+                    break
+                return (1.0 - theta) * a + theta * b, (1.0 - theta) ** 2 * p + 2.0 * theta * (1.0 - theta) * q + theta**2 * r
+            # Gamma falls with the shift; the cell ends are shared, so the walk
+            # never turns back
+            k += 1 if r > 1.0 else -1
+        raise gridmod.NumericalError("Gamma = 1 needs a shift beyond a quarter of the y-window")
 
     def rearrange(self, u: np.ndarray) -> np.ndarray:
         """Pin the ends, clamp to [0, 1] and rearrange monotone in y, all in
@@ -414,30 +474,19 @@ class _Trace:
         u[0], u[-1] = 1.0, 0.0
         np.clip(u, 0.0, 1.0, out=u)
         # through grid's name, which the benchmark's tracer patches
-        gridmod.rearrange_columns(u[None, :], self.spec.ymeasure, out=u[None, :])
-        return u
+        return gridmod.rearrange_columns(u, self.spec.ymeasure)
 
     def trial(self, u: np.ndarray, nl: Nonlinearity) -> tuple[np.ndarray, float]:
         """The admissible trace made from `u` (changed in place), and its E_a.
 
-        `rearrange`, then translate onto Gamma = 1 with the cell quadratic
-        `cell` (`grid.translate_onto_unit`) and pin the translate again; the
-        pins are no unknowns of Gamma.  Raises NumericalError when Gamma = 1
-        is out of reach.
+        `rearrange`, then `walk` onto Gamma = 1 and pin the translate
+        again; the pins are no unknowns of Gamma.  Raises NumericalError
+        when Gamma = 1 is out of reach.
         """
-        self.rearrange(u)
-        known = self.scaled(u)
-        gamma = known[2]
-
-        def cell(a, b):
-            # `_Trace.cell`, with u's forms reused where an end is u itself,
-            # the walk's translate by 0 cells
-            va, _, p = known if a is u else self.scaled(a)
-            _, mb, r = known if b is u else self.scaled(b)
-            return p, self.kappa0 + float(va @ mb), r
-
+        forms = self.scaled(self.rearrange(u))
+        gamma = forms[2]
         if not abs(gamma - 1.0) <= _CONSTRAINT_TOL:
-            u, gamma = gridmod.translate_onto_unit(self.spec, u, gamma, cell)
+            u, gamma = self.walk(u, forms)
             u[0], u[-1] = 1.0, 0.0
         return u, self.energy(u, gamma, nl)
 
@@ -586,13 +635,15 @@ def minimize(
     in y, so the ratio compares the two traces as if both sat exactly on
     Gamma_a = 1.
 
-    Converged means only that the extension's stationarity residual g -
+    Options that `SolverOptions.check` refuses raise ValueError before any
+    work.  Converged means only that the extension's stationarity residual g -
     lambda_a D(Gamma_a) is at most `opts.tol` relative to the gradient norm
     (both in the inverse-stiffness metric), with |Gamma_a - 1| <= 1e-8.
     Otherwise the extension of the burst's trace is returned unconverged,
     `extract_speed` refuses it, and `record.stop` says why.
     """
     opts = opts or SolverOptions()
+    opts.check()
     record = SolveRecord(stop="residual", trials=1)  # the seed's trial
     clock = time.perf_counter()
     seed = seed or gridmod.trace(gridmod.seed_function(spec))
@@ -771,9 +822,11 @@ def solve_front(nl: Nonlinearity, opts: SolverOptions | None = None) -> FrontSol
 
     The returned front is monotone in y (rearranged), takes values in
     [0, 1], and carries both speed estimates a(1-2*lambda_a) (authoritative)
-    and a(1-2*I_a) (reported for cross-checking).
+    and a(1-2*I_a) (reported for cross-checking).  Options that
+    `SolverOptions.check` refuses raise ValueError before f is validated.
     """
     opts = opts or SolverOptions()
+    opts.check()
     report = validate(nl)
     if not report.passed:
         raise NonlinearityError(

@@ -440,21 +440,15 @@ def newton_step_finite_difference(spec, u, nl, lam: float, h: float = 1e-2):
 
 
 def rearrange_rows_sorted(vals, meas):
-    """Weighted decreasing rearrangement that sorts every row, one row at a
-    time (stable sort, cumulative-measure search at cell midpoints): the
-    reference for `_kernels.rearrange_columns`, which keeps rows that are
-    already nonincreasing as they are."""
-    vals = np.ascontiguousarray(vals, dtype=np.float64)
-    meas = np.ascontiguousarray(meas, dtype=np.float64)
-    n = vals.shape[1]
+    """Weighted decreasing rearrangement of one trace, written out on fresh
+    arrays (stable sort, cumulative-measure search at cell midpoints): the
+    bit-for-bit reference for the in-place `_kernels.rearrange_columns`."""
+    vals = np.asarray(vals, dtype=np.float64)
+    meas = np.asarray(meas, dtype=np.float64)
     zeta = (np.cumsum(meas) - meas) + 0.5 * meas
-    out = np.empty_like(vals)
-    for i in range(vals.shape[0]):
-        idx = np.argsort(-vals[i], kind="stable")
-        cum = np.cumsum(meas[idx])
-        k = np.searchsorted(cum, zeta, side="left")
-        out[i] = vals[i, idx][np.minimum(k, n - 1)]
-    return out
+    idx = np.argsort(-vals, kind="stable")
+    k = np.searchsorted(np.cumsum(meas[idx]), zeta, side="left")
+    return vals[idx][np.minimum(k, vals.size - 1)]
 
 
 def dirichlet_expression(spec, v) -> float:

@@ -42,16 +42,42 @@ def test_bench_kernels_names_exist_in_frontforge():
     assert not missing
 
 
-def test_the_benchmark_tracer_installs():
-    # frontbench's tracer wraps frontforge functions by name, among them
-    # names that only `solver.__getattr__` and `grid.__getattr__` still
-    # resolve; it is run as the harness runs it, in its own process
+def _run_traced(body: str) -> str:
+    """Run `body` in its own process after installing frontbench's tracer
+    as the harness does, as `tracer`; returns what it prints."""
     root = BENCH.parents[1]
     code = (
         "import sys\n"
         f"sys.path[:0] = [{str(root / 'frontbench')!r}, {str(root / 'src')!r}]\n"
         "from tracer import Tracer\n"
-        "Tracer().install()\n"
-    )
+        "tracer = Tracer()\n"
+        "tracer.install()\n"
+    ) + body
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_the_benchmark_tracer_installs():
+    # frontbench's tracer wraps frontforge functions by name, among them
+    # names that only `solver.__getattr__` and `grid.__getattr__` still
+    # resolve
+    _run_traced("")
+
+
+def test_the_tracer_sees_every_rearrangement():
+    # the solver reaches the rearrangement through the name the tracer
+    # patches, one trace per trial
+    out = _run_traced(
+        "from frontforge import solver\n"
+        "from frontforge.nonlinearity import make_bistable_cubic\n"
+        "span = tracer.begin(0)\n"
+        "sol = solver.solve_front(make_bistable_cubic(0.25))\n"
+        "tracer.end(span)\n"
+        "m = tracer.layer_metrics()\n"
+        "print(m['kernels.rearrange_columns.calls'], m['kernels.rearrange_columns.points'],"
+        " sol.record.trials, sol.front.spec.ny)\n"
+    )
+    calls, points, trials, ny = map(int, out.split())
+    assert calls == trials > 0
+    assert points == trials * (ny + 1)

@@ -251,7 +251,9 @@ class TestCli:
         def failing_solve(nl, opts):
             problem = solver._Trace(spec)
             if failure == "zero-energy projection":
-                grid.translate_onto_unit(spec, np.full(65, 0.4), 0.0, problem.cell)
+                u = np.full(65, 0.4)
+                v, mv, _ = problem.scaled(u)
+                problem.walk(u, (v, mv, 0.0))
             elif failure == "far projection":
                 # a front at the bottom of the window: Gamma = 1 lies a
                 # window's height above it

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from frontforge.grid import (
     shift_cells,
     trace,
     trace_crossing,
-    translate_onto_unit,
 )
 from frontforge.nonlinearity import make_bistable_cubic
 from frontforge.solver import SolverOptions, _Trace, choose_weight, default_grid, seed_energy_value
@@ -73,6 +73,19 @@ class TestGridSpec:
             GridSpec(x_max=1.0, y_min=-10.0, y_max=5.0, nx=32, ny=32, a=0.1)
         with pytest.raises(ValueError):
             GridSpec(x_max=1.0, y_min=-10.0, y_max=600.0, nx=32, ny=128, a=0.1)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("a", math.nan), ("a", math.inf), ("x_max", math.inf), ("x_max", math.nan)]
+        + [("y_min", -math.inf), ("y_min", math.nan), ("y_max", math.inf), ("y_max", math.nan)],
+    )
+    def test_non_finite_geometry_rejected(self, name, value):
+        # named, and refused before any array is built (no RuntimeWarning)
+        geometry = dict(x_max=1.0, y_min=-10.0, y_max=5.0, nx=32, ny=128, a=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} = "):
+                GridSpec(**{**geometry, name: value})
 
     def test_field_shape_guard(self):
         spec = small_spec()
@@ -180,6 +193,12 @@ class TestTranslate:
             back = shift_cells(spec, shift_cells(spec, u, k), -k)
             assert np.array_equal(back[37:-37], u[37:-37])
 
+    def test_field_translate_is_c_ordered(self):
+        # the evolution's moving window hands the translate to its sweeps,
+        # which copy an F-ordered field once more
+        spec = small_spec()
+        assert shift_cells(spec, bump_field(spec).values, 5).flags.c_contiguous
+
     def test_shift_bound(self):
         # a front at the bottom of the window has Gamma of order
         # e^{a (y_min + 5)}: Gamma = 1 lies beyond a quarter of the window
@@ -211,8 +230,8 @@ class TestTranslate:
 
 
 class TestProjection:
-    """The trial's translation onto Gamma = 1: `grid.translate_onto_unit`
-    with the trace's cell form `_Trace.cell`."""
+    """The trial's translation onto Gamma = 1: the walk `_Trace.walk` over
+    the cell quadratics `_Trace.cell`."""
 
     nl = make_bistable_cubic(0.25)
 
@@ -249,7 +268,7 @@ class TestProjection:
             k = int(np.floor(t / spec.hy))
             theta = t / spec.hy - k
             a, b = shift_cells(spec, u, k), shift_cells(spec, u, k + 1)
-            p, q, r = problem.cell(a, b)
+            p, q, r = problem.cell(problem.scaled(a), problem.scaled(b))
             quad = (1 - theta) ** 2 * p + 2 * theta * (1 - theta) * q + theta**2 * r
             assert quad == pytest.approx(problem.scaled((1 - theta) * a + theta * b)[2], rel=1e-12)
 
@@ -270,12 +289,13 @@ class TestProjection:
             sb = apply_stiffness(spec, eb)
             return np.vdot(ea, apply_stiffness(spec, ea)), np.vdot(ea, sb), np.vdot(eb, sb)
 
-        assert problem.cell(u, u)[0] == pytest.approx(dirichlet(problem.extend(u)), rel=1e-13, abs=0.0)
+        assert problem.scaled(u)[2] == pytest.approx(dirichlet(problem.extend(u)), rel=1e-13, abs=0.0)
         reach = 0.25 * (spec.y_max - spec.y_min) / spec.hy
         lo, hi = math.ceil(-reach - 1.0), math.floor(reach)
         for k in sorted({*range(lo, hi + 1, 1 if size == 16 else 16), hi}):
             a, b = shift_cells(spec, u, k), shift_cells(spec, u, k + 1)
-            assert problem.cell(a, b) == pytest.approx(forms(a, b), rel=1e-13, abs=0.0), k
+            cell = problem.cell(problem.scaled(a), problem.scaled(b))
+            assert cell == pytest.approx(forms(a, b), rel=1e-13, abs=0.0), k
 
     @pytest.mark.parametrize("factor, shift", [(3.0, 0.0), (1.0, -6.0), (0.5, 4.5), (1.0, 13.0)])
     def test_meets_constraint_to_roundoff(self, factor, shift):
@@ -283,9 +303,9 @@ class TestProjection:
         spec = small_spec(ny=512)
         problem = _Trace(spec)
         u = shift_cells(spec, pinned(np.clip(factor * front_trace(spec), 0.0, 1.0)), round(shift / spec.hy))
-        gamma = problem.scaled(u)[2]
-        assert abs(gamma - 1.0) > 1e-3
-        vals, out = translate_onto_unit(spec, u, gamma, problem.cell)
+        forms = problem.scaled(u)
+        assert abs(forms[2] - 1.0) > 1e-3
+        vals, out = problem.walk(u, forms)
         assert abs(problem.scaled(vals)[2] - 1.0) <= 1e-12
         # the Gamma that the shift returns is the output's
         assert abs(out - problem.scaled(vals)[2]) <= 1e-13
@@ -305,33 +325,36 @@ class TestProjection:
         # the front moved to the middle of the window, y = -20: a shift by
         # a quarter of the window either way keeps it inside
         u = shift_cells(spec, front_trace(spec), round(edge / spec.hy))
-        gamma = problem.scaled(u)[2]
+        gamma, d, kappa0 = problem.scaled(u)[2], problem.d, problem.kappa0
         # the walk leaves the window, or its last cell holds a root beyond it
         for t in (1.5 * edge, -1.5 * edge, edge + 0.5 * spec.hy, -edge - 0.5 * spec.hy):
-            # the form scaled to Gamma = e^{a t}, so the continuum shift onto
-            # Gamma = 1 is t
+            # the trace's form of Gamma scaled to Gamma = e^{a t}, so the
+            # continuum shift onto Gamma = 1 is t
             scale = math.exp(spec.a * t) / gamma
-
-            def cell(a, b):
-                return tuple(scale * form for form in problem.cell(a, b))
-
+            problem.d, problem.kappa0 = scale * d, scale * kappa0
+            forms = problem.scaled(u)
+            assert forms[2] == pytest.approx(math.exp(spec.a * t), rel=1e-12)
             with pytest.raises(NumericalError):
-                translate_onto_unit(spec, u, scale * gamma, cell)
+                problem.walk(u, forms)
 
     def test_non_finite_energy_rejected(self):
         # refused before the walk takes log(Gamma)
         spec = end_spec(16)
         problem = _Trace(spec)
+        u = front_trace(spec)
+        v, mv, _ = problem.scaled(u)
         for gamma in (math.inf, math.nan):
             with pytest.raises(NumericalError):
-                translate_onto_unit(spec, front_trace(spec), gamma, problem.cell)
+                problem.walk(u, (v, mv, gamma))
 
     def test_zero_energy_rejected(self):
         spec = small_spec()
         problem = _Trace(spec)
+        u = front_trace(spec)
+        v, mv, _ = problem.scaled(u)
         for gamma in (0.0, -1.0):
             with pytest.raises(NumericalError):
-                translate_onto_unit(spec, front_trace(spec), gamma, problem.cell)
+                problem.walk(u, (v, mv, gamma))
 
     def test_numerical_error_is_a_value_error(self):
         # the solver's trial loops treat any ValueError as a rejected trial

@@ -96,18 +96,18 @@ def test_sweep_of_nonnegative_data_is_nonnegative():
 
 
 def test_rearrange_preserves_weighted_distribution():
-    vals = RNG.uniform(0.0, 1.0, size=(5, 300))
     meas = np.exp(np.linspace(-6.0, 2.0, 300))
-    out = _kernels.rearrange_columns(vals, meas)
-    assert np.all(np.diff(out, axis=1) <= 0.0)
-    for thr in (0.2, 0.5, 0.8):
-        m0 = np.sum(np.where(vals > thr, meas[None, :], 0.0), axis=1)
-        m1 = np.sum(np.where(out > thr, meas[None, :], 0.0), axis=1)
-        np.testing.assert_allclose(m0, m1, atol=1.2 * meas.max())
+    for vals in RNG.uniform(0.0, 1.0, size=(5, 300)):
+        out = _kernels.rearrange_columns(vals.copy(), meas)
+        assert np.all(np.diff(out) <= 0.0)
+        for thr in (0.2, 0.5, 0.8):
+            m0 = np.sum(np.where(vals > thr, meas, 0.0))
+            m1 = np.sum(np.where(out > thr, meas, 0.0))
+            np.testing.assert_allclose(m0, m1, atol=1.2 * meas.max())
 
 
 def _mixed_rows(n=449):
-    """Rows of every shape the rearrangement meets, and which are monotone."""
+    """Traces of every shape the rearrangement meets, and which are monotone."""
     rng = np.random.default_rng(21)
     down = np.sort(rng.uniform(0.0, 1.0, n))[::-1]
     plateaus = np.round(down, 1)  # ties in long runs
@@ -130,27 +130,22 @@ def _mixed_rows(n=449):
         (rng.uniform(0.0, 1.0, n), False),
         (rng.uniform(0.0, 1.0, n), False),
     ]
-    vals = np.array([r for r, _ in rows])
-    monotone = np.array([m for _, m in rows])
-    assert np.array_equal(monotone, ~np.any(np.diff(vals, axis=1) > 0.0, axis=1))
-    return vals, monotone
+    for row, monotone in rows:
+        assert monotone == (not np.any(np.diff(row) > 0.0))
+    return rows
 
 
 def test_rearrange_batch_matches_row_by_row_sort():
-    vals, monotone = _mixed_rows()
-    meas = np.exp(np.linspace(-20.0, 6.0, vals.shape[1]))
+    # one trace at a time, in place; a nonincreasing trace is a fixed point
+    rows = _mixed_rows()
+    meas = np.exp(np.linspace(-20.0, 6.0, rows[0][0].size))
     meas[[0, -1]] *= 0.5
-    given = vals.copy()
-    out = _kernels.rearrange_columns(vals, meas)
-    assert np.array_equal(vals, given)  # input untouched
-    assert np.array_equal(out, rearrange_rows_sorted(vals, meas))
-    assert np.array_equal(out[monotone], given[monotone])
-    # into a caller's array, including the input itself
-    into = np.empty_like(vals)
-    assert _kernels.rearrange_columns(vals, meas, out=into) is into
-    assert np.array_equal(into, out)
-    assert _kernels.rearrange_columns(vals, meas, out=vals) is vals
-    assert np.array_equal(vals, out)
+    for row, monotone in rows:
+        u = row.copy()
+        assert _kernels.rearrange_columns(u, meas) is u
+        assert np.array_equal(u, rearrange_rows_sorted(row, meas))
+        if monotone:
+            assert np.array_equal(u, row)
 
 
 def test_k01_scaled_matches_quadrature_oracle():

@@ -660,6 +660,28 @@ class TestSolveFront:
         with pytest.raises(NonlinearityError):
             solve_front(reflect(make_bistable_cubic(0.25)), SolverOptions())
 
+    @pytest.mark.parametrize(
+        "field, value", [("seed", "kernal"), ("tol", 0.0), ("tol", -1e-10), ("tol", math.nan), ("refine", -1)]
+    )
+    def test_bad_options_rejected_before_any_work(self, monkeypatch, field, value):
+        nl = make_bistable_cubic(0.25)
+        spec = default_grid(choose_weight(nl), SolverOptions(nx=16, ny=64))
+        opts = replace(SolverOptions(), **{field: value})
+
+        def no_work(*args):
+            raise AssertionError("the solve started")
+
+        for name in ("validate", "choose_weight", "_Trace"):
+            monkeypatch.setattr(solver, name, no_work)
+        with pytest.raises(ValueError, match=field):
+            solve_front(nl, opts)
+        with pytest.raises(ValueError, match=field):
+            minimize(spec, nl, opts)
+
+    def test_non_finite_weight_is_named(self):
+        with pytest.raises(ValueError, match="^a = nan must be finite"):
+            solve_front(make_bistable_cubic(0.25), SolverOptions(a=math.nan))
+
     def test_cubic_front_properties(self, cubic_solution):
         sol = cubic_solution
         assert sol.speed > 0.0

@@ -31,18 +31,18 @@ def test_the_trial_lands_on_the_constraint():
 
 
 def test_a_trial_that_skips_the_shift_fails(monkeypatch):
-    monkeypatch.setattr(grid, "translate_onto_unit", lambda spec, values, gamma, cell: (values, gamma))
+    monkeypatch.setattr(solver._Trace, "walk", lambda self, u, forms: (u, forms[2]))
     assert not _fast_check("constraint-projection")[0]
     assert not corpus.check(_projection_case()).passed
 
 
-def _unweighted_sort(vals, meas, *, out):
-    out[:] = -np.sort(-vals, axis=1)
-    return out
+def _unweighted_sort(u, meas):
+    u[:] = -np.sort(-u)
+    return u
 
 
-def _identity(vals, meas, *, out):
-    return out
+def _identity(u, meas):
+    return u
 
 
 @pytest.mark.parametrize("defect", [_unweighted_sort, _identity], ids=["unweighted-sort", "identity"])

@@ -24,10 +24,12 @@ hand-off burst's trace at `refine=2`; `kernel_seed_96x448`
 for the seed trace a kernel-seeded solve starts from, the closed-form
 front at t = 1, c = a on x = 0), and the parabolic
 evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
-(`sweep_x_129x1151` and `sweep_y_1153x129` for one x- and one y-sweep on
-the field's interior columns and on its transpose, `evolution_step_129x1153`
-for one step of a run on its sweep matrices, `evolution_leg_129x1153` for
-one `evolve` leg of 0.125 time units), and the
+(`sweep_x_129x1151` for one x-sweep, the product of the x-matrix's inverse
+with the field's interior columns, and `sweep_y_1153x129` for one y-sweep
+on the field's transpose, `evolution_step_129x1153` for one step of a run
+on its sweeps, `evolution_leg_129x1153` for one `evolve` leg of 0.125 time
+units) and at `evolution_grid(2, 128)` (`evolution_step_257x2305`, where
+the x-sweep's product costs four times as much per column), and the
 closed-form oracle at t = 1, c = 2 (`sample_front_65x449` and
 `sample_front_129x897` for the sampled field on the residual grids h = 1/32
 and 1/64, `panel_kernel_129x897` for the kernel on the finer grid's
@@ -155,13 +157,21 @@ def run_suite() -> dict:
     results["sample_front_129x1153"] = bench(sample_front, params, spec.xs, spec.ys)
     dt = 0.5 * evolution.stability_limit(spec, law)
     sweeps = evolution._sweep_matrices(spec, dt)
-    # the two sweeps' right-hand sides in the layouts a step passes
-    rhs = np.asfortranarray(front.values[:, 1:-1])
-    results["sweep_x_129x1151"] = bench(_kernels.tridiag_solve_many, *sweeps[0], rhs)
+    # the two sweeps in the layouts a step uses: the x-inverse times a
+    # C-ordered copy of the interior columns, written into the new field's
+    # interior, and dpttrs on the transpose of a C array
+    rhs = front.values[:, 1:-1].copy()
+    out = np.empty_like(front.values)
+    results["sweep_x_129x1151"] = bench(lambda: np.matmul(sweeps[0], rhs, out=out[:, 1:-1]))
     results["sweep_y_1153x129"] = bench(_kernels.tridiag_solve_many, *sweeps[1], front.values.copy().T)
     state = evolution.EvolutionState(front, 0.0)
     results["evolution_step_129x1153"] = bench(evolution._advance, state, dt, law, sweeps)
     results["evolution_leg_129x1153"] = bench(evolution.evolve, front, law, 0.125)
+    # twice the resolution: the x-sweep's product grows as nx^2 per column
+    spec = evolution_grid(params.c, 128)
+    dt = 0.5 * evolution.stability_limit(spec, law)
+    state = evolution.EvolutionState(grid.Field(sample_front(params, spec.xs, spec.ys), spec), 0.0)
+    results["evolution_step_257x2305"] = bench(evolution._advance, state, dt, law, evolution._sweep_matrices(spec, dt))
 
     # the closed-form oracle, as in a frontbench `oracle-field` round
     spec = oracle_residual_grid(params, 1.0 / 32.0)

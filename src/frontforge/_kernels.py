@@ -8,8 +8,10 @@ Poisson kernel P^t, which is most of the closed-form front's cost.  The
 batched tridiagonal solve is for a matrix that is symmetric positive
 definite once its first and last rows are scaled: LAPACK's dpttrf factors it
 once as LDL^T and dpttrs applies the factors to many right-hand sides
-(scipy.linalg.lapack).  The weighted rearrangement of a trace is numpy: a
-stable sort and a cumulative-measure search.
+(scipy.linalg.lapack): the evolution's y-sweep at every step, and once per
+run the identity, whose solution is the x-sweep's inverse.  The weighted
+rearrangement of a trace is numpy: a stable sort and a cumulative-measure
+search.
 """
 
 from __future__ import annotations

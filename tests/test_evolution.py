@@ -77,6 +77,20 @@ class TestStep:
                 np.testing.assert_allclose(state.field.values, ref.field.values, rtol=0.0, atol=1e-13)
                 assert state.time == ref.time
 
+    def test_step_leaves_an_f_ordered_field_unchanged(self):
+        # a step only reads its field, whatever the layout: an F-ordered
+        # field is left as it was and steps to the bits of its C-ordered copy
+        spec = GridSpec(x_max=2.0, y_min=-4.0, y_max=4.0, nx=16, ny=64, a=0.5)
+        nl = make_bistable_cubic(0.25)
+        front = 1.0 / (1.0 + np.exp(2.0 * spec.ys))
+        values = np.asfortranarray(np.broadcast_to(front, (spec.nx + 1, spec.ny + 1)))
+        kept = values.copy()
+        dt = 0.5 * stability_limit(spec, nl)
+        out = step(EvolutionState(Field(values, spec), 0.0), dt, nl)
+        assert np.array_equal(values, kept)
+        ref = step(EvolutionState(Field(np.ascontiguousarray(values), spec), 0.0), dt, nl)
+        assert np.array_equal(out.field.values, ref.field.values)
+
     def test_profile_translates_by_ct(self, oracle_nl):
         # evolving the closed-form front shifts it by c*dt per step
         from frontforge.explicit_front import ExplicitFrontParams, sample_front

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from frontforge import _kernels, evolution
+from frontforge.front_suite import evolution_grid
 from frontforge.grid import GridSpec
 from oracles import bessel_k_scaled_quadrature, rearrange_rows_sorted
 
@@ -14,16 +15,17 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 
 def _sweep_cases(nx=24, ny=64):
-    """The two factored matrices `evolution._sweep_matrices` builds, each with
-    the PDE matrix it stands for and a right-hand side in the layout the
-    evolution passes: an F-ordered copy of the interior columns (x) and the
-    transpose of a C array (y).  Each case is (sweep, dense PDE matrix, b,
-    rhs): the sweep solves `rhs` for the PDE solution with data b."""
+    """The two sweeps `evolution._sweep_matrices` builds, each as the solve a
+    step applies, with the PDE matrix it stands for and a right-hand side in
+    the layout the step passes: a C-ordered copy of the interior columns,
+    which the x-inverse multiplies (x), and the transpose of a C array, which
+    dpttrs solves in place (y).  Each case is (solve, dense PDE matrix, b,
+    rhs): solve(rhs) is the PDE solution with data b."""
     rng = np.random.default_rng(5)
     spec = GridSpec(x_max=1.0, y_min=-1.0, y_max=1.0, nx=nx, ny=ny, a=0.5)
     # dt / hx^2 = 3.7: the x-sweep is far from the identity
     dt = 3.7 * spec.hx * spec.hx
-    x_sweep, y_sweep = evolution._sweep_matrices(spec, dt)
+    x_inverse, y_sweep = evolution._sweep_matrices(spec, dt)
 
     def pde(n, h):
         r = dt / (h * h)
@@ -34,7 +36,7 @@ def _sweep_cases(nx=24, ny=64):
     dense, rx = pde(nx, spec.hx)
     dense[0, 1] = dense[nx, nx - 1] = -2.0 * rx
     b = rng.standard_normal((nx + 1, ny + 1))[:, 1:ny]
-    yield x_sweep, dense, b, np.asfortranarray(b)
+    yield (lambda rhs: x_inverse @ rhs), dense, b, b.copy()
     # y: identity Dirichlet rows, whose couplings ry*b[0] and ry*b[-1] the
     # evolution moves into the rows next to them
     dense, ry = pde(ny, spec.hy)
@@ -44,7 +46,7 @@ def _sweep_cases(nx=24, ny=64):
     rhs = b.copy(order="F")
     rhs[1] += ry * b[0]
     rhs[-2] += ry * b[-1]
-    yield y_sweep, dense, b, rhs
+    yield (lambda rhs: _kernels.tridiag_solve_many(*y_sweep, rhs)), dense, b, rhs
 
 
 def test_tridiag_matches_dense_solve():
@@ -55,18 +57,18 @@ def test_tridiag_matches_dense_solve():
     sym = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     dense = sym / np.r_[0.3, np.ones(n - 2), 2.0][:, None]
     b = RNG.standard_normal((n, m))
-    cases = [((*_kernels.spd_tridiag_factor(d, e), (0.3, 2.0)), dense, b, np.asfortranarray(b)), *_sweep_cases()]
-    for sweep, dense, b, rhs in cases:
-        assert rhs.flags.f_contiguous
-        ref = np.linalg.solve(dense, b)
-        x = _kernels.tridiag_solve_many(*sweep, rhs)
+    factors = (*_kernels.spd_tridiag_factor(d, e), (0.3, 2.0))
+    cases = [(lambda rhs: _kernels.tridiag_solve_many(*factors, rhs), dense, b, np.asfortranarray(b)), *_sweep_cases()]
+    for solve, matrix, data, rhs in cases:
+        ref = np.linalg.solve(matrix, data)
+        x = solve(rhs)
         np.testing.assert_allclose(x, ref, rtol=1e-10, atol=1e-12)
-        # an F-ordered right-hand side is solved in place
-        assert np.shares_memory(x, rhs)
+        # dpttrs solves an F-ordered right-hand side in place; the x-inverse's
+        # product writes a new array
+        assert np.shares_memory(x, rhs) == rhs.flags.f_contiguous
     # any other layout is copied and left as it was
-    sweep, dense, b, _ = next(_sweep_cases())
     kept = b.copy()
-    x = _kernels.tridiag_solve_many(*sweep, b)
+    x = _kernels.tridiag_solve_many(*factors, b)
     np.testing.assert_allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
     assert np.array_equal(b, kept)
 
@@ -84,15 +86,27 @@ def test_tridiag_non_spd_matrix_raises():
 
 def test_sweep_of_nonnegative_data_is_nonnegative():
     # the dpttrf multipliers are negative, so both substitutions only add:
-    # nonnegative data, with exact zeros and subnormals, stays nonnegative to
-    # the bit, with no rounding below zero
+    # the y-sweep and the x-inverse (dpttrs on the identity) keep
+    # nonnegative data, with exact zeros and subnormals, nonnegative to the
+    # bit, and so does the x-inverse's product, a sum of nonnegative terms
     rng = np.random.default_rng(8)
-    for sweep, _, b, _ in _sweep_cases():
+    for solve, _, b, _ in _sweep_cases():
         data = np.abs(b) * rng.choice([0.0, 1e-310, 1.0], size=b.shape)
         assert (data == 0.0).any() and ((data > 0.0) & (data < 1e-300)).any()
-        x = _kernels.tridiag_solve_many(*sweep, data)
+        x = solve(data)
         assert (x >= 0.0).all()
         assert (x > 0.0).any()
+
+
+def test_x_inverse_is_a_discrete_maximum_principle(oracle_nl):
+    # on the benchmark's grid and step the x-inverse is entrywise >= 0 and
+    # its rows sum to 1 (the x-matrix's rows do), so each x-sweep value is a
+    # convex combination of its column's data
+    spec = evolution_grid(2.0, 64)
+    x_inverse, _ = evolution._sweep_matrices(spec, 0.5 * evolution.stability_limit(spec, oracle_nl))
+    assert x_inverse.shape == (spec.nx + 1, spec.nx + 1)
+    assert (x_inverse >= 0.0).all()
+    np.testing.assert_allclose(x_inverse.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
 def test_rearrange_preserves_weighted_distribution():

@@ -11,10 +11,11 @@ solved on the trace (`_Trace`): E_a(u) = Gamma(u)/2 + sum ymeasure G(u)
 with Gamma(u) = kappa0 + (u - u0)^T Lambda (u - u0), the discrete form of
 the half-plane to boundary reduction (Cabre and Sola-Morales, CPAM 58,
 2005), all in closed form: Lambda, the boundary Dirichlet-to-Neumann map,
-is diagonal in DST-I y-modes (`_boundary_modes`), u0 and kappa0 come from
-the pins' 1-D profile in y.  A solve is one pass from a seed trace: a
-short burst of the damped flux fixed point, which can carry the front
-across the window, then one attempt of exact Newton steps on (u,
+is diagonal in DST-I y-modes (`_boundary_modes`; `_dst` is scipy.fft's),
+u0 and kappa0 come from the pins' 1-D profile in y, and the trace problem
+works in those modes (`_Trace.scaled`).  A solve is one pass from a seed
+trace: a short burst of the damped flux fixed point, which can carry the
+front across the window, then one attempt of exact Newton steps on (u,
 lambda_a), each one bordered solve in Lambda's modes by preconditioned
 MINRES, two DSTs an iteration (`_minres`).  Every trial pins, clamps and
 rearranges the trace, then walks it in y onto Gamma = 1 in closed form
@@ -280,13 +281,11 @@ def _boundary_modes(spec: GridSpec) -> np.ndarray:
 
 
 def _dst(x: np.ndarray) -> np.ndarray:
-    """Psi^T x = Psi x, the orthonormal DST-I, from one real FFT of the odd
-    extension of x."""
-    ny = x.size + 1
-    ext = np.zeros(2 * ny)
-    ext[1:ny] = x
-    ext[ny + 1 :] = -x[::-1]
-    return np.fft.rfft(ext)[1:ny].imag * (-1.0 / math.sqrt(2.0 * ny))
+    """Psi x = Psi^T x = Psi^{-1} x, scipy.fft's orthonormal DST-I.
+    Imported on first use: scipy.fft loads scipy.special."""
+    from scipy.fft import dst
+
+    return dst(x, type=1, norm="ortho")
 
 
 def _minres(apply, precond: np.ndarray, rhs: np.ndarray, cap: int) -> tuple[np.ndarray | None, int]:
@@ -382,9 +381,12 @@ class _Trace:
     with the flux 1/R through each y-edge: kappa0 = x_max/(hy R), and p is
     summed from y_max, where it is about e^-52, to stay accurate there.  In
     the scaled unknowns v = C^{1/2}(u - u0) Lambda is M = Psi diag(d) Psi^T,
-    applied by FFT, and every product stays well scaled however far C spans.
-    The trial's two moves in y are the weighted rearrangement (`rearrange`)
-    and the translation onto Gamma = 1 (`walk`).
+    so the one representation of u is its modes q = Psi v (`scaled`), where
+    Gamma = kappa0 + sum d q^2 and every product stays well scaled however
+    far C spans; a DST goes back to the nodes only where a product is
+    pointwise (the burst's step, the MINRES apply with f'(u), the
+    extension).  The trial's two moves in y are the weighted rearrangement
+    (`rearrange`) and the translation onto Gamma = 1 (`walk`).
     """
 
     def __init__(self, spec: GridSpec):
@@ -398,15 +400,16 @@ class _Trace:
         self.kappa0 = float(spec.x_max / (spec.hy * tail[0]))
 
     def scaled(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """(v, M v, Gamma(u)) with v = C^{1/2}(u - u0)."""
-        v = self.root_c * (u[1:-1] - self.u0)
-        mv = _dst(self.d * _dst(v))
-        return v, mv, self.kappa0 + float(v @ mv)
+        """(q, d q, Gamma(u)) with q = Psi C^{1/2}(u - u0), from one DST:
+        Gamma = kappa0 + sum d q^2."""
+        q = _dst(self.root_c * (u[1:-1] - self.u0))
+        dq = self.d * q
+        return q, dq, self.kappa0 + float(q @ dq)
 
     def flux(self, fu: np.ndarray) -> np.ndarray:
-        """C^{-1/2} ymeasure f(u) on the free nodes (ymeasure = hx C), from
-        fu = f(u) on the whole row."""
-        return self.spec.hx * self.root_c * fu[1:-1]
+        """Psi C^{-1/2} ymeasure f(u), the flux on the free nodes in Lambda's
+        modes (ymeasure = hx C), from fu = f(u) on the whole row."""
+        return _dst(self.spec.hx * self.root_c * fu[1:-1])
 
     def energy(self, u: np.ndarray, gamma: float, nl: Nonlinearity) -> float:
         return 0.5 * gamma + float(np.sum(self.spec.ymeasure * np.asarray(nl.G(u))))
@@ -508,7 +511,7 @@ class _Trace:
             # usefully-scaled flux solve, damped by the energy check
             delta = np.zeros_like(u)
             delta[1:-1] = self.u0 - u[1:-1]
-            delta[1:-1] += _dst(_dst(self.flux(fu)) / self.d) / (max(b_over, 0.2) * self.root_c)
+            delta[1:-1] += _dst(self.flux(fu) / self.d) / (max(b_over, 0.2) * self.root_c)
             e_cur, s = history[-1], 1.0
             for _ in range(_BURST_TRIES):
                 record.trials += 1
@@ -529,39 +532,38 @@ class _Trace:
     def stationarity(self, u: np.ndarray, nl: Nonlinearity) -> tuple[float, float, float]:
         """`_stationarity` of the extension of u from the trace alone: its
         gradient and residual are Lambda(u - u0) - b and (1 - 2 lambda_a)
-        Lambda(u - u0) - b on row 0, where the inverse stiffness is N."""
-        _, mv, gamma = self.scaled(u)
+        Lambda(u - u0) - b on row 0, where the inverse stiffness is N, so in
+        Lambda's modes both N-norms are sum z^2/d."""
+        _, dq, gamma = self.scaled(u)
         fu = np.asarray(nl.f(u))
         lam = _multiplier(self.spec, u, fu, gamma)
         flux = self.flux(fu)
 
         def norm(z):
-            return math.sqrt(abs(float(z @ _dst(_dst(z) / self.d))))
+            return math.sqrt(float(z @ (z / self.d)))
 
-        return norm((1.0 - 2.0 * lam) * mv - flux) / max(norm(mv - flux), 1e-300), gamma, lam
+        return norm((1.0 - 2.0 * lam) * dq - flux) / max(norm(dq - flux), 1e-300), gamma, lam
 
     def newton_step(self, u, nl, lam: float, record: SolveRecord):
         """(du, dlambda) of one exact Newton step on F1 = (1 - 2 lambda)
         Lambda(u - u0) - ymeasure f(u) = 0, F2 = Gamma(u) - 1 = 0, or None
         when MINRES breaks down or has no SPD preconditioner (1 - 2 lambda
-        <= 0, or v = 0); its iterations go into `record`.
+        <= 0, or q = 0); its iterations go into `record`.
 
-        In Lambda's modes q = Psi C^{1/2} du, with F1 scaled by Psi C^{-1/2},
+        In Lambda's modes Psi C^{1/2} du, with F1 scaled by Psi C^{-1/2},
         the system is symmetric: block mu diag(d) - Psi diag(hx f'(u)) Psi
-        (mu = 1 - 2 lambda), border -2 d Psi v, rhs (-Psi C^{-1/2} F1,
-        Gamma - 1).  It is solved by `_minres`, two DSTs an iteration,
+        (mu = 1 - 2 lambda), border -2 d q and rhs (flux - mu d q, Gamma - 1)
+        from u's `scaled` forms (q, d q, Gamma) and `flux`.  It is solved by
+        `_minres`, two DSTs an iteration for the nodal product with f'(u),
         preconditioned by the block's constant-shift part mu d - hx min(f'(1),
         0) and, on the border, its Schur scalar: an SPD diagonal, whose
         iterations do not grow as the mesh is refined.
         """
         n = self.spec.ny - 1
         mu = 1.0 - 2.0 * lam
-        modes = _dst(self.root_c * (u[1:-1] - self.u0))
-        mv = self.d * modes  # Psi M v
-        border = -2.0 * mv
-        rhs = np.empty(n + 1)
-        rhs[:n] = _dst(self.flux(np.asarray(nl.f(u)))) - mu * mv
-        rhs[n] = self.kappa0 + float(modes @ mv) - 1.0
+        _, dq, gamma = self.scaled(u)
+        border = -2.0 * dq
+        rhs = np.append(self.flux(np.asarray(nl.f(u))) - mu * dq, gamma - 1.0)
         diag = mu * self.d
         shifted = diag - self.spec.hx * min(float(nl.f_prime(1.0)), 0.0)
         schur = float(border @ (border / shifted))
@@ -570,9 +572,9 @@ class _Trace:
         hfp = self.spec.hx * np.asarray(nl.f_prime(u[1:-1]))
 
         def apply(z):
-            q, out = z[:n], np.empty(n + 1)
-            out[:n] = diag * q - _dst(hfp * _dst(q)) + z[n] * border
-            out[n] = border @ q
+            dz, out = z[:n], np.empty(n + 1)
+            out[:n] = diag * dz - _dst(hfp * _dst(dz)) + z[n] * border
+            out[n] = border @ dz
             return out
 
         x, iterations = _minres(apply, np.append(shifted, schur), rhs, self.spec.ny)

@@ -258,15 +258,10 @@ def fast_checks(seed: int = 1234):
             ok &= bool(np.all(np.asarray(nl.G(sb)) >= -1e-12))
         return ok, "quadratic bounds and sign structure of the potential"
 
-    def projection():
-        resid = corpus.run_command("projection_residual 0.25 0.125 8 40 -120 30 32 256")
-        return resid <= 1e-8, f"|Gamma - 1| = {resid:.2e} after the trace trial"
-
     yield "bessel-pinned-and-identities", bessel_pinned
     yield "bessel-ratio-shape", ratio_shape
     yield "nonlinearity-validators", validators
     yield "potential-bounds", potential_bounds
-    yield "constraint-projection", projection
     yield "trace-poincare-suite", lambda: trace_poincare_suite(seed)
     yield "scaling-identity-suite", lambda: scaling_suite(seed)
     yield "rearrangement-suite", lambda: rearrangement_suite(seed)

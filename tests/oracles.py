@@ -421,9 +421,14 @@ def newton_step_finite_difference(spec, u, nl, lam: float, h: float = 1e-2):
     `reduced_problem_dense` and a dense bordered Jacobian of Richardson
     extrapolated central differences (`central_derivative`), exact to
     round-off for a law polynomial of degree <= 4 while u +- h stays in
-    (0, 1): the reference for `solver._Trace.newton_step`."""
+    (0, 1): the reference for `solver._Trace.newton_step`.  The Jacobian is
+    solved in the scaled unknowns (C^{1/2} du, dlambda), rows F1 scaled by
+    C^{-1/2} (ymeasure = hx C): unscaled, the weights e^{ay} make it so ill
+    conditioned (about 1e21 at 16x64) that the solve, not the step, sets
+    the agreement."""
     dtn, u0, kappa0 = reduced_problem_dense(spec)
     m = spec.ymeasure[1:-1]
+    scale = np.append(np.sqrt(spec.hx / m), 1.0)  # diag(C^{-1/2}, 1)
 
     def residual(z):
         x, mu = z[:-1] - u0, 1.0 - 2.0 * z[-1]
@@ -435,7 +440,7 @@ def newton_step_finite_difference(spec, u, nl, lam: float, h: float = 1e-2):
         e = np.zeros(z.size)
         e[j] = 1.0
         jac[:, j] = central_derivative(lambda t: residual(z + t * e), 0.0, h)
-    x = np.linalg.solve(jac, -residual(z))
+    x = scale * np.linalg.solve(scale[:, None] * jac * scale[None, :], -scale * residual(z))
     return x[:-1], float(x[-1])
 
 

@@ -1,8 +1,10 @@
 """The benchmark scripts name only what frontforge has.
 
-`benchmarks/bench_kernels.py` imports private helpers, so moving one breaks
-the script without failing any other test.  It is parsed, not run.  The
-frontbench tracer patches frontforge functions by name; it is installed.
+`benchmarks/bench_kernels.py` imports private helpers, and
+`benchmarks/sweep_solves.py` patches `solver.minimize` by name, so moving
+one breaks a script without failing any other test.  They are parsed, not
+run.  The frontbench tracer patches frontforge functions by name; it is
+installed.
 """
 
 import ast
@@ -13,6 +15,7 @@ import sys
 import types
 
 BENCH = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "bench_kernels.py"
+SWEEP = BENCH.with_name("sweep_solves.py")
 
 
 def _resolve(module: str, name: str):
@@ -22,24 +25,36 @@ def _resolve(module: str, name: str):
     return getattr(mod, name) if hasattr(mod, name) else importlib.import_module(f"{module}.{name}")
 
 
-def test_bench_kernels_names_exist_in_frontforge():
-    tree = ast.parse(BENCH.read_text())
+def _names(script: pathlib.Path) -> tuple[dict, set]:
+    """What the script imports from frontforge, and the (module, attribute)
+    pairs it reads off the modules among them; asserts that each exists."""
+    tree = ast.parse(script.read_text())
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "frontforge":
             for alias in node.names:
                 imported[alias.asname or alias.name] = _resolve(node.module, alias.name)
-    assert "_hermite_table" in imported and "front_nonlinearity" in imported
-    # attributes the script reads off the modules it imports
     modules = {k: v for k, v in imported.items() if isinstance(v, types.ModuleType)}
     read = {
         (node.value.id, node.attr)
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
     }
-    assert ("solver", "_Trace") in read
     missing = sorted(f"{mod}.{attr}" for mod, attr in read if not hasattr(modules[mod], attr))
     assert not missing
+    return imported, read
+
+
+def test_bench_kernels_names_exist_in_frontforge():
+    imported, read = _names(BENCH)
+    assert "_hermite_table" in imported and "front_nonlinearity" in imported
+    assert ("solver", "_Trace") in read and ("solver", "_dst") in read
+
+
+def test_sweep_solves_names_exist_in_frontforge():
+    imported, read = _names(SWEEP)
+    assert "front_nonlinearity" in imported and "make_combustion" in imported
+    assert {("solver", "minimize"), ("solver", "solve_front"), ("solver", "SolverError")} <= read
 
 
 def _run_traced(body: str) -> str:

@@ -252,8 +252,8 @@ class TestCli:
             problem = solver._Trace(spec)
             if failure == "zero-energy projection":
                 u = np.full(65, 0.4)
-                v, mv, _ = problem.scaled(u)
-                problem.walk(u, (v, mv, 0.0))
+                q, dq, _ = problem.scaled(u)
+                problem.walk(u, (q, dq, 0.0))
             elif failure == "far projection":
                 # a front at the bottom of the window: Gamma = 1 lies a
                 # window's height above it

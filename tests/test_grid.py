@@ -342,19 +342,19 @@ class TestProjection:
         spec = end_spec(16)
         problem = _Trace(spec)
         u = front_trace(spec)
-        v, mv, _ = problem.scaled(u)
+        q, dq, _ = problem.scaled(u)
         for gamma in (math.inf, math.nan):
             with pytest.raises(NumericalError):
-                problem.walk(u, (v, mv, gamma))
+                problem.walk(u, (q, dq, gamma))
 
     def test_zero_energy_rejected(self):
         spec = small_spec()
         problem = _Trace(spec)
         u = front_trace(spec)
-        v, mv, _ = problem.scaled(u)
+        q, dq, _ = problem.scaled(u)
         for gamma in (0.0, -1.0):
             with pytest.raises(NumericalError):
-                problem.walk(u, (v, mv, gamma))
+                problem.walk(u, (q, dq, gamma))
 
     def test_numerical_error_is_a_value_error(self):
         # the solver's trial loops treat any ValueError as a rejected trial

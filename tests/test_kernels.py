@@ -189,7 +189,12 @@ def _run_fresh(code: str) -> None:
 
 
 def test_import_does_not_load_scipy_special():
-    _run_fresh("import sys, frontforge; assert 'scipy.special' not in sys.modules, 'loaded'")
+    # nor scipy.fft, which loads scipy.special; solver._dst imports it on
+    # first use
+    _run_fresh(
+        "import sys, frontforge; assert 'scipy.special' not in sys.modules, 'loaded'; "
+        "assert 'scipy.fft' not in sys.modules, 'fft loaded'"
+    )
 
 
 def test_import_does_not_load_scipy_sparse():

@@ -170,6 +170,23 @@ class TestTrace:
             gamma = problem.scaled(u)[2]
             assert gamma == pytest.approx(dirichlet(problem.extend(u)), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("nx, ny", [(16, 64), (96, 448)])
+    @pytest.mark.parametrize("law", ["cubic", "combustion", "oracle"])
+    def test_trace_stationarity_is_the_test_of_the_extension(self, law, nx, ny, oracle_nl):
+        # the trace test in Lambda's modes against the two-dimensional test
+        # of the extended field, after a short and the hand-off burst; rho
+        # is compared where it is not round-off of a difference near zero
+        nl = {"cubic": make_bistable_cubic(0.25), "combustion": make_combustion(0.3, 1.0), "oracle": oracle_nl}[law]
+        spec = default_grid(choose_weight(nl), SolverOptions(nx=nx, ny=ny))
+        for steps in (3, 20):
+            problem, u, _ = _burst_trace(spec, nl, steps)
+            rho, gamma, lam = problem.stationarity(u, nl)
+            ref_rho, ref_gamma, ref_lam = _stationarity(problem.ws, problem.extend(u), nl)
+            assert gamma == pytest.approx(ref_gamma, rel=1e-13, abs=0.0)
+            assert lam == pytest.approx(ref_lam, rel=1e-13, abs=0.0)
+            if ref_rho >= 1e-6:
+                assert rho == pytest.approx(ref_rho, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("nx, ny", [(16, 64), (48, 224), (96, 448)])
     def test_extension_of_a_monotone_trace_is_monotone(self, nx, ny):
         nl = make_bistable_cubic(0.25)
@@ -184,7 +201,7 @@ class TestTrace:
 
 class TestNewton:
     def test_capacitance_matches_the_dense_schur_complement(self):
-        # M = C^{-1/2} Lambda C^{-1/2} as the FFT apply, and its inverse,
+        # M = C^{-1/2} Lambda C^{-1/2} as the DST apply, and its inverse,
         # the scaled Neumann-to-Dirichlet map C^{1/2} N C^{1/2}
         nl = make_bistable_cubic(0.25)
         spec = default_grid(choose_weight(nl), SolverOptions(nx=16, ny=64))

@@ -1,7 +1,7 @@
 """The verify checks of the trace operations fail on planted defects.
 
-`frontforge verify`'s constraint-projection check, the corpus case
-`projection-residual` and the scaling and rearrangement suites (criterion 12)
+The corpus case `projection-residual`, which `frontforge verify` runs among
+its fast checks, and the scaling and rearrangement suites (criterion 12)
 certify what the solver's trace trial runs: the translation onto Gamma = 1,
 the weighted rearrangement and the trace energy.  Each check passes on the
 solver's operation and fails when that operation is replaced by a defective
@@ -27,13 +27,15 @@ def _projection_case():
 
 def test_the_trial_lands_on_the_constraint():
     assert corpus.run_command(PROJECTION) <= 1e-15
-    assert _fast_check("constraint-projection")[0]
+    assert _projection_case().command == PROJECTION
+    assert corpus.check(_projection_case()).passed
+    assert _fast_check("corpus:projection-residual")[0]
 
 
 def test_a_trial_that_skips_the_shift_fails(monkeypatch):
     monkeypatch.setattr(solver._Trace, "walk", lambda self, u, forms: (u, forms[2]))
-    assert not _fast_check("constraint-projection")[0]
     assert not corpus.check(_projection_case()).passed
+    assert not _fast_check("corpus:projection-residual")[0]
 
 
 def _unweighted_sort(u, meas):

@@ -16,8 +16,8 @@ boundary modes and the pins' 1-D profile;
 `precond_solve_96x448` and `apply_stiffness_96x448` on the seed; and,
 from the trace the 20-step hand-off burst
 leaves, `lambda_apply_96x448` for the trace's scaled forms in the boundary
-operator's modes with Gamma (one DST; `dst_447` times one DST of the
-default grid's 447 free trace nodes, scipy.fft's DST-I),
+operator's modes with Gamma (one DST, scipy.fft's DST-I, of the default
+grid's 447 free trace nodes, and two elementwise products),
 `trace_trial_96x448` for one trace trial of that trace scaled by
 1.01, `trace_newton_step_96x448` for one Newton step, its bordered solve
 by preconditioned MINRES, and `extension_96x448` for the extension into the
@@ -123,7 +123,6 @@ def run_suite() -> dict:
     u, _ = problem.burst(u, nl, [e_seed], solver._HANDOFF_ITERS, solver.SolveRecord())
     lam = problem.stationarity(u, nl)[2]
     results["lambda_apply_96x448"] = bench(problem.scaled, u)
-    results["dst_447"] = bench(solver._dst, u[1:-1])
     # trial changes its input in place, so each call gets a fresh trace
     results["trace_trial_96x448"] = bench(lambda: problem.trial(u * 1.01, nl))
     results["trace_newton_step_96x448"] = bench(problem.newton_step, u, nl, lam, solver.SolveRecord())

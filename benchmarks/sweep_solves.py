@@ -12,13 +12,11 @@ MINRES iterations and trace trials (from `MinimizerResult.record`; `-` when
 `minimize` raised before returning).  Two checkouts that print the same
 lines kept every outcome and count:
 
-    python3 benchmarks/sweep_solves.py [--json]
+    python3 benchmarks/sweep_solves.py
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import re
 import sys
@@ -80,14 +78,7 @@ def run_sweep() -> list[dict]:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    args = parser.parse_args()
-
     rows = run_sweep()
-    if args.json:
-        print(json.dumps(rows))
-        return
     for row in rows:
         counts = " ".join("-" if row[key] is None else str(row[key]) for key in RECORD)
         print(f"{row['law']:20s} refine {row['refine']} {row['seed']:11s} {row['outcome']}  [{counts}]")

@@ -48,7 +48,7 @@ def _names(script: pathlib.Path) -> tuple[dict, set]:
 def test_bench_kernels_names_exist_in_frontforge():
     imported, read = _names(BENCH)
     assert "_hermite_table" in imported and "front_nonlinearity" in imported
-    assert ("solver", "_Trace") in read and ("solver", "_dst") in read
+    assert ("solver", "_Trace") in read
 
 
 def test_sweep_solves_names_exist_in_frontforge():

@@ -11,18 +11,20 @@ law checks every `solve_front` runs before minimizing (`choose_weight_cubic`
 for the weight policy on the cubic law, alpha = 0.25, and
 `validate_oracle_law` for the structural validation of the oracle law, t =
 1, c = 2), plus the solver's layers at the default grid
-(`trace_build_96x448` for the trace problem: preconditioner, closed-form
-boundary modes and the pins' 1-D profile;
-`precond_solve_96x448` and `apply_stiffness_96x448` on the seed; and,
+(`trace_build_96x448` for the trace problem: the stiffness's x-modes and
+per-mode factors, closed-form boundary modes and the pins' 1-D profile;
+`apply_stiffness_96x448` on the seed; and,
 from the trace the 20-step hand-off burst
 leaves, `lambda_apply_96x448` for the trace's scaled forms in the boundary
 operator's modes with Gamma (one DST, scipy.fft's DST-I, of the default
 grid's 447 free trace nodes, and two elementwise products),
 `trace_trial_96x448` for one trace trial of that trace scaled by
 1.01, `trace_newton_step_96x448` for one Newton step, its bordered solve
-by preconditioned MINRES, and `extension_96x448` for the extension into the
-front, with `trace_newton_step_384x1792` for one Newton step from the
-hand-off burst's trace at `refine=2`; `kernel_seed_96x448`
+by preconditioned MINRES, `extension_96x448` for the extension into the
+front and `field_test_96x448` for the two-dimensional stationarity test of
+that front, with `trace_newton_step_384x1792`, `extension_384x1792` and
+`field_test_384x1792` for the same from the hand-off burst's trace at
+`refine=2`; `kernel_seed_96x448`
 for the seed trace a kernel-seeded solve starts from, the closed-form
 front at t = 1, c = a on x = 0), and the parabolic
 evolution on the oracle front (t = 1, c = 2) at `evolution_grid(2, 64)`
@@ -114,23 +116,25 @@ def run_suite() -> dict:
     seed = grid.seed_function(spec)
     results["trace_build_96x448"] = bench(solver._Trace, spec)
     problem = solver._Trace(spec)
-    stiff = grid.apply_stiffness(spec, seed.values)[:, 1:-1]
-    results["precond_solve_96x448"] = bench(problem.ws.precond_solve, stiff)
     results["apply_stiffness_96x448"] = bench(grid.apply_stiffness, spec, seed.values)
 
     # the trace pieces, from the trace the 20-step hand-off burst leaves
     u, e_seed = problem.trial(seed.values[0].copy(), nl)
     u, _ = problem.burst(u, nl, [e_seed], solver._HANDOFF_ITERS, solver.SolveRecord())
-    lam = problem.stationarity(u, nl)[2]
+    test = problem.stationarity(u, nl)
     results["lambda_apply_96x448"] = bench(problem.scaled, u)
     # trial changes its input in place, so each call gets a fresh trace
     results["trace_trial_96x448"] = bench(lambda: problem.trial(u * 1.01, nl))
-    results["trace_newton_step_96x448"] = bench(problem.newton_step, u, nl, lam, solver.SolveRecord())
+    results["trace_newton_step_96x448"] = bench(problem.newton_step, u, nl, test[2], test, solver.SolveRecord())
     results["extension_96x448"] = bench(problem.extend, u)
+    results["field_test_96x448"] = bench(solver._stationarity, problem.ws, problem.extend(u), nl)
     fine = solver._Trace(solver.default_grid(spec.a, solver.SolverOptions(refine=2)))
     v, e_seed = fine.trial(grid.seed_function(fine.spec).values[0].copy(), nl)
     v, _ = fine.burst(v, nl, [e_seed], solver._HANDOFF_ITERS, solver.SolveRecord())
-    results["trace_newton_step_384x1792"] = bench(fine.newton_step, v, nl, fine.stationarity(v, nl)[2], solver.SolveRecord())
+    test = fine.stationarity(v, nl)
+    results["trace_newton_step_384x1792"] = bench(fine.newton_step, v, nl, test[2], test, solver.SolveRecord())
+    results["extension_384x1792"] = bench(fine.extend, v)
+    results["field_test_384x1792"] = bench(solver._stationarity, fine.ws, fine.extend(v), nl)
     from frontforge.explicit_front import ExplicitFrontParams, front_profile
 
     results["kernel_seed_96x448"] = bench(front_profile, ExplicitFrontParams(1.0, spec.a), 0.0, spec.ys)

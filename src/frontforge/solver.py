@@ -20,8 +20,8 @@ lambda_a), each one bordered solve in Lambda's modes by preconditioned
 MINRES, two DSTs an iteration (`_minres`).  Every trial pins, clamps and
 rearranges the trace, then walks it in y onto Gamma = 1 in closed form
 (`_Trace.walk`).  The front is built once, as the extension of the final
-trace: one solve with the separable preconditioner of the stiffness
-(`_Workspace`: DCT-I x-modes and one tridiagonal factor per mode).  The
+trace, in the stiffness's x-modes (`_Workspace`: DCT-I x-modes and one
+tridiagonal factor per mode) with one product back to the nodes.  The
 grid pins w = 1 at y_min and w = 0 at y_max, so the free nodes are the
 block [:, 1:-1]; x-boundaries are natural (Neumann).
 
@@ -211,20 +211,19 @@ def choose_weight(nl: Nonlinearity) -> float:
 
 
 class _Workspace:
-    """Per-grid separable preconditioner.
+    """Per-grid x-modes of the free stiffness and their tridiagonal factors.
 
     On the free nodes (the block [:, 1:-1], all but the pinned columns j = 0
     and j = ny) the stiffness matrix is the Kronecker sum S_ff = Kx (x) C +
     Sigma (x) T, with Kx the Neumann path Laplacian in x, Sigma =
     diag(sigma), C = diag(tau wy hy/hx) and T the path Laplacian in y with
-    edge weights wy_edge hx/hy.
-    The generalized eigenpairs Kx Phi = Sigma Phi Lambda (Phi^T Sigma Phi =
-    I) are the DCT-I cosines phi_k(i) = cos(pi i k/nx), lambda_k =
-    4 sin^2(pi k/(2 nx)); they turn S_ff X = G into one SPD tridiagonal
-    system (lambda_k C + T) per x mode k, factored once as one
-    block-diagonal LDL^T (`_kernels.spd_tridiag_factor`).  The solves run
-    along y on the unscaled weights, so they stay accurate in the deep
-    columns, where C is smallest.
+    edge weights wy_edge hx/hy.  The generalized eigenpairs Kx Phi = Sigma
+    Phi Lambda (Phi^T Sigma Phi = I) are the DCT-I cosines phi_k(i) =
+    cos(pi i k/nx), lambda_k = 4 sin^2(pi k/(2 nx)), so S_ff^{-1} = Phi
+    (lambda_k C + T)^{-1} Phi^T (Buzbee, Golub and Nielson, SIAM J. Numer.
+    Anal. 7, 1970), one SPD tridiagonal system per x mode k, factored once
+    as one block-diagonal LDL^T (`_kernels.spd_tridiag_factor`) and solved
+    along y on the unscaled weights: accurate where C is smallest.
     """
 
     def __init__(self, spec: GridSpec):
@@ -244,12 +243,9 @@ class _Workspace:
         off[:, :-1] = -t[1:-1]
         self.ldl = spd_tridiag_factor(diag, off.ravel()[:-1])
 
-    def precond_solve(self, g_free: np.ndarray) -> np.ndarray:
-        """S_ff^{-1} G on an (nx+1, ny-1) free-node block G:
-        Phi (lambda_k C + T)^{-1} Phi^T G."""
-        modes = self.phi.T @ g_free
-        y, _ = lapack.dpttrs(*self.ldl, modes.reshape(-1, 1), overwrite_b=True)
-        return self.phi @ y.reshape(modes.shape)
+    def solve(self, modes: np.ndarray) -> np.ndarray:
+        """(lambda_k C + T)^{-1} Z on an (nx+1, ny-1) block Z of x-modes."""
+        return lapack.dpttrs(*self.ldl, modes.reshape(-1, 1))[0].reshape(modes.shape)
 
 
 def _boundary_modes(spec: GridSpec) -> np.ndarray:
@@ -347,19 +343,21 @@ def _stationarity(ws: _Workspace, w: Field, nl: Nonlinearity) -> tuple[float, fl
     rho is the residual g - 2 lambda_a S w on the free nodes, lambda_a from
     `_multiplier`, and |g| the gradient, both in the inverse-stiffness
     metric.  As g = S w - b with the flux b = ymeasure f(w(0, .)) on row 0
-    only, the residual is (1 - 2 lambda_a) g - 2 lambda_a b, formed on g.
+    only, the residual's x-modes are (1 - 2 lambda_a) Phi^T g - 2 lambda_a
+    phi_0 (x) b, phi_0 = Phi's row 0; both norms are forms in modes.
     """
     spec = w.spec
     gamma = gridmod.dirichlet(w)
     fu = np.asarray(nl.f(w.values[0]))
     lam = _multiplier(spec, w.values[0], fu, gamma)
     flux = spec.ymeasure[1:-1] * fu[1:-1]
-    g_free = gridmod.apply_stiffness(spec, w.values)[:, 1:-1]
-    g_free[0] -= flux
-    slope = float(np.vdot(g_free, ws.precond_solve(g_free)))
-    g_free *= 1.0 - 2.0 * lam
-    g_free[0] -= 2.0 * lam * flux
-    rho = math.sqrt(abs(float(np.vdot(g_free, ws.precond_solve(g_free)))))
+    g = gridmod.apply_stiffness(spec, w.values)[:, 1:-1]
+    g[0] -= flux
+    g = ws.phi.T @ g
+    slope = float(np.vdot(g, ws.solve(g)))
+    g *= 1.0 - 2.0 * lam
+    g -= np.outer(ws.phi[0], 2.0 * lam * flux)
+    rho = math.sqrt(abs(float(np.vdot(g, ws.solve(g)))))
     return rho / max(math.sqrt(abs(slope)), 1e-300), gamma, lam
 
 
@@ -529,11 +527,11 @@ class _Trace:
             moved += 1
         return u, moved
 
-    def stationarity(self, u: np.ndarray, nl: Nonlinearity) -> tuple[float, float, float]:
-        """`_stationarity` of the extension of u from the trace alone: its
-        gradient and residual are Lambda(u - u0) - b and (1 - 2 lambda_a)
-        Lambda(u - u0) - b on row 0, where the inverse stiffness is N, so in
-        Lambda's modes both N-norms are sum z^2/d."""
+    def stationarity(self, u: np.ndarray, nl: Nonlinearity) -> tuple[float, float, float, np.ndarray, np.ndarray]:
+        """`_stationarity` of u's extension from the trace alone, with the d q
+        and `flux` that `newton_step` reads: gradient and residual are Lambda(u
+        - u0) - b and (1 - 2 lambda_a) Lambda(u - u0) - b on row 0, where the
+        inverse stiffness is N, so in Lambda's modes both N-norms are sum z^2/d."""
         _, dq, gamma = self.scaled(u)
         fu = np.asarray(nl.f(u))
         lam = _multiplier(self.spec, u, fu, gamma)
@@ -542,9 +540,9 @@ class _Trace:
         def norm(z):
             return math.sqrt(float(z @ (z / self.d)))
 
-        return norm((1.0 - 2.0 * lam) * dq - flux) / max(norm(dq - flux), 1e-300), gamma, lam
+        return norm((1.0 - 2.0 * lam) * dq - flux) / max(norm(dq - flux), 1e-300), gamma, lam, dq, flux
 
-    def newton_step(self, u, nl, lam: float, record: SolveRecord):
+    def newton_step(self, u, nl, lam: float, test: tuple, record: SolveRecord):
         """(du, dlambda) of one exact Newton step on F1 = (1 - 2 lambda)
         Lambda(u - u0) - ymeasure f(u) = 0, F2 = Gamma(u) - 1 = 0, or None
         when MINRES breaks down or has no SPD preconditioner (1 - 2 lambda
@@ -553,7 +551,7 @@ class _Trace:
         In Lambda's modes Psi C^{1/2} du, with F1 scaled by Psi C^{-1/2},
         the system is symmetric: block mu diag(d) - Psi diag(hx f'(u)) Psi
         (mu = 1 - 2 lambda), border -2 d q and rhs (flux - mu d q, Gamma - 1)
-        from u's `scaled` forms (q, d q, Gamma) and `flux`.  It is solved by
+        from u's `stationarity` result `test`.  It is solved by
         `_minres`, two DSTs an iteration for the nodal product with f'(u),
         preconditioned by the block's constant-shift part mu d - hx min(f'(1),
         0) and, on the border, its Schur scalar: an SPD diagonal, whose
@@ -561,9 +559,9 @@ class _Trace:
         """
         n = self.spec.ny - 1
         mu = 1.0 - 2.0 * lam
-        _, dq, gamma = self.scaled(u)
+        _, gamma, _, dq, flux = test
         border = -2.0 * dq
-        rhs = np.append(self.flux(np.asarray(nl.f(u))) - mu * dq, gamma - 1.0)
+        rhs = np.append(flux - mu * dq, gamma - 1.0)
         diag = mu * self.d
         shifted = diag - self.spec.hx * min(float(nl.f_prime(1.0)), 0.0)
         schur = float(border @ (border / shifted))
@@ -583,36 +581,39 @@ class _Trace:
             return None
         return _dst(x[:n]) / self.root_c, float(x[n])
 
-    def newton(self, u, nl, lam: float, tol: float, record: SolveRecord):
-        """Newton from u (not changed) to rho/|g| <= tol, |Gamma - 1| <=
-        `_CONSTRAINT_TOL` in at most `_NEWTON_STEPS` steps: the trace, or
-        None when MINRES breaks down, on a non-finite iterate or 1 - 2 lambda
-        <= 0.  Steps, MINRES iterations and residuals go into `record`."""
-        cur = u.copy()
+    def newton(self, u, nl, test: tuple, tol: float, record: SolveRecord):
+        """Newton from u (not changed, `stationarity` result `test`) to
+        rho/|g| <= tol, |Gamma - 1| <= `_CONSTRAINT_TOL` in `_NEWTON_STEPS`
+        steps: (trace, Gamma), or (None, nan) when MINRES breaks down, on a
+        non-finite iterate or 1 - 2 lambda <= 0; counts go into `record`."""
+        cur, lam = u.copy(), test[2]
         for _ in range(_NEWTON_STEPS):
-            step = self.newton_step(cur, nl, lam, record)
+            step = self.newton_step(cur, nl, lam, test, record)
             record.newton_steps += 1
             if step is None:
-                return None
+                break
             cur[1:-1] += step[0]
             lam += step[1]
             if not (lam < 0.5 and np.all(np.isfinite(cur))):
-                return None
-            rho, gamma, _ = self.stationarity(cur, nl)
-            record.rho_history.append(rho)
-            if rho <= tol and abs(gamma - 1.0) <= _CONSTRAINT_TOL:
-                return cur
-        return None
+                break
+            test = self.stationarity(cur, nl)
+            record.rho_history.append(test[0])
+            if test[0] <= tol and abs(test[1] - 1.0) <= _CONSTRAINT_TOL:
+                return cur, test[1]
+        return None, math.nan
 
     def extend(self, u: np.ndarray) -> Field:
         """The front of trace u: u on row 0, w_p + S_ff^{-1} U Lambda (u - u0)
         below.  A second pass on the first one's trace mismatch removes the
-        error, up to 1e-5 where C is smallest, of Lambda's scaled apply."""
-        values = np.tile(self.profile, (self.spec.nx + 1, 1))
-        flux = np.zeros((self.spec.nx + 1, self.spec.ny - 1))
+        error, up to 1e-5 where C is smallest, of Lambda's scaled apply.  In
+        x-modes U b is phi_0 (x) b (phi_0 = Phi's row 0) and modes y have
+        the trace u0 + phi_0^T y; one product Phi y makes the field."""
+        modes = np.zeros((self.spec.nx + 1, self.spec.ny - 1))
         for _ in range(2):
-            flux[0] = self.root_c * _dst(self.d * _dst(self.root_c * (u[1:-1] - values[0, 1:-1])))
-            values[:, 1:-1] += self.ws.precond_solve(flux)
+            flux = self.root_c * _dst(self.d * _dst(self.root_c * (u[1:-1] - self.u0 - self.ws.phi[0] @ modes)))
+            modes += self.ws.solve(np.outer(self.ws.phi[0], flux))
+        values = np.tile(self.profile, (self.spec.nx + 1, 1))
+        values[:, 1:-1] += self.ws.phi @ modes
         values[0] = u
         return Field(values, self.spec)
 
@@ -660,20 +661,19 @@ def minimize(
     clock = record.lap("build_s", clock)
 
     u, record.burst_steps = problem.burst(u, nl, history, _HANDOFF_ITERS, record)
-    rho, gamma, lam = problem.stationarity(u, nl)
-    record.rho_history.append(rho)
+    test = problem.stationarity(u, nl)
+    record.rho_history.append(test[0])
     clock = record.lap("burst_s", clock)
     found = u
-    if not (rho <= opts.tol and abs(gamma - 1.0) <= _CONSTRAINT_TOL):
-        found = problem.newton(u, nl, lam, opts.tol, record)
+    if not (test[0] <= opts.tol and abs(test[1] - 1.0) <= _CONSTRAINT_TOL):
+        found, gamma_new = problem.newton(u, nl, test, opts.tol, record)
         if found is None:
             record.stop = "newton"
         else:
             # E_a/Gamma_a, which a shift in y leaves unchanged: the two traces
             # may sit up to _CONSTRAINT_TOL apart in Gamma_a
-            gamma_new = problem.scaled(found)[2]
             e_new = problem.energy(found, gamma_new, nl)
-            if e_new / gamma_new > history[-1] / gamma:
+            if e_new / gamma_new > history[-1] / test[1]:
                 found, record.stop = None, "refused"
         clock = record.lap("newton_s", clock)
     for candidate in [u] if found is None or found is u else [found, u]:

@@ -296,7 +296,8 @@ def _free_mask(spec) -> np.ndarray:
 def free_stiffness_solve(spec, g):
     """S_ff^{-1} G on an (nx+1, ny-1) free-node block by a sparse direct
     solve on the free rows and columns of `sparse_stiffness`: the reference
-    for `solver._Workspace.precond_solve`."""
+    for `solver._Workspace`'s per-mode solve between its x-mode transforms,
+    Phi (lambda_k C + T)^{-1} Phi^T G."""
     free = _free_mask(spec)
     S_ff = sparse_stiffness(spec)[free][:, free].tocsc()
     return spsolve(S_ff, np.ravel(g)).reshape(g.shape)

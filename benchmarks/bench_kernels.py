@@ -7,9 +7,10 @@ tridiagonal solve (LAPACK dpttrs) on 512 right-hand sides, and
 `rearrange_449` for the numpy rearrangement of one uniform random trace
 of the default grid's 449 nodes, through the sort as in a trace trial),
 the two
-law checks every `solve_front` runs before minimizing (`choose_weight_cubic`
-for the weight policy on the cubic law, alpha = 0.25, and
-`validate_oracle_law` for the structural validation of the oracle law, t =
+law checks every `solve_front` runs before minimizing, the weight policy and
+the structural validation (`choose_weight_cubic` on the cubic law, alpha =
+0.25, `validate_combustion` on combustion, beta = 0.3 and amplitude 1, and
+`validate_oracle_law` and `choose_weight_oracle_law` on the oracle law, t =
 1, c = 2), plus the solver's layers at the default grid
 (`trace_build_96x448` for the trace problem: the stiffness's x-modes and
 per-mode factors, closed-form boundary modes and the pins' 1-D profile;
@@ -108,10 +109,11 @@ def run_suite() -> dict:
 
     # solver layers on the cubic law's seed at the default 96x448 grid
     from frontforge import grid, solver
-    from frontforge.nonlinearity import _hermite_table, make_bistable_cubic, validate
+    from frontforge.nonlinearity import _hermite_table, make_bistable_cubic, make_combustion, validate
 
     nl = make_bistable_cubic(0.25)
     results["choose_weight_cubic"] = bench(solver.choose_weight, nl)
+    results["validate_combustion"] = bench(validate, make_combustion(0.3, 1.0))
     spec = solver.default_grid(solver.choose_weight(nl), solver.SolverOptions())
     seed = grid.seed_function(spec)
     results["trace_build_96x448"] = bench(solver._Trace, spec)
@@ -158,6 +160,7 @@ def run_suite() -> dict:
     params = ExplicitFrontParams(1.0, 2.0)
     law = front_nonlinearity(params)
     results["validate_oracle_law"] = bench(validate, law)
+    results["choose_weight_oracle_law"] = bench(solver.choose_weight, law)
     spec = evolution_grid(params.c, 64)
     front = grid.Field(sample_front(params, spec.xs, spec.ys), spec)
     results["sample_front_129x1153"] = bench(sample_front, params, spec.xs, spec.ys)

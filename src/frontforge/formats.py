@@ -259,6 +259,7 @@ def front_meta(sol) -> dict:
         "rho_history": " ".join(_fmt(r) for r in sol.record.rho_history),
         "trials": sol.record.trials,
         "krylov_iterations": sol.record.krylov_iterations,
+        "law_s": sol.record.law_s,
         "build_s": sol.record.build_s,
         "burst_s": sol.record.burst_s,
         "newton_s": sol.record.newton_s,

@@ -48,7 +48,7 @@ from . import grid as gridmod
 from ._kernels import spd_tridiag_factor
 from .explicit_front import ExplicitFrontParams, front_profile
 from .grid import Field, GridSpec, TraceProfile
-from .nonlinearity import Nonlinearity, NonlinearityError, _adaptive_simpson, validate
+from .nonlinearity import Nonlinearity, NonlinearityError, _adaptive_simpson, _split_at, validate
 
 
 def __getattr__(name: str):
@@ -114,8 +114,8 @@ class SolveRecord:
     `burst_steps` counts the accepted flux fixed-point steps, `trials` all
     trace trials, `newton_steps` every Newton step and `krylov_iterations`
     their MINRES iterations; `rho_history` holds rho/|g| at every stationarity
-    test in order.  The `_s` fields are each phase's seconds: the build,
-    the burst, Newton, and extensions with their two-dimensional tests.
+    test in order.  The `_s` fields are each phase's seconds: the law checks
+    (set by `solve_front`), build, burst, Newton, and extensions with 2-D tests.
     """
 
     stop: str = ""
@@ -124,6 +124,7 @@ class SolveRecord:
     rho_history: list = field(default_factory=list)
     trials: int = 0
     krylov_iterations: int = 0
+    law_s: float = 0.0
     build_s: float = 0.0
     burst_s: float = 0.0
     newton_s: float = 0.0
@@ -173,13 +174,16 @@ _SEED_M = 8.0  # seed steepness used by the weight-selection policy
 def seed_energy_value(nl: Nonlinearity, a: float, d: float | None = None, m: float = _SEED_M) -> float:
     """E_a of the seed e^{-dx} h(y), in closed form (exact in the continuum).
 
-    a*E = (d/4)(1 + 1/(2m-1)) + a^2 m^2 / (4 d (2m-1)) - int_0^1 s^{-1/m} f ds.
+    a*E = (d/4)(1 + 1/(2m-1)) + a^2 m^2 / (4 d (2m-1)) - int_0^1 s^{-1/m} f ds (`_seed_integral`).
     """
     return _seed_energy(_seed_integral(nl, m), a, d, m)
 
 
 def _seed_integral(nl: Nonlinearity, m: float) -> float:
-    return _adaptive_simpson(lambda s: nl.f(s) * s ** (-1.0 / m), 1e-12, 1.0)
+    """int_0^1 s^{-1/m} f ds (m >= 2) as int_0^1 m x^{m-2} f(x^m) dx in x = s^{1/m}, regular at 0,
+    by one Simpson call on 1000 cells each side of beta^{1/m}, where f may kink."""
+    edges = _split_at(max(nl.beta, 0.0) ** (1.0 / m), 1000)
+    return float(_adaptive_simpson(lambda x: m * x ** (m - 2.0) * nl.f(x**m), edges[:-1], edges[1:]).sum())
 
 
 def _seed_energy(s_m: float, a: float, d: float | None = None, m: float = _SEED_M) -> float:
@@ -190,11 +194,11 @@ def _seed_energy(s_m: float, a: float, d: float | None = None, m: float = _SEED_
 
 
 def choose_weight(nl: Nonlinearity) -> float:
-    """Largest a = 0.5 * 2^{-k} whose seed energy is negative.
+    """Largest a = 0.5 * 2^{-k} whose seed energy is negative, from one
+    `_seed_integral` over all of [0, 1], taken in x = s^{1/8}.
 
-    Negative seed energy guarantees -inf < inf E_a < 0, i.e. the
-    minimization is well posed.  Failure down to 1e-6 means the integral
-    condition on f is (numerically) violated.
+    Negative seed energy guarantees -inf < inf E_a < 0: the minimization is
+    well posed.  Failure down to 1e-6 means int_0^1 f is (numerically) <= 0.
     """
     s_m = _seed_integral(nl, _SEED_M)
     a = 0.5
@@ -829,14 +833,17 @@ def solve_front(nl: Nonlinearity, opts: SolverOptions | None = None) -> FrontSol
     """
     opts = opts or SolverOptions()
     opts.check()
+    clock = time.perf_counter()
     report = validate(nl)
     if not report.passed:
         raise NonlinearityError(
             f"reaction law fails structural validation: {report.violated_conditions[:3]}"
         )
     a = opts.a if opts.a is not None else choose_weight(nl)
+    law_s = time.perf_counter() - clock
     spec = default_grid(a, opts)
     kernel = opts.seed == "kernel"
     seed = TraceProfile(spec.ys, front_profile(ExplicitFrontParams(t=1.0, c=a), 0.0, spec.ys)) if kernel else None
     result = minimize(spec, nl, opts, seed=seed)
+    result.record.law_s = law_s
     return extract_speed(result, nl)

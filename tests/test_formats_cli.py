@@ -358,7 +358,8 @@ class TestCli:
         # ... and where its time went
         assert int(meta["trials"]) >= int(meta["burst_steps"])
         assert int(meta["krylov_iterations"]) >= int(meta["newton_steps"])
-        assert all(float(meta[phase]) > 0.0 for phase in ("build_s", "burst_s", "newton_s", "extension_s"))
+        phases = ("law_s", "build_s", "burst_s", "newton_s", "extension_s")
+        assert all(float(meta[phase]) > 0.0 for phase in phases)
         # emitted trace is consumable by asymptotics
         code = main(["asymptotics", "--input", os.path.join(out, "trace.csv"), "--c", repr(c), "--out", out])
         assert code == 0

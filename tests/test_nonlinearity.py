@@ -140,6 +140,13 @@ class TestValidator:
         assert not rep.passed
         assert any(cond == "integral_f_positive" for cond, _ in rep.violated_conditions)
 
+    def test_beta_outside_the_unit_interval_keeps_the_integral_check(self):
+        # with no beta to split at, int_0^1 f still comes from a partition of [0, 1]
+        rep = validate(dataclasses.replace(reflect(make_bistable_cubic(0.25)), beta=1.5), 1000)
+        assert rep.violated_conditions == [("integral_f_positive", 1.0), ("f_positive_above_beta", 1.5)]
+        rep = validate(dataclasses.replace(make_bistable_cubic(0.25), beta=-0.1), 1000)
+        assert rep.violated_conditions == [("f_positive_above_beta", -0.1)]
+
     def test_samples_precondition(self):
         with pytest.raises(ValueError):
             validate(make_bistable_cubic(0.25), 50)

@@ -10,7 +10,7 @@ from frontforge import grid as gridmod
 from frontforge import solver
 from frontforge.explicit_front import ExplicitFrontParams, front_nonlinearity, sample_front
 from frontforge.grid import GridSpec, Field, TraceProfile, dirichlet, energy, seed_function, trace
-from frontforge.nonlinearity import NonlinearityError, make_bistable_cubic, make_combustion, reflect
+from frontforge.nonlinearity import NonlinearityError, make_bistable_cubic, make_combustion, reflect, validate
 from frontforge.solver import (
     MinimizerResult,
     SolverError,
@@ -61,6 +61,99 @@ class TestChooseWeight:
         val = seed_energy_value(nl, 0.01, 0.02, 4.0)
         hand = (0.02 / 4 * (8 / 7) + 1e-4 * 16 / (4 * 0.02 * 7) - 0.04502104) / 0.01
         assert val == pytest.approx(hand, abs=2e-4)
+
+
+class TestSeedIntegral:
+    """int_0^1 s^{-1/8} f ds, which every choose_weight call reads."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.48])
+    def test_cubic_closed_form(self, alpha):
+        closed = -1.0 / (3.0 + 7 / 8) + (1.0 + alpha) / (2.0 + 7 / 8) - alpha / (1.0 + 7 / 8)
+        got = solver._seed_integral(make_bistable_cubic(alpha), 8.0)
+        assert got == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("beta, amp", [(0.3, 1.0), (0.5, 1.0), (0.7, 3.0)])
+    def test_combustion_closed_form(self, beta, amp):
+        # f = 0 below beta: the kink sits on the x = s^{1/8} partition's node
+        def moment(p):  # int_beta^1 s^{p - 1/8} ds
+            return (1.0 - beta ** (p + 7 / 8)) / (p + 7 / 8)
+
+        closed = amp * (-moment(2) + (1.0 + beta) * moment(1) - beta * moment(0))
+        got = solver._seed_integral(make_combustion(beta, amp), 8.0)
+        assert got == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
+#: choose_weight of the 31 laws of benchmarks/sweep_solves.py: every solve of
+#: the sweep runs on the grid these weights set
+SWEEP_WEIGHTS = [
+    (("cubic", 0.02), 0.03125),
+    (("cubic", 0.05), 0.03125),
+    (("cubic", 0.1), 0.03125),
+    (("cubic", 0.15), 0.015625),
+    (("cubic", 0.2), 0.015625),
+    (("cubic", 0.25), 0.015625),
+    (("cubic", 0.3), 0.0078125),
+    (("cubic", 0.35), 0.0078125),
+    (("cubic", 0.4), 0.00390625),
+    (("cubic", 0.45), 0.001953125),
+    (("cubic", 0.48), 0.000244140625),
+    (("combustion", 0.1, 0.5), 0.015625),
+    (("combustion", 0.1, 1.0), 0.03125),
+    (("combustion", 0.1, 3.0), 0.125),
+    (("combustion", 0.3, 0.5), 0.0078125),
+    (("combustion", 0.3, 1.0), 0.015625),
+    (("combustion", 0.3, 3.0), 0.0625),
+    (("combustion", 0.5, 0.5), 0.00390625),
+    (("combustion", 0.5, 1.0), 0.0078125),
+    (("combustion", 0.5, 3.0), 0.015625),
+    (("combustion", 0.7, 0.5), 0.0009765625),
+    (("combustion", 0.7, 1.0), 0.001953125),
+    (("combustion", 0.7, 3.0), 0.00390625),
+    (("oracle", 0.125, 0.5), 0.0625),
+    (("oracle", 0.125, 2.0), 0.25),
+    (("oracle", 0.5, 0.5), 0.03125),
+    (("oracle", 0.5, 2.0), 0.125),
+    (("oracle", 1.0, 0.5), 0.03125),
+    (("oracle", 1.0, 2.0), 0.125),
+    (("oracle", 2.5, 0.5), 0.0078125),
+    (("oracle", 2.5, 2.0), 0.03125),
+]
+
+
+@pytest.mark.parametrize("law, weight", SWEEP_WEIGHTS, ids=[" ".join(map(str, w[0])) for w in SWEEP_WEIGHTS])
+def test_choose_weight_of_the_sweep_laws_is_pinned(law, weight):
+    kind, *args = law
+    make = {"cubic": make_bistable_cubic, "combustion": make_combustion}.get(kind)
+    nl = make(*args) if make else front_nonlinearity(ExplicitFrontParams(*args))
+    assert choose_weight(nl) == weight
+
+
+def _counted(nl):
+    """nl with f and f_prime counting their calls in the returned dict."""
+    calls = {"f": 0, "f_prime": 0}
+
+    def counting(name, fun):
+        def wrapped(s):
+            calls[name] += 1
+            return fun(s)
+
+        return wrapped
+
+    return replace(nl, f=counting("f", nl.f), f_prime=counting("f_prime", nl.f_prime)), calls
+
+
+@pytest.mark.parametrize("law", ["cubic_nl", "combustion", "oracle_nl"])
+def test_law_checks_call_the_law_a_few_times(law, request):
+    # the three benchmark laws; one Simpson level is one call of f, so these
+    # bound the depth of both quadratures on any machine (each bound is the
+    # count measured when it was set, plus one)
+    nl = make_combustion(0.3, 1.0) if law == "combustion" else request.getfixturevalue(law)
+    counted, calls = _counted(nl)
+    assert validate(counted).passed
+    assert calls["f"] <= 5 and calls["f_prime"] <= 3
+    calls.update(f=0, f_prime=0)
+    assert choose_weight(counted) == choose_weight(nl)
+    assert calls["f"] <= 3 and calls["f_prime"] <= 1
 
 
 class TestPreconditioner:
@@ -723,6 +816,9 @@ class TestSolveFront:
     def test_non_finite_weight_is_named(self):
         with pytest.raises(ValueError, match="^a = nan must be finite"):
             solve_front(make_bistable_cubic(0.25), SolverOptions(a=math.nan))
+
+    def test_law_checks_are_timed(self, cubic_solution):
+        assert cubic_solution.record.law_s > 0.0
 
     def test_cubic_front_properties(self, cubic_solution):
         sol = cubic_solution

@@ -203,8 +203,7 @@ def run_suite() -> dict:
     results["top_values_129x897"] = bench(_u_speed2, x_offs, 0.5 * params.c * float(spec.ys[-1]))
     results["front_nonlinearity_t1c2"] = bench(front_nonlinearity, params)
     s_tab, f_tab, fp_tab = _law_table(params.t)
-    a0 = -0.5 / params.t * s_tab[0] * s_tab[0]  # the integral below the table
-    results["ignition_beta_t1c2"] = bench(lambda: _hermite_table(s_tab, f_tab, fp_tab, a0)[3]())
+    results["ignition_beta_t1c2"] = bench(lambda: _hermite_table(s_tab, f_tab, fp_tab)[3]())
     results["oracle_law_G_449"] = bench(law.G, u)
     results["invert_trace_tail_t1c2"] = bench(invert_trace, params, 1e-180)
     results["invert_trace_one_side_t1c2"] = bench(invert_trace, params, 1.0 - 1e-6)

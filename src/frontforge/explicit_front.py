@@ -639,14 +639,15 @@ def _law_eta_grid(t: float) -> np.ndarray:
 
 
 def _law_table(t: float):
-    """The speed-2 law table (s, f^t, f^t') ascending in s: the trace swept
-    once over `_law_eta_grid(t)`, with non-monotone round-off ties dropped."""
+    """The speed-2 law table (s, f^t, f^t') ascending in s on [0, 1]: the
+    trace swept once over `_law_eta_grid(t)` between the exact end nodes
+    (0, 0, -1/t) and (1, 0, -1/t), with non-monotone round-off ties dropped."""
     eta_grid = _law_eta_grid(t)
     u = _sweep(np.array([t]), eta_grid)[0]
     # ascending in s = reversed eta order
-    s_tab = u[::-1]
-    f_tab = _f_speed2(t, eta_grid)[::-1]
-    fp_tab = _fprime_speed2(t, eta_grid)[::-1]
+    s_tab = np.concatenate([[0.0], u[::-1], [1.0]])
+    f_tab = np.concatenate([[0.0], _f_speed2(t, eta_grid)[::-1], [0.0]])
+    fp_tab = np.concatenate([[-1.0 / t], _fprime_speed2(t, eta_grid)[::-1], [-1.0 / t]])
     keep = np.concatenate([[True], np.diff(s_tab) > 0.0])
     return s_tab[keep], f_tab[keep], fp_tab[keep]
 
@@ -656,12 +657,13 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
 
     The trace is swept once (cumulative quadrature) on a grid combining a
     uniform core with geometric tails, giving the parametric table
-    (s, f, f') with exact derivative data.  On the table's own range f is
-    its cubic Hermite interpolant in s (`nonlinearity._hermite_table`), f'
-    that cubic's derivative and G = -(c/2) A, A = int_0^s f^t the closed
-    form integral of that same piecewise f, so G' = -f holds to round-off;
-    beta is the zero of A.  Below and above the table `_law` continues all
-    three with the exact endpoint slope -c/(2t).  The structural constants
+    (s, f, f') with exact derivative data, which ends at the exact
+    endpoint values (0, 0, -1/t) and (1, 0, -1/t).  On [0, 1] f is its cubic
+    Hermite interpolant in s (`nonlinearity._hermite_table`), f' that
+    cubic's derivative and G = -(c/2) A, A = int_0^s f^t the closed form
+    integral of that same piecewise f, so G' = -f holds to round-off; beta
+    is the zero of A.  Outside [0, 1] `_law` continues all three with the
+    exact endpoint slope -c/(2t).  The structural constants
     delta and alpha are located from the closed forms.  Interpolation error
     is below ~1e-9, far inside what the variational solver resolves.
     """
@@ -670,9 +672,7 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
         raise ValueError(f"the law table needs t >= {LAW_T_MIN:g}, got t = {t:g}")
     y_star = _hphase_root(t)
     s_tab, f_tab, fp_tab = _law_table(t)
-    slope = -1.0 / t  # speed-2 endpoint slope; scaled by c/2 below
-    s_lo, s_hi = float(s_tab[0]), float(s_tab[-1])
-    f_core, fp_core, a_core, zero = _hermite_table(s_tab, f_tab, fp_tab, 0.5 * slope * s_lo * s_lo)
+    f_core, fp_core, a_core, zero = _hermite_table(s_tab, f_tab, fp_tab)
 
     gamma1 = _u_speed2(t, y_star)
     gamma2 = _u_speed2(t, -y_star)
@@ -687,8 +687,7 @@ def front_nonlinearity(params: ExplicitFrontParams) -> Nonlinearity:
         lambda s: scale * f_core(s),
         lambda s: scale * fp_core(s),
         lambda s: -scale * a_core(s),
-        slopes=(scale * slope, scale * slope),
-        domain=(s_lo, s_hi),
+        slopes=(scale * float(fp_tab[0]), scale * float(fp_tab[-1])),
         kind="custom",
         delta=delta,
         beta=zero(),

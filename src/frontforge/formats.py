@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -118,7 +118,7 @@ def _check_ranges(cfg: ExperimentConfig) -> None:
     refine = cfg.solver.get("refine", 0)
     if not 0 <= refine <= 3:
         raise ConfigError("solver.refine must lie in 0..3")
-    # the solver's preconditioner holds dense (nx+1) x (nx+1) matrices
+    # the solver's workspace holds the dense (nx+1) x (nx+1) x-modes `_Workspace.phi`
     for key, cap in (("nx", 2048), ("ny", 8192)):
         if cfg.grid.get(key, getattr(SolverOptions, key)) << refine > cap:
             raise ConfigError(f"grid.{key} * 2^solver.refine must be at most {cap}")
@@ -238,7 +238,11 @@ def read_kv(path: str) -> dict:
 
 
 def front_meta(sol) -> dict:
+    """The solution's numbers and grid, then every `SolveRecord` field in
+    its order, `rho_history` as one space-separated line."""
     spec = sol.front.spec
+    record = {f.name: getattr(sol.record, f.name) for f in fields(sol.record)}
+    record["rho_history"] = " ".join(_fmt(r) for r in record["rho_history"])
     return {
         "c": sol.speed,
         "mu": sol.mu,
@@ -253,18 +257,7 @@ def front_meta(sol) -> dict:
         "interior_residual": sol.interior_residual,
         "boundary_residual": sol.boundary_residual,
         "c_variational": sol.speed_variational,
-        "stop": sol.record.stop,
-        "burst_steps": sol.record.burst_steps,
-        "newton_steps": sol.record.newton_steps,
-        "rho_history": " ".join(_fmt(r) for r in sol.record.rho_history),
-        "trials": sol.record.trials,
-        "krylov_iterations": sol.record.krylov_iterations,
-        "law_s": sol.record.law_s,
-        "build_s": sol.record.build_s,
-        "burst_s": sol.record.burst_s,
-        "newton_s": sol.record.newton_s,
-        "extension_s": sol.record.extension_s,
-    }
+    } | record
 
 
 def decay_record(report) -> dict:

@@ -215,14 +215,23 @@ def energy(w: Field, nl: Nonlinearity) -> float:
 # -- field constructors -------------------------------------------------------
 
 
-def seed_function(spec: GridSpec, d: float | None = None, m: float = 8.0) -> Field:
+#: the seed's steepness m in the weight-selection policy (its decay is `seed_decay`)
+SEED_M = 8.0
+
+
+def seed_decay(a: float) -> float:
+    """The seed's decay d = a/2 in the weight-selection policy."""
+    return 0.5 * a
+
+
+def seed_function(spec: GridSpec, d: float | None = None, m: float = SEED_M) -> Field:
     """Negative-energy seed e^{-dx} h(y), h = 1 for y <= 0, e^{-a m y} above.
 
-    Defaults follow the weight-selection policy d = a/2, m = 8.
+    Defaults follow the weight-selection policy: d = `seed_decay(a)`, m = SEED_M.
     """
     a = spec.a
     if d is None:
-        d = 0.5 * a
+        d = seed_decay(a)
     if d <= 0.0 or m < 1.0:
         raise ValueError("require d > 0 and m >= 1")
     h = np.where(spec.ys > 0.0, np.exp(-a * m * np.maximum(spec.ys, 0.0)), 1.0)

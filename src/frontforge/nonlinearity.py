@@ -1,13 +1,12 @@
 """Reaction laws on the boundary: bistable and combustion families.
 
 A reaction law f lives on [0,1] with f(0) = f(1) = 0.  The constructors
-give its cores, on [0,1] or on a table's own range inside it, and one rule,
-`_law`, continues them outside: f with its endpoint slopes (slope0*s below
-the core, slope1*(s-1) above it), f' as those slopes and the potential
-G = -int_0^s f as the matching quadratic.  The tabulated laws (`make_custom`
-and `explicit_front.front_nonlinearity`) share one cubic Hermite table,
-`_hermite_table`, whose exact integral is their G.  Valid laws satisfy five
-structural conditions:
+give its cores on [0,1], and one rule, `_law`, continues them outside: f
+with its endpoint slopes (slope0*s below 0, slope1*(s-1) above 1), f' as
+those slopes and the potential G = -int_0^s f as the matching quadratic.
+The tabulated laws (`make_custom` and `explicit_front.front_nonlinearity`)
+share one cubic Hermite table on [0,1], `_hermite_table`, whose exact
+integral is their G.  Valid laws satisfy five structural conditions:
 
     1. f(0) = f(1) = 0,
     2. f' <= 0 on (0, delta) and (1-delta, 1) for some delta in (0, 1/2),
@@ -62,45 +61,41 @@ class ValidationReport:
 _TABLE_POINTS = 4096
 
 
-def _law(f, f_prime, G, slopes, domain=(0.0, 1.0), **fields) -> Nonlinearity:
-    """The law with cores f, f_prime, G on `domain` [d0, d1], which is
-    [0, 1] but for a table's own range: f is slopes[0]*s below d0 and
-    slopes[1]*(s-1) above d1, f' the slope there, and G the matching
-    quadratic, -slopes[0]*s^2/2 below d0 (the core G meets it at d0) and
-    continued from the core's G(d1) above d1, so G(0) = 0 and G' = -f.  The
-    cores see s clipped to the domain as an array (a numpy scalar's ** is
-    libm pow)."""
+def _law(f, f_prime, G, slopes, **fields) -> Nonlinearity:
+    """The law with cores f, f_prime, G on [0, 1]: f is slopes[0]*s below 0
+    and slopes[1]*(s-1) above 1, f' the slope there, and G the matching
+    quadratic, -slopes[0]*s^2/2 below 0 and g1 - slopes[1]*(s-1)^2/2 above
+    1, g1 = G(1), so G(0) = 0 and G' = -f.  The cores see s clipped to
+    [0, 1] as an array (a numpy scalar's ** is libm pow)."""
     lo, hi = slopes
-    d0, d1 = domain
-    # G(1) of the quadratic that continues G above d1
-    g1 = float(G(np.asarray(d1))) + 0.5 * hi * (d1 - 1.0) ** 2
+    g1 = float(G(np.asarray(1.0)))
 
     def core(fun, s):
-        return fun(np.asarray(np.clip(s, d0, d1)))
+        return fun(np.asarray(np.clip(s, 0.0, 1.0)))
 
     def fx(s):
         s = np.asarray(s, dtype=float)
-        return np.where(s < d0, lo * s, np.where(s > d1, hi * (s - 1.0), core(f, s)))
+        return np.where(s < 0.0, lo * s, np.where(s > 1.0, hi * (s - 1.0), core(f, s)))
 
     def fpx(s):
         s = np.asarray(s, dtype=float)
-        return np.where(s < d0, lo, np.where(s > d1, hi, core(f_prime, s)))
+        return np.where(s < 0.0, lo, np.where(s > 1.0, hi, core(f_prime, s)))
 
     def Gx(s):
         s = np.asarray(s, dtype=float)
         high = g1 - 0.5 * hi * (s - 1.0) ** 2
-        return np.where(s < d0, -0.5 * lo * s * s, np.where(s > d1, high, core(G, s)))
+        return np.where(s < 0.0, -0.5 * lo * s * s, np.where(s > 1.0, high, core(G, s)))
 
     return Nonlinearity(f=fx, f_prime=fpx, G=Gx, extension_slopes=(lo, hi), **fields)
 
 
-def _hermite_table(s_tab: np.ndarray, f_tab: np.ndarray, fp_tab: np.ndarray, a0: float):
+def _hermite_table(s_tab: np.ndarray, f_tab: np.ndarray, fp_tab: np.ndarray):
     """(value, derivative, integral, zero) of the cubic Hermite interpolant
-    of the table (s_tab, f_tab, fp_tab), ascending in s.
+    of the table (s_tab, f_tab, fp_tab), ascending in s from s_tab[0] = 0.
 
     The first three are functions of an array s in [s_tab[0], s_tab[-1]]
     (products, not **, so a 0-d s gives the array bits).  The integral is
-    a0 at s_tab[0] plus the exact integral of the cubic: at the nodes the
+    the exact integral of the cubic from s_tab[0]: at the nodes the
     cumulative cell integrals h/2 (f_i + f_{i+1}) + h^2/12 (f'_i - f'_{i+1}),
     inside a cell the cubic's own antiderivative, a quartic in the cell
     coordinate w with no constant term, in Horner form.  zero() bisects,
@@ -112,7 +107,7 @@ def _hermite_table(s_tab: np.ndarray, f_tab: np.ndarray, fp_tab: np.ndarray, a0:
     f0, f1 = h * f_tab[:-1], h * f_tab[1:]
     d0, d1 = h * h * fp_tab[:-1], h * h * fp_tab[1:]
     cell = 0.5 * (f0 + f1) + (d0 - d1) / 12.0
-    at_nodes = a0 + np.concatenate([[0.0], np.cumsum(cell)])
+    at_nodes = np.concatenate([[0.0], np.cumsum(cell)])
     # the quartic's coefficients of w^2, w^3, w^4 (that of w is f0)
     c2 = 0.5 * d0
     c3 = f1 - f0 - (2.0 * d0 + d1) / 3.0
@@ -233,7 +228,7 @@ def make_custom(
     """
     nodes = np.linspace(0.0, 1.0, _TABLE_POINTS + 1)
     fn, fpn = (np.asarray(fun(nodes), dtype=float) for fun in (f, f_prime))
-    integral = _hermite_table(nodes, fn, fpn, 0.0)[2]
+    integral = _hermite_table(nodes, fn, fpn)[2]
     return _law(
         f,
         f_prime,
@@ -385,29 +380,19 @@ def reflect(nl: Nonlinearity) -> Nonlinearity:
 
     Negates the integral of f: if f has negative integral the reflected law
     is solvable, and the original front is recovered from the reflected one
-    by (c, u) -> (-c, 1 - u(x, -y)).
+    by (c, u) -> (-c, 1 - u(x, -y)).  Its cores on [0, 1] are -f(1-s),
+    f'(1-s) and G(1-s) - G(1), continued by `_law` with the slopes swapped.
     """
-    base_f, base_fp, base_g = nl.f, nl.f_prime, nl.G
-    g1 = float(np.asarray(base_g(1.0)))
-
-    def f(s):
-        return -base_f(1.0 - np.asarray(s, dtype=float))
-
-    def f_prime(s):
-        return base_fp(1.0 - np.asarray(s, dtype=float))
-
-    def G(s):
-        return base_g(1.0 - np.asarray(s, dtype=float)) - g1
-
-    return Nonlinearity(
+    g1 = float(nl.G(np.asarray(1.0)))
+    return _law(
+        lambda s: -nl.f(1.0 - s),
+        lambda s: nl.f_prime(1.0 - s),
+        lambda s: nl.G(1.0 - s) - g1,
+        slopes=nl.extension_slopes[::-1],
         kind="custom",
-        f=f,
-        f_prime=f_prime,
         delta=nl.delta,
         beta=1.0 - nl.beta,
         alpha=None if nl.alpha is None else 1.0 - nl.alpha,
-        extension_slopes=(nl.extension_slopes[1], nl.extension_slopes[0]),
-        G=G,
         label=f"reflect({nl.label or nl.kind})",
         params={"kind": "reflect", "base": dict(nl.params)},
     )

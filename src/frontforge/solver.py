@@ -47,7 +47,7 @@ from scipy.linalg import lapack
 from . import grid as gridmod
 from ._kernels import spd_tridiag_factor
 from .explicit_front import ExplicitFrontParams, front_profile
-from .grid import Field, GridSpec, TraceProfile
+from .grid import SEED_M, Field, GridSpec, TraceProfile, seed_decay
 from .nonlinearity import Nonlinearity, NonlinearityError, _adaptive_simpson, _split_at, validate
 
 
@@ -168,10 +168,7 @@ class FrontSolution:
 
 # -- weight selection ---------------------------------------------------------
 
-_SEED_M = 8.0  # seed steepness used by the weight-selection policy
-
-
-def seed_energy_value(nl: Nonlinearity, a: float, d: float | None = None, m: float = _SEED_M) -> float:
+def seed_energy_value(nl: Nonlinearity, a: float, d: float | None = None, m: float = SEED_M) -> float:
     """E_a of the seed e^{-dx} h(y), in closed form (exact in the continuum).
 
     a*E = (d/4)(1 + 1/(2m-1)) + a^2 m^2 / (4 d (2m-1)) - int_0^1 s^{-1/m} f ds (`_seed_integral`).
@@ -186,9 +183,9 @@ def _seed_integral(nl: Nonlinearity, m: float) -> float:
     return float(_adaptive_simpson(lambda x: m * x ** (m - 2.0) * nl.f(x**m), edges[:-1], edges[1:]).sum())
 
 
-def _seed_energy(s_m: float, a: float, d: float | None = None, m: float = _SEED_M) -> float:
+def _seed_energy(s_m: float, a: float, d: float | None = None, m: float = SEED_M) -> float:
     """E_a of the seed from s_m = int_0^1 s^{-1/m} f ds, which is free of a."""
-    d = 0.5 * a if d is None else d
+    d = seed_decay(a) if d is None else d
     val = d / 4.0 * (1.0 + 1.0 / (2.0 * m - 1.0)) + a * a * m * m / (4.0 * d * (2.0 * m - 1.0)) - s_m
     return val / a
 
@@ -200,7 +197,7 @@ def choose_weight(nl: Nonlinearity) -> float:
     Negative seed energy guarantees -inf < inf E_a < 0: the minimization is
     well posed.  Failure down to 1e-6 means int_0^1 f is (numerically) <= 0.
     """
-    s_m = _seed_integral(nl, _SEED_M)
+    s_m = _seed_integral(nl, SEED_M)
     a = 0.5
     while a > 1e-6:
         if _seed_energy(s_m, a) < 0.0:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 import frontforge.explicit_front as ef
+from frontforge import solver
 from frontforge.analysis import fit_decay
 from frontforge.evolution import lipschitz_bound, stability_limit
 from frontforge.explicit_front import (
@@ -22,7 +25,7 @@ from frontforge.explicit_front import (
     poisson_kernel,
 )
 from frontforge.front_suite import evolution_grid, oracle_residual_grid
-from frontforge.grid import TraceProfile
+from frontforge.grid import SEED_M, TraceProfile
 from frontforge.nonlinearity import antiderivative, ignition_point, validate
 from frontforge.specfun import bessel_k, k_ratio
 from oracles import (
@@ -525,6 +528,33 @@ class TestPackagedNonlinearity:
         # beta = 4.35e-8 at t = 2.5, where int_0^s f stays below 5e-18
         law = oracle_nl if t == 1.0 else front_nonlinearity(ExplicitFrontParams(t, 2.0))
         assert abs(ignition_point(law) - law.beta) <= 1e-9 * law.beta
+
+    @pytest.mark.parametrize("t, c", [(1.0, 2.0), (2.5, 2.0)])
+    def test_law_is_continuous_at_the_last_swept_node(self, t, c):
+        # the Hermite table runs on to its exact end node at s = 1, so f and
+        # f' are continuous to round-off at the last node below it
+        law = front_nonlinearity(ExplicitFrontParams(t, c))
+        s_tab = ef._law_table(t)[0]
+        node = s_tab[s_tab < 1.0][-1]
+        s = np.array([node, np.nextafter(node, 2.0)])
+        assert np.ptp(law.f(s)) <= 1e-14
+        assert np.ptp(law.f_prime(s)) <= 1e-12
+
+    @pytest.mark.parametrize("t, c", [(1.0, 2.0), (2.5, 0.5), (2.5, 2.0)])
+    def test_tight_seed_integral_stays_shallow(self, t, c, monkeypatch):
+        # at tol 1e-14 each breadth-first Simpson level is one call of f:
+        # a jump of f inside a cell would send it 40-odd levels deep
+        law = front_nonlinearity(ExplicitFrontParams(t, c))
+        calls = []
+
+        def counted(s):
+            calls.append(1)
+            return law.f(s)
+
+        tight = functools.partial(solver._adaptive_simpson, tol=1e-14)
+        monkeypatch.setattr(solver, "_adaptive_simpson", tight)
+        solver._seed_integral(dataclasses.replace(law, f=counted), SEED_M)
+        assert len(calls) <= 3
 
     def test_structural_constants(self, oracle_nl):
         assert 0.0 < oracle_nl.delta < 0.5

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from frontforge import analysis, cli, evolution, formats, grid, solver
 from frontforge.cli import main
 from frontforge.formats import ConfigError, parse_config_text
+from frontforge.nonlinearity import make_bistable_cubic
 from frontforge.solver import SolverOptions
 
 
@@ -131,6 +133,17 @@ class TestFiles:
         assert back["c"] == repr(1.25)
         assert back["nx"] == "48"
         assert back["label"] == "front"
+
+    def test_meta_carries_every_solve_record_field(self, tmp_path):
+        sol = solver.solve_front(make_bistable_cubic(0.25))
+        path = str(tmp_path / "meta.txt")
+        formats.write_kv(path, formats.front_meta(sol))
+        meta = formats.read_kv(path)
+        names = [f.name for f in dataclasses.fields(solver.SolveRecord)]
+        # the run record closes the file, in the record's own order
+        assert list(meta)[-len(names) :] == names
+        assert meta["rho_history"] == " ".join(repr(r) for r in sol.record.rho_history)
+        assert meta["stop"] == sol.record.stop and int(meta["trials"]) == sol.record.trials
 
 
 class TestCli:

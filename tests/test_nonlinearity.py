@@ -216,36 +216,37 @@ def sine_law():
     )
 
 
-@pytest.mark.parametrize("law", ["cubic_nl", "combustion", "custom", "oracle_nl", "oracle_table"])
+@pytest.mark.parametrize("law", ["cubic_nl", "combustion", "custom", "oracle_nl", "oracle_table", "reflected"])
 def test_every_law_continues_by_one_rule(law, request):
-    d0, d1 = 0.0, 1.0  # the ends of the law's core
     if law == "combustion":
-        nl = make_combustion(0.3, 1.0)
+        laws = [make_combustion(0.3, 1.0)]
     elif law == "custom":
-        nl = sine_law()
+        laws = [sine_law()]
     elif law == "oracle_table":
-        # the table ends inside (0, 1), and the rule starts at its ends
+        # the table ends at the exact endpoint values, so its core is [0, 1]
         params = ExplicitFrontParams(2.5, 0.7)
-        nl = front_nonlinearity(params)
-        s_tab = _law_table(params.t)[0]
-        d0, d1 = float(s_tab[0]), float(s_tab[-1])
-        assert 0.0 < d0 < 1e-30 and 0.99 < d1 < 1.0
+        s_tab, f_tab, fp_tab = _law_table(params.t)
+        slope = -1.0 / params.t
+        assert [(s_tab[k], f_tab[k], fp_tab[k]) for k in (0, -1)] == [(0.0, 0.0, slope), (1.0, 0.0, slope)]
+        laws = [front_nonlinearity(params)]
+    elif law == "reflected":
+        laws = [reflect(request.getfixturevalue(base)) for base in ("cubic_nl", "oracle_nl")]
     else:
-        nl = request.getfixturevalue(law)
-    lo, hi = nl.extension_slopes
-    # [-2, d0) and (d1, 3], with [0, d0) and (d1, 1] sampled on their own
-    below = np.unique(np.concatenate([np.linspace(-2.0, 0.0, 401), np.linspace(0.0, d0, 101)]))[:-1]
-    above = np.unique(np.concatenate([np.linspace(d1, 1.0, 101), np.linspace(1.0, 3.0, 401)]))[1:]
-    np.testing.assert_array_equal(nl.f(below), lo * below)
-    np.testing.assert_array_equal(nl.f(above), hi * (above - 1.0))
-    np.testing.assert_array_equal(nl.f_prime(below), np.full_like(below, lo))
-    np.testing.assert_array_equal(nl.f_prime(above), np.full_like(above, hi))
-    # G is continuous at 0 and 1, and G' = -f there and on both extensions
-    for end in (0.0, 1.0):
-        assert np.ptp(nl.G(np.array([end - 1e-9, end, end + 1e-9]))) <= 1e-12
-    s = np.concatenate([below, [0.0, 1.0], above])
-    h = 1e-6
-    np.testing.assert_allclose((nl.G(s + h) - nl.G(s - h)) / (2.0 * h), -nl.f(s), rtol=0.0, atol=1e-6)
+        laws = [request.getfixturevalue(law)]
+    below = np.linspace(-2.0, 0.0, 401)[:-1]
+    above = np.linspace(1.0, 3.0, 401)[1:]
+    for nl in laws:
+        lo, hi = nl.extension_slopes
+        np.testing.assert_array_equal(nl.f(below), lo * below)
+        np.testing.assert_array_equal(nl.f(above), hi * (above - 1.0))
+        np.testing.assert_array_equal(nl.f_prime(below), np.full_like(below, lo))
+        np.testing.assert_array_equal(nl.f_prime(above), np.full_like(above, hi))
+        # G is continuous at 0 and 1, and G' = -f there and on both extensions
+        for end in (0.0, 1.0):
+            assert np.ptp(nl.G(np.array([end - 1e-9, end, end + 1e-9]))) <= 1e-12
+        s = np.concatenate([below, [0.0, 1.0], above])
+        h = 1e-6
+        np.testing.assert_allclose((nl.G(s + h) - nl.G(s - h)) / (2.0 * h), -nl.f(s), rtol=0.0, atol=1e-6)
 
 
 def test_custom_potential_is_the_antiderivative():
